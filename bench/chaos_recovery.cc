@@ -67,6 +67,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -609,6 +610,11 @@ void
 endpointFailoverScenario(const Options &opt, ScenarioTally &tally)
 {
     BruteForceCampaignConfig cfg = makeBruteForceConfig(opt, 0.0);
+    // Quarter-size chunks: the armed endpoint's affine workers must
+    // still find work queued when it dies. With a dozen large chunks
+    // a CPU-starved endpoint could watch the survivor drain the whole
+    // queue first, leaving no fault to recover from.
+    cfg.pool.chunkSize = std::max<uint64_t>(1, cfg.pool.chunkSize / 4);
     const uint64_t chunks = chunkCount(
         uint64_t(cfg.last) - cfg.first + 1, cfg.pool.chunkSize);
 

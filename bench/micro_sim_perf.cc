@@ -186,6 +186,12 @@ BM_Fig8TrainingLoop(benchmark::State &state)
             : 0.0;
     state.counters["sb_invalidations"] =
         double(sb1.invalidations - sb0.invalidations);
+    // Block entries that skipped the interpreter's fetch: chained
+    // straight from the previous block (user stub -> SVC -> handler
+    // -> ERET -> caller), per oracle query.
+    state.counters["sb_chained_per_query"] =
+        double(sb1.chainedDispatches - sb0.chainedDispatches) /
+        double(state.iterations());
     // Timing-trace telemetry (DESIGN.md §4k) over the same measured
     // region: how many block dispatches replayed a memoized hierarchy
     // walk, how many memory ops that skipped, and how often the guard

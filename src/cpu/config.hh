@@ -125,7 +125,7 @@ struct CoreConfig
      * re-dispatch, while the per-set generation labels of every
      * touched set still hold (and the entry EL and address registers
      * match), skip the translation + cache walk entirely and replay
-     * the recorded hits via Tlb/Cache::rehit — bit-identical LRU
+     * the recorded hits via Tlb/Cache::rehitN — bit-identical LRU
      * stamps, hit counters, latencies and values (see cpu/
      * superblock.hh). Only consulted when superblocks is on. Defaults
      * off in PACMAN_DISABLE_FASTPATH builds with the rest of the

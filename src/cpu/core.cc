@@ -32,12 +32,13 @@ struct AluOut
     bool writes = true;
 };
 
-/** Evaluate any ALU-class instruction on operand values. */
+/** Evaluate any ALU-class instruction on operand values; @p has_imm
+ *  (the op does not read rm) selects the immediate as operand b. */
 AluOut
-aluExec(const Inst &inst, uint64_t rdv, uint64_t rnv, uint64_t rmv)
+aluExec(const Inst &inst, bool has_imm, uint64_t rdv, uint64_t rnv,
+        uint64_t rmv)
 {
     AluOut out;
-    const bool has_imm = !isa::readsRm(inst);
     const uint64_t b = has_imm ? uint64_t(inst.imm) : rmv;
 
     auto sub_flags = [&](uint64_t a, uint64_t s) {
@@ -423,16 +424,17 @@ Core::archFault(mem::Fault fault, Addr addr, const char *what)
 }
 
 void
-Core::execAlu(const Inst &inst)
+Core::execAlu(const Inst &inst, bool reads_rn, bool reads_rm,
+              bool reads_rd)
 {
     uint64_t src_ready = cycle_ + 1;
-    if (isa::readsRn(inst))
+    if (reads_rn)
         src_ready = std::max(src_ready, ready_[inst.rn]);
-    if (isa::readsRm(inst))
+    if (reads_rm)
         src_ready = std::max(src_ready, ready_[inst.rm]);
-    if (isa::readsRdAsSource(inst))
+    if (reads_rd)
         src_ready = std::max(src_ready, ready_[inst.rd]);
-    const AluOut out = aluExec(inst, regs_[inst.rd],
+    const AluOut out = aluExec(inst, !reads_rm, regs_[inst.rd],
                                regs_[inst.rn], regs_[inst.rm]);
     const uint64_t lat =
         inst.op == Opcode::MUL ? cfg_.mulLat : cfg_.aluLat;
@@ -567,10 +569,69 @@ Core::execMsr(const Inst &inst, ExitStatus *status)
     return true;
 }
 
+bool
+Core::execSvc(const Inst &inst, ExitStatus *status, Addr *next_pc)
+{
+    if (el_ != 0) {
+        status->kind = ExitKind::KernelPanic;
+        status->pc = pc_;
+        status->reason = "nested SVC at EL1";
+        return false;
+    }
+    ++stats_.syscalls;
+    sysregs_[size_t(SysReg::ELR_EL1)] = pc_ + isa::InstBytes;
+    sysregs_[size_t(SysReg::ESR_EL1)] = uint64_t(inst.imm);
+    el_ = 1;
+    serialize(cfg_.svcLat);
+    *next_pc = sysregs_[size_t(SysReg::VBAR_EL1)];
+    return true;
+}
+
+bool
+Core::execEret(ExitStatus *status, Addr *next_pc)
+{
+    if (el_ != 1) {
+        status->kind = ExitKind::CrashEl0;
+        status->pc = pc_;
+        status->reason = "ERET at EL0";
+        return false;
+    }
+    el_ = 0;
+    serialize(cfg_.eretLat);
+    *next_pc = sysregs_[size_t(SysReg::ELR_EL1)];
+    return true;
+}
+
+ExitStatus
+Core::stopStatus(const Inst &inst) const
+{
+    ExitStatus status;
+    status.code = uint64_t(inst.imm);
+    status.pc = pc_;
+    if (inst.op == Opcode::HLT) {
+        status.kind = ExitKind::Halted;
+    } else {
+        status.kind = ExitKind::Breakpoint;
+        status.reason =
+            strprintf("brk #%llu", (unsigned long long)inst.imm);
+    }
+    return status;
+}
+
+bool
+Core::condTaken(const Inst &inst) const
+{
+    if (inst.op == Opcode::BCOND)
+        return isa::condHolds(inst.cond, flags_);
+    const bool zero = regs_[inst.rd] == 0;
+    return inst.op == Opcode::CBZ ? zero : !zero;
+}
+
 ExitStatus
 Core::run(uint64_t max_insts)
 {
-    for (uint64_t n = 0; n < max_insts; ++n) {
+    uint64_t n = 0;
+    while (n < max_insts) {
         // Fetch-group pacing: fetchWidth instructions per cycle.
         if (++fetchGroup_ >= cfg_.fetchWidth) {
             fetchGroup_ = 0;
@@ -600,46 +661,31 @@ Core::run(uint64_t max_insts)
 
         const Inst &inst = f.inst;
 
-        // Committed-fast-path superblock dispatch: a straight-line
-        // run starting here executes through the threaded loop in
-        // runSuperblock(), which replays the interpreter's exact
-        // per-instruction side effects. Only attempted with no trace
-        // hook armed and a cacheable PA in hand; ineligible opcodes
-        // and every block exit fall through to the interpreter below.
-        if (cfg_.superblocks && !traceHook_ && f.hasPa) {
-            SbOpKind kind0;
-            if (sbKindFor(inst.op, &kind0)) {
-                superblocks_.syncEpoch(mem_->fetchEpoch(), &sbStats_);
-                Superblock *sb =
-                    superblocks_.lookup(f.pa, f.pageGen, &sbStats_);
-                if (sb) {
-                    ++sbStats_.blockHits;
-                } else {
-                    sb = &superblocks_.insertSlot(f.pa, f.pageGen);
-                    buildSuperblock(*sb, mem_->phys(),
-                                    cfg_.superblockMaxOps);
-                    ++sbStats_.blocksBuilt;
-                }
-                const SbMode mode = chooseSbMode(*sb);
-                ExitStatus status;
-                bool exited = false;
-                const uint64_t executed = runSuperblock(
-                    *sb, max_insts - n, &status, &exited, mode);
-                sbStats_.blockInsts += executed;
-                if (mode == SbMode::Record)
-                    finalizeTraceRecord(*sb);
-                if (exited)
-                    return status;
-                if (executed) {
-                    n += executed - 1; // the loop header adds the last
-                    continue;
-                }
-                // The entry op is a conditional branch the predictor
-                // gets wrong: fall through — the interpreter below
-                // runs it, speculation machinery and all.
-            }
+        // Committed-fast-path superblock dispatch: a trace starting
+        // here, and every block chained after it, executes through
+        // the threaded loop in runSuperblock(), which replays the
+        // interpreter's exact per-instruction side effects. Only
+        // attempted with no trace hook armed and a cacheable PA in
+        // hand; ineligible opcodes and every unchained block exit
+        // fall through to the interpreter below.
+        SbOpKind kind0;
+        if (cfg_.superblocks && !traceHook_ && f.hasPa &&
+            sbKindFor(inst.op, &kind0)) {
+            ExitStatus status;
+            bool exited = false;
+            const uint64_t executed = dispatchBlocks(
+                f.pa, f.pageGen, max_insts - n, &status, &exited);
+            if (exited)
+                return status;
+            n += executed;
+            if (executed)
+                continue;
+            // The entry op is a conditional branch the predictor gets
+            // wrong: fall through — the interpreter below runs it,
+            // speculation machinery and all.
         }
 
+        ++n;
         ++stats_.instsRetired;
         if (traceHook_)
             traceHook_(TraceRecord{pc_, inst, el_, false, cycle_});
@@ -647,7 +693,8 @@ Core::run(uint64_t max_insts)
 
         switch (isa::instClass(inst.op)) {
           case InstClass::Alu:
-            execAlu(inst);
+            execAlu(inst, isa::readsRn(inst), isa::readsRm(inst),
+                    isa::readsRdAsSource(inst));
             break;
 
           case InstClass::Load:
@@ -661,16 +708,10 @@ Core::run(uint64_t max_insts)
           case InstClass::BranchCond: {
             ++stats_.branches;
             const Addr taken_target = pc_ + uint64_t(inst.imm);
-            bool actual;
-            uint64_t op_ready;
-            if (inst.op == Opcode::BCOND) {
-                actual = isa::condHolds(inst.cond, flags_);
-                op_ready = flagsReady_;
-            } else {
-                const bool zero = regs_[inst.rd] == 0;
-                actual = inst.op == Opcode::CBZ ? zero : !zero;
-                op_ready = ready_[inst.rd];
-            }
+            const bool actual = condTaken(inst);
+            const uint64_t op_ready = inst.op == Opcode::BCOND
+                                          ? flagsReady_
+                                          : ready_[inst.rd];
             const bool predicted = predictor_.predict(pc_);
             const uint64_t resolve =
                 std::max(cycle_ + 1, op_ready) + cfg_.branchResolveLat;
@@ -776,51 +817,20 @@ Core::run(uint64_t max_insts)
                 break;
               }
               case Opcode::SVC: {
-                if (el_ != 0) {
-                    ExitStatus status;
-                    status.kind = ExitKind::KernelPanic;
-                    status.pc = pc_;
-                    status.reason = "nested SVC at EL1";
+                ExitStatus status;
+                if (!execSvc(inst, &status, &next_pc))
                     return status;
-                }
-                ++stats_.syscalls;
-                sysregs_[size_t(SysReg::ELR_EL1)] =
-                    pc_ + isa::InstBytes;
-                sysregs_[size_t(SysReg::ESR_EL1)] = uint64_t(inst.imm);
-                el_ = 1;
-                serialize(cfg_.svcLat);
-                next_pc = sysregs_[size_t(SysReg::VBAR_EL1)];
                 break;
               }
               case Opcode::ERET: {
-                if (el_ != 1) {
-                    ExitStatus status;
-                    status.kind = ExitKind::CrashEl0;
-                    status.pc = pc_;
-                    status.reason = "ERET at EL0";
+                ExitStatus status;
+                if (!execEret(&status, &next_pc))
                     return status;
-                }
-                el_ = 0;
-                serialize(cfg_.eretLat);
-                next_pc = sysregs_[size_t(SysReg::ELR_EL1)];
                 break;
               }
-              case Opcode::HLT: {
-                ExitStatus status;
-                status.kind = ExitKind::Halted;
-                status.code = uint64_t(inst.imm);
-                status.pc = pc_;
-                return status;
-              }
-              case Opcode::BRK: {
-                ExitStatus status;
-                status.kind = ExitKind::Breakpoint;
-                status.code = uint64_t(inst.imm);
-                status.pc = pc_;
-                status.reason = strprintf("brk #%llu",
-                                          (unsigned long long)inst.imm);
-                return status;
-              }
+              case Opcode::HLT:
+              case Opcode::BRK:
+                return stopStatus(inst);
               default:
                 panic("unhandled system op %s",
                       isa::opcodeName(inst.op).c_str());
@@ -958,6 +968,9 @@ Core::beginTraceRecord(Superblock &sb)
           case SbOpKind::BranchCond:
           case SbOpKind::Msr:
           case SbOpKind::Barrier:
+          case SbOpKind::Svc:
+          case SbOpKind::Eret:
+          case SbOpKind::Stop:
             break;
         }
     }
@@ -1118,9 +1131,9 @@ Core::execMemReplay(const Inst &inst, const TimingTrace::MemOp &rec)
     // migration-aware) L1 load-to-use latency.
     mem::Tlb &dtlb = mem_->dtlb();
     mem::Tlb::Way *way = dtlb.wayAt(rec.way);
-    dtlb.rehit(way);
+    dtlb.rehitN(way, 1);
     mem::Cache &l1d = mem_->l1d();
-    l1d.rehit(l1d.lineAt(rec.line));
+    l1d.rehitN(l1d.lineAt(rec.line), 1);
     const Addr pa = (way->entry.ppn << isa::PageShift) |
                     isa::pageOffset(isa::vaPart(va));
     const uint64_t done = issue + mem_->config().lat.l1Hit;
@@ -1214,18 +1227,122 @@ Core::finalizeTraceRecord(Superblock &sb)
     ++sbStats_.tracesRecorded;
 }
 
-// Threaded dispatch: on GNU-compatible compilers each op jumps
-// through a label table (computed goto); elsewhere a dense switch
-// provides the same control flow.
-#if defined(__GNUC__) || defined(__clang__)
-#define PACMAN_SB_COMPUTED_GOTO 1
-#else
-#define PACMAN_SB_COMPUTED_GOTO 0
-#endif
+Superblock *
+Core::blockAt(Addr pa, uint64_t page_gen, bool *built)
+{
+    superblocks_.syncEpoch(mem_->fetchEpoch(), &sbStats_);
+    *built = false;
+    Superblock *sb = superblocks_.lookup(pa, page_gen, &sbStats_);
+    if (!sb) {
+        sb = &superblocks_.insertSlot(pa, page_gen);
+        buildSuperblock(*sb, mem_->phys(), cfg_.superblockMaxOps);
+        *built = !sb->ops.empty();
+        sbStats_.blocksBuilt += *built;
+    }
+    // An empty block records, under the page's write generation, that
+    // the entry op must be interpreted (an indirect branch or an
+    // undecodable word — only a chain successor can be one), so later
+    // chains to it refuse without decoding.
+    return sb->ops.empty() ? nullptr : sb;
+}
 
 uint64_t
-Core::runSuperblock(Superblock &sb, uint64_t budget,
-                    ExitStatus *status, bool *exited, SbMode mode)
+Core::dispatchBlocks(Addr pa, uint64_t page_gen, uint64_t budget,
+                     ExitStatus *status, bool *exited)
+{
+    bool built = false;
+    Superblock *sb = blockAt(pa, page_gen, &built);
+    PACMAN_ASSERT(sb != nullptr, "fetched superblock entry ineligible");
+    if (!built)
+        ++sbStats_.blockHits;
+    // The interpreter's fetch of the entry op left its translation in
+    // the iTLB and its line in the L1I.
+    mem::Tlb::Way *way = mem_->itlb(el_).wayFor(
+        isa::pageNumber(isa::vaPart(pc_)),
+        isa::isKernelVa(pc_) ? mem::Asid::Kernel : mem::Asid::User);
+    mem::Cache::Line *line = mem_->l1i().lineFor(pa);
+    PACMAN_ASSERT(way != nullptr && line != nullptr,
+                  "superblock entry state missing after fetch");
+
+    uint64_t executed = 0;
+    for (;;) {
+        const SbMode mode = chooseSbMode(*sb);
+        SbExit how = SbExit::Interpret;
+        const uint64_t n = runSuperblock(*sb, way, line,
+                                         budget - executed, status,
+                                         &how, mode);
+        executed += n;
+        sbStats_.blockInsts += n;
+        // Before the successor lookup, which may reuse this slot.
+        if (mode == SbMode::Record)
+            finalizeTraceRecord(*sb);
+        if (how == SbExit::Return) {
+            *exited = true;
+            return executed;
+        }
+        if (how != SbExit::Chain || executed >= budget)
+            return executed;
+        sb = chainTo(&way, &line);
+        if (!sb)
+            return executed;
+        ++sbStats_.chainedDispatches;
+    }
+}
+
+Superblock *
+Core::chainTo(mem::Tlb::Way **way_out, mem::Cache::Line **line_out)
+{
+    // Peek, with no side effect, at what the interpreter's fetch of
+    // pc_ would do: the translation must hit the current EL's iTLB
+    // and pass the fetch permission check (a miss walks, a fault
+    // exits — both belong to the interpreter)...
+    if (!isa::isCanonical(pc_))
+        return nullptr;
+    const Addr va = isa::vaPart(pc_);
+    const bool kernel_va = isa::isKernelVa(pc_);
+    mem::Tlb &itlb = mem_->itlb(el_);
+    mem::Tlb::Way *way = itlb.wayFor(
+        isa::pageNumber(va),
+        kernel_va ? mem::Asid::Kernel : mem::Asid::User);
+    if (!way || !way->entry.executable || (el_ == 0 && kernel_va))
+        return nullptr;
+    // ...the word must start a block (cached, or discovered now —
+    // discovery is functional)...
+    const Addr pa =
+        (way->entry.ppn << isa::PageShift) | isa::pageOffset(va);
+    bool built = false;
+    Superblock *sb = blockAt(pa, mem_->phys().pageGen(pa), &built);
+    if (!sb)
+        return nullptr;
+    // ...and an entry conditional branch must be predicted right (a
+    // mispredict needs the interpreter's speculation machinery).
+    const SuperblockOp &entry = sb->ops.front();
+    if (entry.kind == SbOpKind::BranchCond &&
+        predictor_.predict(pc_) != condTaken(entry.inst))
+        return nullptr;
+
+    // Accepted: replay the interpreter's fetch of the entry op —
+    // fetch-group pacing, the iTLB hit, the L1I access (a real fill
+    // on a miss) and the front-end stall.
+    if (!built)
+        ++sbStats_.blockHits;
+    if (++fetchGroup_ >= cfg_.fetchWidth) {
+        fetchGroup_ = 0;
+        ++cycle_;
+    }
+    itlb.rehitN(way, 1);
+    const uint64_t lat = mem_->fetchLineAccess(pa, line_out);
+    const uint64_t l1_lat = mem_->config().lat.l1Hit;
+    if (lat > l1_lat)
+        cycle_ += lat - l1_lat;
+    *way_out = way;
+    return sb;
+}
+
+uint64_t
+Core::runSuperblock(Superblock &sb, mem::Tlb::Way *way,
+                    mem::Cache::Line *line, uint64_t budget,
+                    ExitStatus *status, SbExit *how, SbMode mode)
 {
     // Timing-trace state. The replay cursor walks the recorded data
     // ops in lockstep with execution: block execution always covers a
@@ -1248,53 +1365,45 @@ Core::runSuperblock(Superblock &sb, uint64_t budget,
         }
     } replay_reset{mode, trace};
 
-    // Entry-time fast-path state. The run() loop just completed the
-    // architectural fetch of op 0, so the iTLB holds this page's
-    // translation and the L1I holds the entry line; data ops never
-    // touch either structure and nothing invalidates mid-block, so
-    // the pointers stay valid for the whole run.
+    // Fetch-replay state. Every in-block fetch re-hits the entry's
+    // iTLB way (one block = one page, and the EL changes only at a
+    // terminating SVC/ERET) and the current L1I line. Nothing else
+    // touches the iTLB or the L1I until the block exits — data ops
+    // walk the dTLB/L1D side only, speculation never runs inside a
+    // block, and host-side disturbances (noise, fault-injector
+    // flushes) run only between guest calls — so the re-hits are
+    // counted here and applied in bulk through rehitN: the pending
+    // L1I run before a line crossing's fill, both at every exit.
     mem::Tlb &itlb = mem_->itlb(el_);
-    mem::Tlb::Way *way = itlb.wayFor(
-        isa::pageNumber(isa::vaPart(pc_)),
-        isa::isKernelVa(pc_) ? mem::Asid::Kernel : mem::Asid::User);
-    mem::Cache::Line *line = mem_->l1i().lineFor(sb.pa);
-    PACMAN_ASSERT(way != nullptr && line != nullptr,
-                  "superblock entry state missing after fetch");
+    mem::Cache &l1i = mem_->l1i();
+    uint64_t itlb_hits = 0;
+    uint64_t l1i_hits = 0;
 
     const uint64_t l1_lat = mem_->config().lat.l1Hit;
     const unsigned line_shift =
         floorLog2(mem_->config().l1i.lineBytes);
     const Addr pa_base = sb.pa & ~isa::Addr(isa::PageMask);
     const Addr va_base = pc_ & ~isa::Addr(isa::PageMask);
-    Addr pa = sb.pa;
-    uint64_t cur_line = pa >> line_shift;
+    uint64_t cur_line = sb.pa >> line_shift;
     const SuperblockOp *op = sb.ops.data();
     const SuperblockOp *const end = op + sb.ops.size();
     uint64_t executed = 0;
-
-    // Resolved direction of a conditional branch op — side-effect
-    // free: flags and registers are architectural (final) once the
-    // preceding op has completed.
-    const auto condActual = [this](const isa::Inst &bi) {
-        if (bi.op == Opcode::BCOND)
-            return isa::condHolds(bi.cond, flags_);
-        const bool zero = regs_[bi.rd] == 0;
-        return bi.op == Opcode::CBZ ? zero : !zero;
-    };
+    *how = SbExit::Interpret;
 
     // Per-op sequence, identical to one interpreter iteration: the
     // caller (or the `next` replay below) has already paced the fetch
     // group and touched the hierarchy; here we retire, execute, and
-    // step pc_. Stores re-check the page's write generation so
-    // self-modifying code into the running block falls back before a
-    // stale decoded op can execute. Conditional branches peek their
-    // outcome against the predictor first — with no side effect at
-    // all — and bail to the interpreter on a mispredict, which owns
-    // the speculation machinery.
-#if PACMAN_SB_COMPUTED_GOTO
+    // step pc_. Each op jumps through a label table (computed goto).
+    // Stores re-check the page's write generation so self-modifying
+    // code into the running block falls back before a stale decoded
+    // op can execute. Conditional branches peek their outcome against
+    // the predictor first — with no side effect at all — and bail to
+    // the interpreter on a mispredict, which owns the speculation
+    // machinery.
     static const void *const kDispatch[] = {
         &&sb_alu, &&sb_load, &&sb_store, &&sb_pac, &&sb_branch,
-        &&sb_branch_cond, &&sb_mrs, &&sb_msr, &&sb_barrier};
+        &&sb_branch_cond, &&sb_mrs, &&sb_msr, &&sb_barrier,
+        &&sb_svc, &&sb_eret, &&sb_stop};
 
   sb_dispatch:
     goto *kDispatch[size_t(op->kind)];
@@ -1302,7 +1411,7 @@ Core::runSuperblock(Superblock &sb, uint64_t budget,
   sb_alu:
     ++stats_.instsRetired;
     ++executed;
-    execAlu(op->inst);
+    execAlu(op->inst, op->readsRn, op->readsRm, op->readsRd);
     pc_ += isa::InstBytes;
     goto sb_next;
 
@@ -1325,12 +1434,12 @@ Core::runSuperblock(Superblock &sb, uint64_t budget,
     } else if (mode == SbMode::Record) {
         if (!execMemRecord(op->inst, status,
                            uint16_t(op - sb.ops.data()), sb))
-            goto sb_fault;
+            goto sb_return;
         pc_ += isa::InstBytes;
         goto sb_next;
     }
     if (!execMem(op->inst, status))
-        goto sb_fault;
+        goto sb_return;
     pc_ += isa::InstBytes;
     goto sb_next;
 
@@ -1355,14 +1464,14 @@ Core::runSuperblock(Superblock &sb, uint64_t budget,
     } else if (mode == SbMode::Record) {
         if (!execMemRecord(op->inst, status,
                            uint16_t(op - sb.ops.data()), sb))
-            goto sb_fault;
+            goto sb_return;
         if (mem_->phys().pageGen(sb.pa) != sb.gen)
             goto sb_smc;
         pc_ += isa::InstBytes;
         goto sb_next;
     }
     if (!execMem(op->inst, status))
-        goto sb_fault;
+        goto sb_return;
     if (mem_->phys().pageGen(sb.pa) != sb.gen)
         goto sb_smc;
     pc_ += isa::InstBytes;
@@ -1372,7 +1481,7 @@ Core::runSuperblock(Superblock &sb, uint64_t budget,
     ++stats_.instsRetired;
     ++executed;
     if (!execPac(op->inst, status))
-        goto sb_fault;
+        goto sb_return;
     pc_ += isa::InstBytes;
     goto sb_next;
 
@@ -1386,7 +1495,7 @@ Core::runSuperblock(Superblock &sb, uint64_t budget,
     ++stats_.instsRetired;
     ++executed;
     if (!execMrs(op->inst, status))
-        goto sb_fault;
+        goto sb_return;
     pc_ += isa::InstBytes;
     goto sb_next;
 
@@ -1394,7 +1503,7 @@ Core::runSuperblock(Superblock &sb, uint64_t budget,
     ++stats_.instsRetired;
     ++executed;
     if (!execMsr(op->inst, status))
-        goto sb_fault;
+        goto sb_return;
     pc_ += isa::InstBytes;
     goto sb_next;
 
@@ -1407,11 +1516,12 @@ Core::runSuperblock(Superblock &sb, uint64_t budget,
 
   sb_branch_cond: {
     const isa::Inst &bi = op->inst;
-    const bool actual = condActual(bi);
+    const bool actual = condTaken(bi);
     // Only the entry op can still mispredict here: later branches are
-    // peeked in sb_next before their fetch is replayed. The entry
-    // op's fetch came from the interpreter loop, which re-uses it on
-    // the fall-through, so bailing costs no duplicate fetch effect.
+    // peeked in sb_next before their fetch is replayed, and a chained
+    // block's entry in chainTo(). The entry op's fetch came from the
+    // interpreter loop, which re-uses it on the fall-through, so
+    // bailing costs no duplicate fetch effect.
     if (predictor_.predict(pc_) != actual)
         goto sb_bail;
     // Correctly predicted: the interpreter's exact effect is the
@@ -1425,13 +1535,48 @@ Core::runSuperblock(Superblock &sb, uint64_t budget,
     goto sb_next;
   }
 
+  // Terminators: always a block's last op, so sb_next ends the block.
+  sb_svc: {
+    ++stats_.instsRetired;
+    ++executed;
+    Addr target = 0;
+    if (!execSvc(op->inst, status, &target))
+        goto sb_return;
+    pc_ = target;
+    goto sb_next;
+  }
+
+  sb_eret: {
+    ++stats_.instsRetired;
+    ++executed;
+    Addr target = 0;
+    if (!execEret(status, &target))
+        goto sb_return;
+    pc_ = target;
+    goto sb_next;
+  }
+
+  sb_stop:
+    ++stats_.instsRetired;
+    ++executed;
+    *status = stopStatus(op->inst);
+    goto sb_return;
+
   sb_next:
-    // The trace continues only where the architectural next pc (set
-    // by the op above) is exactly the next op's address: a branch
-    // resolving against the trace direction leaves the block here.
-    if (++op == end || executed >= budget ||
-        pc_ != (va_base | Addr(op->pageOff)))
-        return executed;
+    // The block ends normally after its last op, or where the
+    // architectural next pc (set by the op above) leaves the trace —
+    // a branch resolving against the trace direction; either way the
+    // successor may be chained.
+    if (++op == end) {
+        *how = SbExit::Chain;
+        goto sb_exit;
+    }
+    if (executed >= budget)
+        goto sb_exit;
+    if (pc_ != (va_base | Addr(op->pageOff))) {
+        *how = SbExit::Chain;
+        goto sb_exit;
+    }
     // A conditional branch the predictor will get wrong must not have
     // its fetch replayed: the block ends and the interpreter fetches
     // and executes it exactly once, speculation machinery and all.
@@ -1439,23 +1584,25 @@ Core::runSuperblock(Superblock &sb, uint64_t budget,
     // l1i/iTLB touches and fetch-group pacing — bit-identical to the
     // slow path, which fetches a mispredicted branch only once.
     if (op->kind == SbOpKind::BranchCond &&
-        predictor_.predict(pc_) != condActual(op->inst)) {
+        predictor_.predict(pc_) != condTaken(op->inst)) {
         ++sbStats_.fallbackExits;
-        return executed;
+        goto sb_exit;
     }
-    pa = pa_base | Addr(op->pageOff);
     // Replay the architectural fetch of the next op: fetch-group
     // pacing, the iTLB hit, the L1I touch (or a real fill + front-end
     // stall on a line crossing) — the exact side-effect sequence the
-    // interpreter's fetch() performs.
+    // interpreter's fetch() performs, with the re-hits batched.
     if (++fetchGroup_ >= cfg_.fetchWidth) {
         fetchGroup_ = 0;
         ++cycle_;
     }
-    itlb.rehit(way);
-    if ((pa >> line_shift) == cur_line) {
-        mem_->l1i().rehit(line);
+    ++itlb_hits;
+    if (const Addr pa = pa_base | Addr(op->pageOff);
+        (pa >> line_shift) == cur_line) {
+        ++l1i_hits;
     } else {
+        l1i.rehitN(line, l1i_hits);
+        l1i_hits = 0;
         cur_line = pa >> line_shift;
         const uint64_t lat = mem_->fetchLineAccess(pa, &line);
         if (lat > l1_lat)
@@ -1466,146 +1613,20 @@ Core::runSuperblock(Superblock &sb, uint64_t budget,
   sb_smc:
     pc_ += isa::InstBytes;
     ++sbStats_.fallbackExits;
-    return executed;
+    goto sb_exit;
 
   sb_bail:
     // pc_ still points at the mispredicted branch; the interpreter
     // re-executes it from scratch (no effect has happened yet).
     ++sbStats_.fallbackExits;
-    return executed;
+    goto sb_exit;
 
-  sb_fault:
-    *exited = true;
+  sb_return:
+    *how = SbExit::Return;
+  sb_exit:
+    itlb.rehitN(way, itlb_hits);
+    l1i.rehitN(line, l1i_hits);
     return executed;
-#else
-    for (;;) {
-        switch (op->kind) {
-          case SbOpKind::Alu:
-            ++stats_.instsRetired;
-            ++executed;
-            execAlu(op->inst);
-            pc_ += isa::InstBytes;
-            break;
-          case SbOpKind::Load:
-          case SbOpKind::Store: {
-            ++stats_.instsRetired;
-            ++executed;
-            bool ran = false;
-            if (mode == SbMode::Replay) {
-                if (cursor < trace.memOps.size() &&
-                    trace.memOps[cursor].opIdx ==
-                        uint16_t(op - sb.ops.data()) &&
-                    execMemReplay(op->inst, trace.memOps[cursor])) {
-                    ++cursor;
-                    ++sbStats_.traceOpsReplayed;
-                    ran = true;
-                } else {
-                    mode = SbMode::Live; // soft miss: live for rest
-                    ++trace.softMisses;
-                    ++sbStats_.traceSoftMisses;
-                }
-            }
-            if (!ran && mode == SbMode::Record) {
-                if (!execMemRecord(op->inst, status,
-                                   uint16_t(op - sb.ops.data()), sb)) {
-                    *exited = true;
-                    return executed;
-                }
-                ran = true;
-            }
-            if (!ran && !execMem(op->inst, status)) {
-                *exited = true;
-                return executed;
-            }
-            if (op->kind == SbOpKind::Store &&
-                mem_->phys().pageGen(sb.pa) != sb.gen) {
-                pc_ += isa::InstBytes;
-                ++sbStats_.fallbackExits;
-                return executed;
-            }
-            pc_ += isa::InstBytes;
-            break;
-          }
-          case SbOpKind::Pac:
-            ++stats_.instsRetired;
-            ++executed;
-            if (!execPac(op->inst, status)) {
-                *exited = true;
-                return executed;
-            }
-            pc_ += isa::InstBytes;
-            break;
-          case SbOpKind::Branch:
-            ++stats_.instsRetired;
-            ++executed;
-            pc_ = execBranchDirect(op->inst);
-            break;
-          case SbOpKind::Mrs:
-            ++stats_.instsRetired;
-            ++executed;
-            if (!execMrs(op->inst, status)) {
-                *exited = true;
-                return executed;
-            }
-            pc_ += isa::InstBytes;
-            break;
-          case SbOpKind::Msr:
-            ++stats_.instsRetired;
-            ++executed;
-            if (!execMsr(op->inst, status)) {
-                *exited = true;
-                return executed;
-            }
-            pc_ += isa::InstBytes;
-            break;
-          case SbOpKind::Barrier:
-            ++stats_.instsRetired;
-            ++executed;
-            serialize(cfg_.isbDrain);
-            pc_ += isa::InstBytes;
-            break;
-          case SbOpKind::BranchCond: {
-            const isa::Inst &bi = op->inst;
-            const bool actual = condActual(bi);
-            // Entry op only — later branches are peeked below before
-            // their fetch is replayed.
-            if (predictor_.predict(pc_) != actual) {
-                ++sbStats_.fallbackExits;
-                return executed;
-            }
-            ++stats_.instsRetired;
-            ++executed;
-            ++stats_.branches;
-            predictor_.update(pc_, actual);
-            pc_ = actual ? pc_ + uint64_t(bi.imm)
-                         : pc_ + isa::InstBytes;
-            break;
-          }
-        }
-        if (++op == end || executed >= budget ||
-            pc_ != (va_base | Addr(op->pageOff)))
-            return executed;
-        if (op->kind == SbOpKind::BranchCond &&
-            predictor_.predict(pc_) != condActual(op->inst)) {
-            ++sbStats_.fallbackExits;
-            return executed;
-        }
-        pa = pa_base | Addr(op->pageOff);
-        if (++fetchGroup_ >= cfg_.fetchWidth) {
-            fetchGroup_ = 0;
-            ++cycle_;
-        }
-        itlb.rehit(way);
-        if ((pa >> line_shift) == cur_line) {
-            mem_->l1i().rehit(line);
-        } else {
-            cur_line = pa >> line_shift;
-            const uint64_t lat = mem_->fetchLineAccess(pa, &line);
-            if (lat > l1_lat)
-                cycle_ += lat - l1_lat;
-        }
-    }
-#endif
 }
 
 void
@@ -1658,15 +1679,16 @@ Core::speculate(Addr pc, uint64_t start, uint64_t deadline,
                 poison |= ctx.poison[r];
                 taint |= ctx.taint[r];
             };
+            const bool reads_rm = isa::readsRm(inst);
             if (isa::readsRn(inst))
                 use(inst.rn);
-            if (isa::readsRm(inst))
+            if (reads_rm)
                 use(inst.rm);
             if (isa::readsRdAsSource(inst))
                 use(inst.rd);
             const uint64_t lat =
                 inst.op == Opcode::MUL ? cfg_.mulLat : cfg_.aluLat;
-            const AluOut out = aluExec(inst, ctx.regs[inst.rd],
+            const AluOut out = aluExec(inst, !reads_rm, ctx.regs[inst.rd],
                                        ctx.regs[inst.rn],
                                        ctx.regs[inst.rm]);
             if (out.writes) {

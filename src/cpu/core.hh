@@ -247,7 +247,11 @@ class Core
     // pc_ must hold the instruction's own pc on entry (fault
     // reporting and link-register writes read it); the caller
     // advances it afterwards.
-    void execAlu(const isa::Inst &inst);
+    /** @p reads_rn / @p reads_rm / @p reads_rd: the operand fields
+     *  the op reads (isa::readsRn and siblings; superblocks pass the
+     *  values discovery computed once). */
+    void execAlu(const isa::Inst &inst, bool reads_rn, bool reads_rm,
+                 bool reads_rd);
     /** @return false when the access faulted; *status is filled. */
     bool execMem(const isa::Inst &inst, ExitStatus *status);
     /** @return false on an FPAC fault; *status is filled. */
@@ -258,6 +262,18 @@ class Core
     bool execMrs(const isa::Inst &inst, ExitStatus *status);
     /** @return false on an illegal write; *status is filled. */
     bool execMsr(const isa::Inst &inst, ExitStatus *status);
+    /** Enter EL1 at VBAR_EL1 (*next_pc). @return false on a nested
+     *  SVC at EL1; *status is filled. */
+    bool execSvc(const isa::Inst &inst, ExitStatus *status,
+                 isa::Addr *next_pc);
+    /** Return to EL0 at ELR_EL1 (*next_pc). @return false on an ERET
+     *  at EL0; *status is filled. */
+    bool execEret(ExitStatus *status, isa::Addr *next_pc);
+    /** The run's exit status for a HLT or BRK. */
+    ExitStatus stopStatus(const isa::Inst &inst) const;
+    /** Resolved direction of a conditional branch against the
+     *  architectural flags/registers (no side effect). */
+    bool condTaken(const isa::Inst &inst) const;
 
     // --- Timing-trace machinery (DESIGN.md §4k) ---
 
@@ -266,7 +282,7 @@ class Core
     {
         Live,   //!< full per-op hierarchy walk, no trace in play
         Record, //!< live walk while capturing a fresh trace
-        Replay, //!< guards held: apply recorded hits via rehit()
+        Replay, //!< guards held: apply recorded hits via rehitN()
     };
 
     /**
@@ -311,7 +327,7 @@ class Core
      * Replay one recorded data op: computes issue timing from the
      * live scoreboard, re-derives the VA from live registers and —
      * when it matches @p rec.va — applies the recorded dTLB/L1D hits
-     * via rehit(), deriving the PA from the live TLB entry. Bit-
+     * via rehitN(), deriving the PA from the live TLB entry. Bit-
      * identical to the live all-hit walk at a fraction of the cost.
      * @return false when the VA diverged (nothing was applied; the
      * caller must run the op live and drop to Live for the rest of
@@ -320,20 +336,61 @@ class Core
     bool execMemReplay(const isa::Inst &inst,
                        const TimingTrace::MemOp &rec);
 
+    /** How a runSuperblock() dispatch ended. */
+    enum class SbExit : uint8_t
+    {
+        Chain,     //!< ended normally: the successor may be chained
+        Interpret, //!< the interpreter fetches the next instruction
+        Return,    //!< run() must return *status
+    };
+
     /**
      * Execute @p sb through the threaded dispatch loop, starting at
      * its first op — whose architectural fetch (pacing, hierarchy
-     * touches, stall) the run() loop has already performed — and
-     * executing at most @p budget instructions. Advances pc_ past
-     * every executed op. @return the number executed (0 only when
-     * the entry op is a mispredicted conditional branch, which the
-     * interpreter must run); sets *exited (and *status) when run()
-     * must return (fault, FPAC, undefined system access).
-     * @p mode selects the timing-trace behaviour for data ops.
+     * touches, stall) has already been performed, leaving the entry
+     * translation in iTLB way @p way and the entry line in L1I line
+     * @p line — and executing at most @p budget instructions.
+     * Advances pc_ past every executed op. @return the number
+     * executed (0 only when the entry op is a mispredicted
+     * conditional branch, which the interpreter must run); *how says
+     * how the block ended (SbExit::Return with *status filled on a
+     * fault, FPAC, undefined system access, HLT or BRK). @p mode
+     * selects the timing-trace behaviour for data ops.
      */
-    uint64_t runSuperblock(Superblock &sb, uint64_t budget,
-                           ExitStatus *status, bool *exited,
+    uint64_t runSuperblock(Superblock &sb, mem::Tlb::Way *way,
+                           mem::Cache::Line *line, uint64_t budget,
+                           ExitStatus *status, SbExit *how,
                            SbMode mode);
+
+    /**
+     * The cached block entered at @p pa, built on a miss (*built
+     * says which); nullptr when the entry instruction must be
+     * interpreted (possible only for a chain successor, which no
+     * fetch has decoded yet).
+     */
+    Superblock *blockAt(isa::Addr pa, uint64_t page_gen, bool *built);
+
+    /**
+     * Run the block the interpreter just fetched at pc_ (@p pa,
+     * @p page_gen), then every block chained after it, within
+     * @p budget instructions. @return the number executed (0 when the
+     * entry op is a mispredicted conditional branch); sets *exited
+     * (and *status) when run() must return.
+     */
+    uint64_t dispatchBlocks(isa::Addr pa, uint64_t page_gen,
+                            uint64_t budget, ExitStatus *status,
+                            bool *exited);
+
+    /**
+     * Chain from a block that ended normally to the block at pc_.
+     * Peeks with no side effect — iTLB probe and permission check at
+     * the current EL, PA and block lookup, entry-branch prediction —
+     * and only then replays the entry fetch the interpreter would
+     * have made (pacing, iTLB re-hit, L1I access, front-end stall).
+     * @return the successor with *way / *line set to its entry state,
+     * or nullptr (nothing touched) when the interpreter must fetch.
+     */
+    Superblock *chainTo(mem::Tlb::Way **way, mem::Cache::Line **line);
 
     /**
      * Execute the wrong path from @p pc until @p deadline (the

@@ -1,6 +1,5 @@
 #include "superblock.hh"
 
-#include "base/logging.hh"
 #include "isa/encoding.hh"
 #include "mem/physmem.hh"
 
@@ -31,17 +30,23 @@ sbKindFor(isa::Opcode op, SbOpKind *kind)
         *kind = SbOpKind::BranchCond;
         return true;
       case isa::InstClass::System:
-        if (op == isa::Opcode::MRS) {
+        switch (op) {
+          case isa::Opcode::MRS:
             *kind = SbOpKind::Mrs;
             return true;
-        }
-        if (op == isa::Opcode::MSR) {
+          case isa::Opcode::MSR:
             *kind = SbOpKind::Msr;
             return true;
+          case isa::Opcode::SVC:
+            *kind = SbOpKind::Svc;
+            return true;
+          case isa::Opcode::ERET:
+            *kind = SbOpKind::Eret;
+            return true;
+          default: // HLT, BRK
+            *kind = SbOpKind::Stop;
+            return true;
         }
-        // SVC/ERET change the exception level (and the iTLB the
-        // fetch replay is pinned to); HLT/BRK end the run.
-        return false;
       case isa::InstClass::Barrier:
         *kind = SbOpKind::Barrier;
         return true;
@@ -77,7 +82,14 @@ buildSuperblock(Superblock &sb, const mem::PhysMem &phys,
         SbOpKind kind;
         if (!sbKindFor(inst->op, &kind))
             break;
-        sb.ops.push_back({*inst, kind, uint16_t(off)});
+        sb.ops.push_back({*inst, kind, uint16_t(off),
+                          isa::readsRn(*inst), isa::readsRm(*inst),
+                          isa::readsRdAsSource(*inst)});
+        // SVC/ERET change the EL (and the iTLB the fetch replay is
+        // pinned to); HLT/BRK end the run.
+        if (kind == SbOpKind::Svc || kind == SbOpKind::Eret ||
+            kind == SbOpKind::Stop)
+            break;
         // Follow the trace: unconditional branches to their target,
         // conditional ones along the likely direction (backward taken
         // is a loop back-edge, forward not-taken a guard). Any step
@@ -94,8 +106,6 @@ buildSuperblock(Superblock &sb, const mem::PhysMem &phys,
             break;
         off = next;
     }
-    PACMAN_ASSERT(!sb.ops.empty(),
-                  "superblock built from an ineligible entry");
 }
 
 } // namespace pacman::cpu

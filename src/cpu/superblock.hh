@@ -31,11 +31,23 @@
  * the resolved direction matches the trace. MRS/MSR and barriers are
  * also in-block ops (their serialization is a pure function of the
  * core's completion clock), so the attack's timer-read measurement
- * sequences (mrs/isb/ldr/isb/mrs) do not fragment blocks. Discovery
- * still stops at indirect branches (BTB, pointer authentication),
- * EL-changing and run-exiting ops (SVC/ERET/HLT/BRK), undecodable
- * words, any branch leaving the page (one block = one page = one
- * write generation), and the length cap.
+ * sequences (mrs/isb/ldr/isb/mrs) do not fragment blocks. SVC, ERET,
+ * HLT and BRK are *terminators*: in-block ops with the interpreter's
+ * exact effects that always end the block (the first two change the
+ * EL, and with it the iTLB the fetch replay is pinned to; the last two
+ * end the run). Discovery still stops at indirect branches (BTB,
+ * pointer authentication), undecodable words, any branch leaving the
+ * page (one block = one page = one write generation), and the length
+ * cap.
+ *
+ * A block that ends normally — its last op, a branch resolving off the
+ * trace, or an SVC/ERET — hands over to the next block without going
+ * back through the interpreter's fetch (Core::chainTo): a side-effect-
+ * free peek at the successor (iTLB probe and permission check, PA,
+ * block lookup, entry-branch prediction) either accepts, and then
+ * replays the successor's entry fetch exactly, or refuses and leaves
+ * the fetch to the interpreter. One guest call (user stub → SVC →
+ * kernel handler → ERET → HLT) thus runs as one chain of blocks.
  *
  * Coherence is validation-based, exactly like the decode cache:
  *
@@ -88,6 +100,9 @@ enum class SbOpKind : uint8_t
     Mrs = 6,        //!< system-register read
     Msr = 7,        //!< system-register write (self-synchronizing)
     Barrier = 8,    //!< ISB/DSB pipeline drain
+    Svc = 9,        //!< terminator: enter EL1
+    Eret = 10,      //!< terminator: return to EL0
+    Stop = 11,      //!< terminator: HLT/BRK end the run
 };
 
 /**
@@ -110,6 +125,13 @@ struct SuperblockOp
      * this offset — the whole trace stays on one page.
      */
     uint16_t pageOff = 0;
+
+    // Operand fields the op reads as sources (isa::readsRn/readsRm/
+    // readsRdAsSource), computed once at discovery instead of on
+    // every execute.
+    bool readsRn = false;
+    bool readsRm = false;
+    bool readsRd = false;
 };
 
 /**
@@ -121,7 +143,7 @@ struct SuperblockOp
  * L1-TLB hit + L1D hit to a non-device page (an all-hit walk touches
  * no victim logic, so its replay is insensitive to interleaved LRU
  * refreshes from other code). On later dispatches the core replays
- * each op as Tlb::rehit + Cache::rehit on the recorded entries — the
+ * each op as Tlb::rehitN + Cache::rehitN on the recorded entries — the
  * exact hit-path bookkeeping sequence (tick, journal touch, LRU
  * stamp, hit count) the live walk would perform, with the physical
  * address re-derived from the live way's mapping — skipping the
@@ -135,8 +157,9 @@ struct SuperblockOp
  *    guarded set (eviction-set prime, noise, fault-injector flush,
  *    snapshot restore past the capture) moves the label and the
  *    trace falls back to the live model and re-records.
- *  - el: blocks never change EL mid-run; pinning the entry EL makes
- *    the recorded permission outcomes (all None) re-apply.
+ *  - el: a block changes EL only at a terminating SVC/ERET, after all
+ *    its data ops; pinning the entry EL makes the recorded permission
+ *    outcomes (all None) re-apply.
  *  - addrRegMask/regFingerprint: a hash of the entry-live address
  *    registers (those not written earlier in the block). A mismatch
  *    is a *soft* miss — the block runs live but the trace is kept,
@@ -243,6 +266,10 @@ struct SuperblockStats
                                 //!< block, or a conditional branch the
                                 //!< predictor gets wrong (speculation
                                 //!< belongs to the interpreter)
+    uint64_t chainedDispatches = 0; //!< blocks entered straight from
+                                    //!< the previous block, without an
+                                    //!< interpreter fetch (subset of
+                                    //!< blockHits + blocksBuilt)
 
     // Monotonic mirrors of CoreStats::icacheDecode{Hits,Misses},
     // bumped at the same sites; see the struct comment for why the
@@ -371,12 +398,12 @@ class SuperblockCache
  * Discover the superblock trace starting at @p sb.pa: decode from the
  * entry word, following unconditional direct branches to their
  * targets and conditional branches along their likely direction
- * (backward taken, forward not-taken), until an ineligible opcode, an
- * undecodable word, any step leaving the page, or @p max_ops. Reads
- * physical memory functionally (PhysMem::read is const — discovery
- * has no architectural or timing side effect). The caller guarantees
- * the entry instruction itself is eligible, so the result always has
- * at least one op.
+ * (backward taken, forward not-taken), until a terminator (included
+ * as the last op), an ineligible opcode, an undecodable word, any
+ * step leaving the page, or @p max_ops. Reads physical memory
+ * functionally (PhysMem::read is const — discovery has no
+ * architectural or timing side effect). The result is empty exactly
+ * when the entry instruction itself must be interpreted.
  */
 void buildSuperblock(Superblock &sb, const mem::PhysMem &phys,
                      unsigned max_ops);

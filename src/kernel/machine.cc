@@ -89,6 +89,7 @@ Machine::statsReport()
     row("superblock instructions", sbs.blockInsts);
     row("superblock invalidations", sbs.invalidations);
     row("superblock fallback exits", sbs.fallbackExits);
+    row("superblock chained dispatches", sbs.chainedDispatches);
     // Timing-trace telemetry (DESIGN.md §4k): how often block
     // re-dispatches replay the memoized hierarchy walk, and why the
     // guard rejected a recorded trace when it did not.

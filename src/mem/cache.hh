@@ -40,24 +40,28 @@ class Cache
      * freshly (re)allocated victim on a miss. State effects are
      * identical to access() — this exists so the superblock executor
      * can hold the line and replay later same-line fetches through
-     * rehit() without repeating the tag scan.
+     * rehitN() without repeating the tag scan.
      */
     Line *accessRef(Addr pa, bool *hit);
 
     /**
-     * Replay a hit on @p line with exactly the bookkeeping sequence of
-     * access()'s hit path: tick, journal touch, LRU stamp, hit count.
-     * @p line must be the live line a fresh lookup of the same address
-     * would return (the superblock executor guarantees this by holding
-     * the pointer only across a straight-line run with no intervening
-     * invalidation).
+     * Replay @p k back-to-back hits on @p line, each with exactly the
+     * bookkeeping of access()'s hit path (tick, journal touch, LRU
+     * stamp, hit count), applied at once — see Tlb::rehitN for why
+     * that is exact. @p line must be the live line a fresh lookup of
+     * the same address would return (the superblock executor
+     * guarantees this by holding the pointer only across a
+     * straight-line run with no intervening invalidation). No effect
+     * when @p k is 0.
      */
-    void rehit(Line *line)
+    void rehitN(Line *line, uint64_t k)
     {
-        ++tick_;
+        if (k == 0)
+            return;
+        tick_ += k;
         journalTouch(line);
         line->lruStamp = tick_;
-        ++hits_;
+        hits_ += k;
     }
 
     /** Live line containing @p pa, or nullptr. No state change. */

@@ -131,7 +131,7 @@ class MemoryHierarchy
      * Fetch-path cache access by physical address, returning the L1I
      * line touched (the hit line, or the freshly allocated one on a
      * miss) so the superblock executor can replay later same-line
-     * fetches via Cache::rehit(). State effects and the returned
+     * fetches via Cache::rehitN(). State effects and the returned
      * latency are identical to the cache-lookup step of a committed
      * instruction fetch through access().
      */

@@ -59,7 +59,7 @@ class Tlb
     /**
      * Live way holding (@p vpn, @p asid), or nullptr. No state change
      * (unlike lookup()). The superblock executor resolves the way once
-     * per block entry and replays per-instruction hits via rehit().
+     * per block entry and replays per-instruction hits via rehitN().
      */
     Way *wayFor(uint64_t vpn, Asid asid) { return find(vpn, asid); }
 
@@ -86,17 +86,23 @@ class Tlb
     uint64_t setGen(uint64_t set) const { return setGen_[set]; }
 
     /**
-     * Replay a hit on @p way with exactly the bookkeeping sequence of
-     * lookup()'s hit path: tick, journal touch, LRU stamp, hit count.
-     * @p way must be the live way a fresh find of the same key would
-     * return.
+     * Replay @p k back-to-back hits on @p way, each with exactly the
+     * bookkeeping of lookup()'s hit path (tick, journal touch, LRU
+     * stamp, hit count), applied at once: tick += k, one journal
+     * touch, one stamp, hits += k — the state k single hits leave,
+     * provided nothing else touches this TLB in between (the
+     * superblock executor batches its in-block fetch replays this
+     * way). @p way must be the live way a fresh find of the same key
+     * would return. No effect when @p k is 0.
      */
-    void rehit(Way *way)
+    void rehitN(Way *way, uint64_t k)
     {
-        ++tick_;
+        if (k == 0)
+            return;
+        tick_ += k;
         journalTouch(way);
         way->lruStamp = tick_;
-        ++hits_;
+        hits_ += k;
     }
 
     /**

@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
+#include <list>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -124,11 +125,18 @@ struct OracleServer::Impl
     int tcpFd = -1;
     uint16_t tcpPort = 0;
 
+    /** One connection's reader thread; done once readerLoop returned. */
+    struct Reader
+    {
+        std::thread thread;
+        std::atomic<bool> done{false};
+    };
+
     std::thread acceptor;
     std::vector<std::thread> service;
     std::mutex connMu;
-    std::vector<std::thread> readers;
-    std::vector<std::weak_ptr<Connection>> conns;
+    std::list<Reader> readers;                    //!< guarded by connMu
+    std::vector<std::weak_ptr<Connection>> conns; //!< guarded by connMu
 
     mutable std::mutex qmu;
     std::condition_variable qcv;
@@ -153,6 +161,7 @@ struct OracleServer::Impl
     std::atomic<uint64_t> sbBlockInsts{0};
     std::atomic<uint64_t> sbInvalidations{0};
     std::atomic<uint64_t> sbFallbackExits{0};
+    std::atomic<uint64_t> sbChainedDispatches{0};
     std::atomic<uint64_t> decodeHits{0};
     std::atomic<uint64_t> decodeMisses{0};
     // Timing-trace telemetry (DESIGN.md §4k), same delta scheme.
@@ -171,6 +180,7 @@ struct OracleServer::Impl
     void readerLoop(std::shared_ptr<Connection> conn);
     void serviceLoop();
     void acceptLoop();
+    void reapReaders();
     void executeJob(std::unordered_map<std::string, CachedWorker> &cache,
                     Job &job);
     CachedWorker &getWorker(
@@ -326,6 +336,8 @@ OracleServer::Impl::accountWorker(CachedWorker &cw, uint64_t items)
                               cw.lastSb.invalidations);
     sbFallbackExits.fetch_add(sb.fallbackExits -
                               cw.lastSb.fallbackExits);
+    sbChainedDispatches.fetch_add(sb.chainedDispatches -
+                                  cw.lastSb.chainedDispatches);
     decodeHits.fetch_add(sb.decodeHits - cw.lastSb.decodeHits);
     decodeMisses.fetch_add(sb.decodeMisses - cw.lastSb.decodeMisses);
     traceRecorded.fetch_add(sb.tracesRecorded -
@@ -487,9 +499,30 @@ OracleServer::Impl::serviceLoop()
 }
 
 void
+OracleServer::Impl::reapReaders()
+{
+    // Join finished readers and forget closed connections, so a
+    // long-running daemon holds threads and bookkeeping for its live
+    // clients only, not for every client it ever served.
+    std::lock_guard<std::mutex> lock(connMu);
+    for (auto it = readers.begin(); it != readers.end();) {
+        if (it->done.load()) {
+            it->thread.join();
+            it = readers.erase(it);
+        } else {
+            ++it;
+        }
+    }
+    std::erase_if(conns, [](const std::weak_ptr<Connection> &weak) {
+        return weak.expired();
+    });
+}
+
+void
 OracleServer::Impl::acceptLoop()
 {
     while (!draining.load()) {
+        reapReaders();
         pollfd fds[2];
         nfds_t n = 0;
         if (unixFd >= 0)
@@ -515,8 +548,12 @@ OracleServer::Impl::acceptLoop()
             conn->fd = cfd;
             std::lock_guard<std::mutex> lock(connMu);
             conns.push_back(conn);
-            readers.emplace_back(
-                [this, conn] { readerLoop(conn); });
+            Reader &reader = readers.emplace_back();
+            reader.thread = std::thread(
+                [this, &reader, conn = std::move(conn)]() mutable {
+                    readerLoop(std::move(conn));
+                    reader.done.store(true);
+                });
         }
     }
 }
@@ -561,6 +598,8 @@ OracleServer::Impl::metricsJson() const
         "lower");
     add("superblock_fallback_exits", double(sbFallbackExits.load()),
         "lower");
+    add("superblock_chained_dispatches",
+        double(sbChainedDispatches.load()), "higher");
     if (sbBuilt + sbHits > 0)
         add("superblock_hit_rate", sbHits / (sbBuilt + sbHits),
             "higher");
@@ -727,9 +766,9 @@ OracleServer::waitDrained()
                 ::shutdown(conn->fd, SHUT_RDWR);
         }
     }
-    for (std::thread &t : im.readers) {
-        if (t.joinable())
-            t.join();
+    for (Impl::Reader &reader : im.readers) {
+        if (reader.thread.joinable())
+            reader.thread.join();
     }
     if (im.unixFd >= 0) {
         ::close(im.unixFd);

@@ -131,10 +131,35 @@ TEST(SuperblockBuild, StraightLineStopsAtHlt)
     });
 
     const Superblock sb = discover(phys, base);
-    ASSERT_EQ(sb.ops.size(), 2u); // HLT is interpreter-only
+    ASSERT_EQ(sb.ops.size(), 3u); // HLT is the terminating op
     EXPECT_EQ(sb.ops[0].pageOff, 0u);
     EXPECT_EQ(sb.ops[1].pageOff, 4u);
+    EXPECT_EQ(sb.ops[2].pageOff, 8u);
     EXPECT_EQ(sb.ops[0].kind, SbOpKind::Alu);
+    EXPECT_EQ(sb.ops[2].kind, SbOpKind::Stop);
+    // Operand reads are computed at discovery: MOVZ reads nothing.
+    EXPECT_FALSE(sb.ops[0].readsRn || sb.ops[0].readsRm ||
+                 sb.ops[0].readsRd);
+}
+
+TEST(SuperblockBuild, TerminatorEndsTraceAndOperandReadsRecorded)
+{
+    mem::PhysMem phys;
+    const Addr base = 0x4000'0000;
+    stage(phys, base, [](Assembler &a) {
+        a.add(X0, X1, X2); // +0: reads rn and rm
+        a.movk(X3, 7, 1);  // +4: read-modify-write of rd
+        a.svc(1);          // +8: terminator
+        a.movz(X4, 1);     // +12: past the terminator
+    });
+
+    const Superblock sb = discover(phys, base);
+    ASSERT_EQ(sb.ops.size(), 3u);
+    EXPECT_TRUE(sb.ops[0].readsRn && sb.ops[0].readsRm);
+    EXPECT_FALSE(sb.ops[0].readsRd);
+    EXPECT_TRUE(sb.ops[1].readsRd);
+    EXPECT_FALSE(sb.ops[1].readsRn || sb.ops[1].readsRm);
+    EXPECT_EQ(sb.ops[2].kind, SbOpKind::Svc);
 }
 
 TEST(SuperblockBuild, FollowsUnconditionalBranch)
@@ -151,11 +176,13 @@ TEST(SuperblockBuild, FollowsUnconditionalBranch)
     });
 
     const Superblock sb = discover(phys, base);
-    ASSERT_EQ(sb.ops.size(), 3u);
+    ASSERT_EQ(sb.ops.size(), 4u);
     EXPECT_EQ(sb.ops[0].pageOff, 0u);
     EXPECT_EQ(sb.ops[1].pageOff, 4u);
     EXPECT_EQ(sb.ops[1].kind, SbOpKind::Branch);
     EXPECT_EQ(sb.ops[2].pageOff, 16u);
+    EXPECT_EQ(sb.ops[3].pageOff, 20u);
+    EXPECT_EQ(sb.ops[3].kind, SbOpKind::Stop);
 }
 
 TEST(SuperblockBuild, BackwardCondBranchUnrollsLoop)
@@ -187,10 +214,12 @@ TEST(SuperblockBuild, ForwardCondBranchFallsThrough)
     });
 
     const Superblock sb = discover(phys, base);
-    ASSERT_EQ(sb.ops.size(), 2u);
+    ASSERT_EQ(sb.ops.size(), 3u);
     EXPECT_EQ(sb.ops[0].pageOff, 0u);
     EXPECT_EQ(sb.ops[0].kind, SbOpKind::BranchCond);
     EXPECT_EQ(sb.ops[1].pageOff, 4u);
+    EXPECT_EQ(sb.ops[2].pageOff, 8u); // the HLT ends the trace
+    EXPECT_EQ(sb.ops[2].kind, SbOpKind::Stop);
 }
 
 TEST(SuperblockBuild, OffPageBranchEndsTrace)
@@ -232,6 +261,7 @@ TEST(SuperblockBuild, UndecodableWordEndsTrace)
 constexpr Addr CodeBase = 0x0000'4000'0000ull;
 constexpr Addr SlotBase = CodeBase + PageSize;
 constexpr Addr DataBase = 0x0000'6000'0000ull;
+constexpr Addr KernelCode = 0xFFFF'8000'0010'0000ull; //!< VBAR_EL1
 
 /** One independent core+hierarchy, superblocks on or off. */
 struct Rig
@@ -248,6 +278,11 @@ struct Rig
                       mem::PageFlags{.user = true, .writable = true,
                                      .executable = false,
                                      .device = false});
+        hier.mapRange(KernelCode, 2 * PageSize,
+                      mem::PageFlags{.user = false, .writable = true,
+                                     .executable = true,
+                                     .device = false});
+        core.setSysreg(SysReg::VBAR_EL1, KernelCode);
     }
 
     static CoreConfig
@@ -298,10 +333,13 @@ struct Rig
                        core.flags().v,
                        (unsigned long long)core.cycle());
         const CoreStats &cs = core.stats();
-        s += strprintf("ret=%llu br=%llu mp=%llu ",
+        s += strprintf("el=%u ret=%llu br=%llu mp=%llu wp=%llu sys=%llu ",
+                       core.el(),
                        (unsigned long long)cs.instsRetired,
                        (unsigned long long)cs.branches,
-                       (unsigned long long)cs.branchMispredicts);
+                       (unsigned long long)cs.branchMispredicts,
+                       (unsigned long long)cs.wrongPathInsts,
+                       (unsigned long long)cs.syscalls);
         const auto structure = [&](const char *name, uint64_t hits,
                                    uint64_t misses) {
             s += strprintf("%s=%llu/%llu ", name,
@@ -311,8 +349,43 @@ struct Rig
         structure("l1i", hier.l1i().hits(), hier.l1i().misses());
         structure("l1d", hier.l1d().hits(), hier.l1d().misses());
         structure("l2", hier.l2().hits(), hier.l2().misses());
+        structure("slc", hier.slc().hits(), hier.slc().misses());
         structure("itlb0", hier.itlb(0).hits(), hier.itlb(0).misses());
+        structure("itlb1", hier.itlb(1).hits(), hier.itlb(1).misses());
         structure("dtlb", hier.dtlb().hits(), hier.dtlb().misses());
+        structure("l2tlb", hier.l2tlb().hits(), hier.l2tlb().misses());
+        return s;
+    }
+
+    /**
+     * The front end's replacement state: every valid L1I line and
+     * iTLB way with its LRU stamp, plus each structure's LRU clock.
+     * Equal dumps mean every later victim choice is equal too.
+     */
+    std::string
+    frontEndState()
+    {
+        std::string s;
+        const mem::Cache::Snapshot l1i = hier.l1i().takeSnapshot();
+        s += strprintf("l1i tick=%llu:", (unsigned long long)l1i.tick);
+        for (size_t i = 0; i < l1i.lines.size(); ++i) {
+            if (l1i.lines[i].valid)
+                s += strprintf(" %zu/%llx@%llu", i,
+                               (unsigned long long)l1i.lines[i].tag,
+                               (unsigned long long)l1i.lines[i].lruStamp);
+        }
+        for (unsigned el : {0u, 1u}) {
+            const mem::Tlb::Snapshot tlb = hier.itlb(el).takeSnapshot();
+            s += strprintf("\nitlb%u tick=%llu:", el,
+                           (unsigned long long)tlb.tick);
+            for (size_t i = 0; i < tlb.ways.size(); ++i) {
+                if (tlb.ways[i].valid)
+                    s += strprintf(
+                        " %zu/%llx@%llu", i,
+                        (unsigned long long)tlb.ways[i].entry.vpn,
+                        (unsigned long long)tlb.ways[i].lruStamp);
+            }
+        }
         return s;
     }
 
@@ -536,6 +609,336 @@ TEST(SuperblockCore, MispredictedLoopExitFallsBack)
     fast.assemble(SlotBase, [](Assembler &a) { emitLoop(a, 100); });
     EXPECT_EQ(fast.runFrom(SlotBase).kind, ExitKind::Halted);
     EXPECT_GT(fast.core.superblockStats().fallbackExits, 0u);
+}
+
+// --- Chaining through terminators -----------------------------------
+
+/** Block dispatches entered from an interpreter fetch (not chained). */
+uint64_t
+interpretedDispatches(const SuperblockStats &s)
+{
+    return s.blockHits + s.blocksBuilt - s.chainedDispatches;
+}
+
+/** User side of a guest syscall: x0 = 5, svc, x0 += 100, hlt. */
+void
+emitSyscallCaller(Assembler &a)
+{
+    a.movz(X0, 5);
+    a.svc(1);
+    a.addi(X0, X0, 100);
+    a.hlt(0);
+}
+
+/** Kernel handler at VBAR_EL1: x0 += 7, return to the caller. */
+void
+emitHandler(Assembler &a)
+{
+    a.addi(X0, X0, 7);
+    a.eret();
+}
+
+/** Both rigs running the syscall round trip, warmed by one run. */
+struct WarmRoundTrip
+{
+    WarmRoundTrip()
+    {
+        for (Rig *r : {&fast, &slow}) {
+            r->assemble(SlotBase, emitSyscallCaller);
+            r->assemble(KernelCode, emitHandler);
+            EXPECT_EQ(r->runFrom(SlotBase).kind, ExitKind::Halted);
+        }
+        EXPECT_EQ(fast.dump(), slow.dump());
+    }
+
+    Rig fast{true};
+    Rig slow{false};
+};
+
+TEST(SuperblockChain, SyscallRoundTripRunsAsOneDispatch)
+{
+    WarmRoundTrip rt;
+    const SuperblockStats before = rt.fast.core.superblockStats();
+    for (Rig *r : {&rt.fast, &rt.slow}) {
+        EXPECT_EQ(r->runFrom(SlotBase).kind, ExitKind::Halted);
+        EXPECT_EQ(r->core.reg(X0), 112u);
+        EXPECT_EQ(r->core.el(), 0u);
+    }
+    EXPECT_EQ(rt.fast.dump(), rt.slow.dump());
+    EXPECT_EQ(rt.fast.frontEndState(), rt.slow.frontEndState());
+
+    // The interpreter fetched only the first instruction; the handler
+    // (after SVC) and the return path (after ERET) were chained, and
+    // all six instructions retired inside blocks.
+    const SuperblockStats &after = rt.fast.core.superblockStats();
+    EXPECT_EQ(interpretedDispatches(after) -
+                  interpretedDispatches(before), 1u);
+    EXPECT_EQ(after.chainedDispatches - before.chainedDispatches, 2u);
+    EXPECT_EQ(after.blockInsts - before.blockInsts, 6u);
+}
+
+TEST(SuperblockChain, BudgetRunsOutMidChain)
+{
+    // Stop the warm round trip after every possible instruction count
+    // — inside a block, on a chain boundary, right after the SVC —
+    // then resume to the HLT: both cores must agree at the pause and
+    // at the end.
+    for (uint64_t budget = 1; budget <= 6; ++budget) {
+        WarmRoundTrip rt;
+        for (Rig *r : {&rt.fast, &rt.slow})
+            EXPECT_EQ(r->runFrom(SlotBase, budget).kind,
+                      budget < 6 ? ExitKind::MaxInsts : ExitKind::Halted);
+        EXPECT_EQ(rt.fast.dump(), rt.slow.dump()) << "budget " << budget;
+        for (Rig *r : {&rt.fast, &rt.slow})
+            EXPECT_EQ(r->core.run(1'000'000).kind, ExitKind::Halted);
+        EXPECT_EQ(rt.fast.dump(), rt.slow.dump()) << "budget " << budget;
+        EXPECT_EQ(rt.fast.frontEndState(), rt.slow.frontEndState());
+    }
+}
+
+TEST(SuperblockChain, RefusesOnItlbMiss)
+{
+    // Drop the handler page from the EL1 iTLB: the chain after SVC
+    // must refuse (a miss walks, which belongs to the interpreter)
+    // while the return chain after ERET still goes through.
+    WarmRoundTrip rt;
+    const SuperblockStats before = rt.fast.core.superblockStats();
+    for (Rig *r : {&rt.fast, &rt.slow}) {
+        ASSERT_TRUE(r->hier.itlb(1).remove(
+            pageNumber(vaPart(KernelCode)), mem::Asid::Kernel));
+        EXPECT_EQ(r->runFrom(SlotBase).kind, ExitKind::Halted);
+    }
+    EXPECT_EQ(rt.fast.dump(), rt.slow.dump());
+    EXPECT_EQ(rt.fast.frontEndState(), rt.slow.frontEndState());
+    EXPECT_EQ(rt.fast.core.superblockStats().chainedDispatches -
+                  before.chainedDispatches, 1u);
+}
+
+TEST(SuperblockChain, RefusesMispredictedEntryBranch)
+{
+    // A block ends at an off-page branch whose target page starts
+    // with a CBNZ. Run 1 trains the predictor taken; in run 2 the
+    // branch falls through, so the successor's entry op mispredicts:
+    // the chain must refuse and leave the branch — and its wrong-path
+    // speculation — to the interpreter.
+    const Addr page2 = SlotBase + PageSize;
+    Rig fast(true), slow(false);
+    for (Rig *r : {&fast, &slow}) {
+        r->assemble(SlotBase, [&](Assembler &a) {
+            a.nop();
+            a.b(page2);
+        });
+        r->assemble(page2, [&](Assembler &a) {
+            a.cbnz(X0, page2 + 12); // +0
+            a.movz(X1, 1);          // +4: fall-through
+            a.hlt(1);               // +8
+            a.movz(X1, 2);          // +12: taken target
+            a.hlt(2);               // +16
+        });
+    }
+    uint64_t chained = 0, fallbacks = 0;
+    for (const uint64_t x0 : {1u, 1u, 0u}) {
+        chained = fast.core.superblockStats().chainedDispatches;
+        fallbacks = fast.core.superblockStats().fallbackExits;
+        for (Rig *r : {&fast, &slow}) {
+            r->core.setReg(X0, x0);
+            EXPECT_EQ(r->runFrom(SlotBase).code, x0 ? 2u : 1u);
+        }
+        EXPECT_EQ(fast.dump(), slow.dump()) << "x0 " << x0;
+    }
+    EXPECT_EQ(fast.frontEndState(), slow.frontEndState());
+    // The last run: no chain, and the interpreter-entered dispatch at
+    // the CBNZ bailed on the mispredict.
+    EXPECT_EQ(fast.core.superblockStats().chainedDispatches, chained);
+    EXPECT_GT(fast.core.superblockStats().fallbackExits, fallbacks);
+    EXPECT_GT(fast.core.stats().wrongPathInsts, 0u);
+}
+
+TEST(SuperblockChain, RefusesIndirectBranchEntry)
+{
+    // Blocks end right before a BLR and a RET (discovery stops at
+    // indirect branches). Both successors must be refused: the BTB
+    // and the link register belong to the interpreter.
+    const Addr func = SlotBase + 0x100;
+    Rig fast(true), slow(false);
+    for (Rig *r : {&fast, &slow}) {
+        r->assemble(SlotBase, [&](Assembler &a) {
+            a.mov64(X5, func);
+            a.blr(X5);
+            a.hlt(0);
+        });
+        r->assemble(func, [](Assembler &a) {
+            a.movz(X1, 9);
+            a.ret();
+        });
+    }
+    for (int run = 0; run < 3; ++run) {
+        const uint64_t chained =
+            fast.core.superblockStats().chainedDispatches;
+        for (Rig *r : {&fast, &slow}) {
+            EXPECT_EQ(r->runFrom(SlotBase).kind, ExitKind::Halted);
+            EXPECT_EQ(r->core.reg(X1), 9u);
+        }
+        EXPECT_EQ(fast.dump(), slow.dump()) << "run " << run;
+        EXPECT_EQ(fast.core.superblockStats().chainedDispatches,
+                  chained);
+    }
+    EXPECT_EQ(fast.frontEndState(), slow.frontEndState());
+}
+
+TEST(SuperblockChain, RefusesNonExecutablePage)
+{
+    // The block loads from a no-execute page (filling the dTLB), then
+    // branches into it. The first fetch pulls the translation into
+    // the iTLB through the dTLB spill path and faults; on the second
+    // run the chain's peek finds that iTLB way and must refuse on the
+    // permission check, leaving the fault to the interpreter.
+    const Addr nx = CodeBase + 8 * PageSize;
+    Rig fast(true), slow(false);
+    for (Rig *r : {&fast, &slow}) {
+        r->hier.mapPage(nx, mem::PageFlags{.user = true,
+                                           .writable = true,
+                                           .executable = false,
+                                           .device = false});
+        r->assemble(SlotBase, [&](Assembler &a) {
+            a.mov64(X2, nx);
+            a.ldr(X3, X2);
+            a.b(nx);
+        });
+        // Valid code, so only the permission check stops a chain.
+        r->assemble(nx, [](Assembler &a) {
+            a.movz(X1, 1);
+            a.hlt(0);
+        });
+    }
+    for (int run = 0; run < 2; ++run) {
+        for (Rig *r : {&fast, &slow}) {
+            const ExitStatus st = r->runFrom(SlotBase);
+            EXPECT_EQ(st.kind, ExitKind::CrashEl0);
+            EXPECT_EQ(st.fault, mem::Fault::Permission);
+            EXPECT_EQ(st.pc, nx);
+        }
+        EXPECT_EQ(fast.dump(), slow.dump()) << "run " << run;
+    }
+    EXPECT_EQ(fast.frontEndState(), slow.frontEndState());
+    EXPECT_TRUE(fast.hier.itlb(0).contains(pageNumber(vaPart(nx)),
+                                           mem::Asid::User));
+    EXPECT_EQ(fast.core.superblockStats().chainedDispatches, 0u);
+}
+
+TEST(SuperblockChain, HostWriteToSuccessorPage)
+{
+    // A host write to the handler's page between calls: the chain
+    // must run the new code, never the cached block — and when the
+    // new entry word is undecodable, refuse and let the interpreter
+    // raise it.
+    WarmRoundTrip rt;
+    for (Rig *r : {&rt.fast, &rt.slow}) {
+        r->hier.writeVirt(KernelCode,
+                          wordOf([](Assembler &a) {
+                              a.addi(X0, X0, 9);
+                          }),
+                          4);
+        EXPECT_EQ(r->runFrom(SlotBase).kind, ExitKind::Halted);
+        EXPECT_EQ(r->core.reg(X0), 114u);
+    }
+    EXPECT_EQ(rt.fast.dump(), rt.slow.dump());
+    const uint64_t chained =
+        rt.fast.core.superblockStats().chainedDispatches;
+
+    for (Rig *r : {&rt.fast, &rt.slow}) {
+        r->hier.writeVirt(KernelCode, 0xFFFF'FFFFu, 4);
+        const ExitStatus st = r->runFrom(SlotBase);
+        EXPECT_EQ(st.kind, ExitKind::UndefinedInst);
+        EXPECT_EQ(st.pc, KernelCode);
+    }
+    EXPECT_EQ(rt.fast.dump(), rt.slow.dump());
+    EXPECT_EQ(rt.fast.frontEndState(), rt.slow.frontEndState());
+    EXPECT_EQ(rt.fast.core.superblockStats().chainedDispatches,
+              chained);
+}
+
+TEST(SuperblockChain, NestedSvcAndEretAtEl0InsideBlock)
+{
+    // Terminators keep the interpreter's exit statuses: a second SVC
+    // inside the handler panics the kernel, an ERET at EL0 crashes
+    // the process, BRK reports a breakpoint — each as the last op of
+    // a (warm, chained-into) block.
+    struct Case
+    {
+        std::function<void(Assembler &)> user, kernel;
+        ExitKind kind;
+        const char *reason;
+    };
+    const std::vector<Case> cases = {
+        {emitSyscallCaller,
+         [](Assembler &a) {
+             a.addi(X0, X0, 7);
+             a.svc(2);
+         },
+         ExitKind::KernelPanic, "nested SVC at EL1"},
+        {[](Assembler &a) {
+             a.movz(X0, 1);
+             a.eret();
+         },
+         emitHandler, ExitKind::CrashEl0, "ERET at EL0"},
+        {[](Assembler &a) {
+             a.movz(X0, 1);
+             a.svc(1);
+             a.brk(3);
+         },
+         emitHandler, ExitKind::Breakpoint, "brk #3"},
+    };
+    for (const Case &c : cases) {
+        Rig fast(true), slow(false);
+        for (Rig *r : {&fast, &slow}) {
+            r->assemble(SlotBase, c.user);
+            r->assemble(KernelCode, c.kernel);
+        }
+        for (int run = 0; run < 2; ++run) {
+            ExitStatus st[2];
+            for (Rig *r : {&fast, &slow})
+                st[r == &slow] = r->runFrom(SlotBase);
+            EXPECT_EQ(st[0].kind, c.kind) << c.reason;
+            EXPECT_EQ(st[0].reason, c.reason);
+            EXPECT_EQ(st[0].reason, st[1].reason);
+            EXPECT_EQ(st[0].pc, st[1].pc);
+            EXPECT_EQ(st[0].code, st[1].code);
+            EXPECT_EQ(fast.dump(), slow.dump()) << c.reason;
+        }
+        EXPECT_EQ(fast.frontEndState(), slow.frontEndState());
+        EXPECT_GT(fast.core.superblockStats().blockInsts, 0u);
+    }
+}
+
+TEST(SuperblockChain, CrossLineFetchWithL1iMissMidBlock)
+{
+    // A 40-op straight block spans three 64-byte L1I lines. With the
+    // middle line invalidated, the block's second line crossing takes
+    // a real L1I miss between batched re-hits. Hit/miss counters and
+    // the LRU stamps of every line (so every later victim choice)
+    // must match the interpreter's.
+    Rig fast(true), slow(false);
+    for (Rig *r : {&fast, &slow}) {
+        r->assemble(SlotBase, [](Assembler &a) {
+            for (unsigned i = 0; i < 40; ++i)
+                a.addi(X0, X0, 1);
+            a.hlt(0);
+        });
+        EXPECT_EQ(r->runFrom(SlotBase).kind, ExitKind::Halted);
+    }
+    for (Rig *r : {&fast, &slow}) {
+        const auto pa = r->hier.translateFunctional(SlotBase + 64);
+        ASSERT_TRUE(pa.has_value());
+        ASSERT_TRUE(r->hier.l1i().contains(*pa));
+        r->hier.l1i().invalidate(*pa);
+        const uint64_t misses = r->hier.l1i().misses();
+        EXPECT_EQ(r->runFrom(SlotBase).kind, ExitKind::Halted);
+        EXPECT_EQ(r->hier.l1i().misses(), misses + 1);
+    }
+    EXPECT_EQ(fast.dump(), slow.dump());
+    EXPECT_EQ(fast.frontEndState(), slow.frontEndState());
+    EXPECT_GE(fast.core.superblockStats().blockInsts, 41u);
 }
 
 } // namespace

@@ -202,5 +202,58 @@ TEST(FastpathEquiv, FaultedBruteForceFingerprintAcrossJobs)
     }
 }
 
+/**
+ * An accuracy campaign shaped like the benchmark's noisy one: the
+ * instruction gadget (BLR/RET block exits, the iTLB side of the
+ * channel), ambient noise 0.5 on 4 pages perturbing the structures
+ * between chained guest calls, and a fresh PAC key per trial.
+ */
+AccuracyCampaignConfig
+equivInstCampaign(int level, unsigned jobs)
+{
+    AccuracyCampaignConfig cfg;
+    ReplicaConfig &r = cfg.replica;
+    r.machine = fastSlowConfig(level);
+    r.machine.seed = 42;
+    r.machine.noiseProbability = 0.5;
+    r.machine.noisePages = 4;
+    r.oracle.kind = GadgetKind::Instruction;
+    r.oracle.trainIters = 64;
+    r.samples = 3;
+    r.maxSamples = r.samples + 2;
+    r.candidateRetries = 1;
+    r.modifier = 0x9999;
+
+    Machine probe(r.machine);
+    AttackerProcess proc(probe);
+    PacOracle oracle(proc, r.oracle);
+    r.target = TrampolineBase + 37 * isa::PageSize;
+    while (!oracle.isTargetUsable(r.target))
+        r.target += isa::PageSize;
+
+    cfg.trials = 4;
+    cfg.window = 16;
+    cfg.seed = 1000;
+    cfg.pool.chunkSize = 1;
+    cfg.pool.jobs = jobs;
+    return cfg;
+}
+
+TEST(FastpathEquiv, NoisyInstructionAccuracyFingerprintAcrossJobs)
+{
+    for (const unsigned jobs : {1u, 4u}) {
+        const AccuracyCampaignResult slow_res =
+            runAccuracyCampaign(equivInstCampaign(0, jobs));
+        for (const int level : {1, 2, 3}) {
+            const AccuracyCampaignResult fast_res =
+                runAccuracyCampaign(equivInstCampaign(level, jobs));
+            EXPECT_EQ(fast_res.fingerprint(), slow_res.fingerprint())
+                << "jobs " << jobs << " level " << level;
+        }
+        // Vacuity guard: the campaign must have found its truths.
+        EXPECT_GT(slow_res.truePositives, 0u);
+    }
+}
+
 } // namespace
 } // namespace pacman

@@ -4,6 +4,8 @@
 
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <optional>
 #include <string>
@@ -377,6 +379,59 @@ TEST(Server, BackpressureAnswersBusyWhenQueueFull)
     const std::string metrics = c.metricsJson();
     EXPECT_NE(metrics.find("\"busy_rejections\":{\"value\":1"),
               std::string::npos);
+}
+
+/** Threads in this process (entries of /proc/self/task). */
+size_t
+threadCount()
+{
+    size_t n = 0;
+    for ([[maybe_unused]] const auto &task :
+         std::filesystem::directory_iterator("/proc/self/task"))
+        ++n;
+    return n;
+}
+
+/** This process's virtual size in kB (VmSize in /proc/self/status). */
+uint64_t
+vmSizeKb()
+{
+    std::ifstream in("/proc/self/status");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("VmSize:", 0) == 0)
+            return std::stoull(line.substr(7));
+    }
+    return 0;
+}
+
+TEST(Server, ConnectCloseCyclesReapReaders)
+{
+    // Every connection gets a reader thread. A finished reader must be
+    // joined and forgotten while the server runs — an unjoined one
+    // keeps its stack mapped until drain, so a long-running daemon
+    // grew by one stack per client it ever served.
+    TestServer ts;
+    const auto cycles = [&ts](int n) {
+        for (int i = 0; i < n; ++i) {
+            OracleClient c(ts.endpoint());
+            c.ping();
+        }
+    };
+    const auto settled = [](size_t threads) {
+        for (int i = 0; i < 200 && threadCount() > threads; ++i)
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        return threadCount();
+    };
+    const size_t threads = threadCount();
+    // Warm-up: the allocator's per-thread arenas and its cache of
+    // thread stacks grow once, up to a bound, and are then reused.
+    cycles(100);
+    const uint64_t vm_kb = vmSizeKb();
+    cycles(500);
+    EXPECT_EQ(settled(threads), threads);
+    // One leaked 8 MB stack per cycle would add about 4 GB.
+    EXPECT_LT(vmSizeKb(), vm_kb + 256 * 1024);
 }
 
 TEST(Server, DrainFinishesQueuedWorkAndRejectsNew)
