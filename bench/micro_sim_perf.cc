@@ -7,21 +7,18 @@
  *
  * The end-to-end benchmarks double as the perf-regression harness's
  * data source: tools/perf_smoke.py runs this binary with
- * --benchmark_format=json and distils the result into BENCH_PR9.json
+ * --benchmark_format=json and distils the result into BENCH_PR13.json
  * (guest MIPS, oracle queries/sec, Figure-8-subset wall clock), which
  * tools/perf_compare.py diffs across commits.
  *
- * The Figure-8 training-loop benchmark is registered three times:
- * arg 2 is the default fast configuration (superblocks + decode cache
- * + PhysMem frame table), arg 1 drops the superblock engine (the
- * decode-cache-only configuration of earlier baselines), and arg 0 is
- * the slow reference path (everything disabled at runtime, as in a
- * PACMAN_DISABLE_FASTPATH build) — so both the end-to-end fast-vs-slow
- * speedup and the superblock engine's own contribution are measurable
- * from one binary. All three run a pinned iteration count so the
- * speedup ratios compare identical workloads (time-budgeted runs gave
- * the slow path far fewer iterations, letting per-run fixed costs
- * skew the ratio).
+ * The Figure-8 training-loop benchmark is registered once per
+ * cpu::FastPath value: arg 1 is FastPath::Full (decode cache +
+ * superblocks, the shipped default) and arg 0 FastPath::Reference
+ * (the plain interpreter, as in a PACMAN_DISABLE_FASTPATH build), so
+ * the fast path's end-to-end speedup is measurable from one binary.
+ * Both run a pinned iteration count so the speedup ratio compares
+ * identical workloads (time-budgeted runs gave the slow path far
+ * fewer iterations, letting per-run fixed costs skew the ratio).
  */
 
 #include <benchmark/benchmark.h>
@@ -40,19 +37,12 @@ using namespace pacman::kernel;
 namespace
 {
 
-/**
- * Machine configuration at one of three fast-path levels:
- * 0 = slow reference (no decode cache, no superblocks, no frame
- *     table), 1 = decode cache + frame table, 2 = level 1 plus the
- *     superblock threaded-dispatch engine (the shipped default).
- */
+/** The default machine with CoreConfig::fastPath set to @p fast_path. */
 MachineConfig
-machineConfig(int level)
+machineConfig(cpu::FastPath fast_path)
 {
     MachineConfig cfg = defaultMachineConfig();
-    cfg.core.decodeCache = level >= 1;
-    cfg.hier.fastMem = level >= 1;
-    cfg.core.superblocks = level >= 2;
+    cfg.core.fastPath = fast_path;
     return cfg;
 }
 
@@ -128,28 +118,26 @@ BENCHMARK(BM_OracleQuery);
  * The Figure-8 training-loop workload with the paper's 64 training
  * iterations per query — the loop shape every paper-scale campaign
  * spends its time in. One iteration = one full oracle query.
- * Arg: fast-path level (see machineConfig); 2 is the shipped default.
+ * Arg: the cpu::FastPath value; 1 (Full) is the shipped default.
  *
- * The iteration count is pinned (not time-budgeted) so every level
- * measures the exact same query sequence and the speedup ratios
- * divide like for like.
+ * The iteration count is pinned (not time-budgeted) so both settings
+ * measure the exact same query sequence and the speedup ratio
+ * divides like for like.
  */
 void
 BM_Fig8TrainingLoop(benchmark::State &state)
 {
-    const int level = int(state.range(0));
-    const bool prev_memo = crypto::pacMemoEnabled();
-    crypto::setPacMemoEnabled(level >= 1);
-    Machine machine(machineConfig(level));
+    Machine machine(machineConfig(cpu::FastPath(state.range(0))));
     attack::AttackerProcess proc(machine);
     attack::PacOracle oracle(proc, fig8OracleConfig());
     oracle.setTarget(BenignDataBase + 37 * isa::PageSize, 0x6D0D);
 
     // Warm up (first query pays all compulsory misses), then exclude
     // it from the instruction-rate accounting via the resettable
-    // stats the benches exist to exercise. The superblock counters
-    // are monotonic (never reset, never restored), so the measured
-    // region is taken as a delta instead.
+    // stats the benches exist to exercise. The fast-path counters
+    // (decode cache and superblocks) are monotonic (never reset,
+    // never restored), so the measured region is taken as a delta
+    // instead.
     benchmark::DoNotOptimize(oracle.probeMisses(0));
     machine.core().resetStats();
     const cpu::SuperblockStats sb0 = machine.core().superblockStats();
@@ -164,12 +152,12 @@ BM_Fig8TrainingLoop(benchmark::State &state)
         double(cs.instsRetired), benchmark::Counter::kIsRate);
     state.counters["queries_per_sec"] = benchmark::Counter(
         double(state.iterations()), benchmark::Counter::kIsRate);
+    const uint64_t decode_hits = sb1.decodeHits - sb0.decodeHits;
     const double decode_total =
-        double(cs.icacheDecodeHits + cs.icacheDecodeMisses);
+        double(decode_hits + (sb1.decodeMisses - sb0.decodeMisses));
     state.counters["decode_hit_rate"] =
-        decode_total > 0.0 ? double(cs.icacheDecodeHits) / decode_total
-                           : 0.0;
-    // Superblock engine telemetry (all zero below level 2): the rate
+        decode_total > 0.0 ? double(decode_hits) / decode_total : 0.0;
+    // Superblock engine telemetry (all zero under Reference): the rate
     // of instructions retired via threaded dispatch, the dispatch hit
     // rate (cached-block entries over all block entries), and the
     // stale-generation/epoch invalidation count in the measured
@@ -192,26 +180,11 @@ BM_Fig8TrainingLoop(benchmark::State &state)
     state.counters["sb_chained_per_query"] =
         double(sb1.chainedDispatches - sb0.chainedDispatches) /
         double(state.iterations());
-    // Timing-trace telemetry (DESIGN.md §4k) over the same measured
-    // region: how many block dispatches replayed a memoized hierarchy
-    // walk, how many memory ops that skipped, and how often the guard
-    // dropped a recorded trace. Counts, not rates — the pinned
-    // iteration count makes them comparable across runs.
-    state.counters["trace_replays"] =
-        double(sb1.traceReplays - sb0.traceReplays);
-    state.counters["trace_ops_replayed"] =
-        double(sb1.traceOpsReplayed - sb0.traceOpsReplayed);
-    state.counters["trace_guard_breaks"] =
-        double(sb1.traceGuardBreaks - sb0.traceGuardBreaks);
-    const double trace_hits = double(sb1.blockHits - sb0.blockHits);
-    state.counters["trace_replay_rate"] =
-        trace_hits > 0.0
-            ? double(sb1.traceReplays - sb0.traceReplays) / trace_hits
-            : 0.0;
-    crypto::setPacMemoEnabled(prev_memo);
 }
 BENCHMARK(BM_Fig8TrainingLoop)
-    ->Arg(2)->Arg(1)->Arg(0)->Iterations(1024);
+    ->Arg(int(cpu::FastPath::Full))
+    ->Arg(int(cpu::FastPath::Reference))
+    ->Iterations(1024);
 
 /**
  * End-to-end wall clock of a Figure-8 subset: per benchmark

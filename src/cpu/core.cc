@@ -1,7 +1,6 @@
 #include "core.hh"
 
 #include <algorithm>
-#include <bit>
 
 #include "base/bitfield.hh"
 #include "base/logging.hh"
@@ -359,25 +358,21 @@ Core::fetch(Addr pc, bool speculative)
     // instruction cache here, superblock dispatch in run()). Device
     // pages are never executable, so res.isDevice cannot be set here;
     // the check keeps the value path honest regardless.
-    const bool cacheable =
-        (cfg_.decodeCache || cfg_.superblocks) && !res.isDevice;
+    const bool memoize =
+        cfg_.fastPath == FastPath::Full && !res.isDevice;
     uint64_t page_gen = 0;
-    if (cacheable) {
+    if (memoize) {
         page_gen = mem_->phys().pageGen(res.pa);
         out.hasPa = true;
         out.pa = res.pa;
         out.pageGen = page_gen;
-    }
 
-    // Decoded-instruction cache: consulted strictly after the
-    // architectural access() above, so hierarchy state and latency
-    // are identical whether it hits, misses, or is disabled. A hit
-    // skips only the (state-free) value load and isa::decode.
-    const bool memoize = cfg_.decodeCache && cacheable;
-    if (memoize) {
+        // Decoded-instruction cache: consulted strictly after the
+        // architectural access() above, so hierarchy state and
+        // latency are identical whether it hits, misses, or is off.
+        // A hit skips only the (state-free) value load and decode.
         decodeCache_.syncEpoch(mem_->fetchEpoch());
         if (const auto *hit = decodeCache_.lookup(res.pa, page_gen)) {
-            ++stats_.icacheDecodeHits;
             ++sbStats_.decodeHits;
             if (hit->undefined) {
                 out.undefined = true;
@@ -388,7 +383,6 @@ Core::fetch(Addr pc, bool speculative)
             out.inst = hit->inst;
             return out;
         }
-        ++stats_.icacheDecodeMisses;
         ++sbStats_.decodeMisses;
     }
 
@@ -669,8 +663,7 @@ Core::run(uint64_t max_insts)
         // hand; ineligible opcodes and every unchained block exit
         // fall through to the interpreter below.
         SbOpKind kind0;
-        if (cfg_.superblocks && !traceHook_ && f.hasPa &&
-            sbKindFor(inst.op, &kind0)) {
+        if (f.hasPa && !traceHook_ && sbKindFor(inst.op, &kind0)) {
             ExitStatus status;
             bool exited = false;
             const uint64_t executed = dispatchBlocks(
@@ -853,380 +846,6 @@ Core::run(uint64_t max_insts)
     return status;
 }
 
-namespace
-{
-
-/** Consecutive soft misses (fingerprint or mid-replay VA divergence)
- *  before a recorded trace is dropped and re-recorded. */
-constexpr uint8_t SoftMissLimit = 4;
-
-/** Dispatches to run live before retrying a recording that failed on
- *  a non-all-hit walk. The failed run itself warms the structures, so
- *  the retry usually lands immediately — and the backoff must be
- *  short because guard breaks are routine, not exceptional: the
- *  attack's own Prime+Probe traversals break a hot block's guards
- *  several times per oracle query, and every break funnels through a
- *  (likely failing, freshly-evicted) record attempt. Raising this to
- *  8 costs ~20 % of Figure-8 training-loop throughput by keeping hot
- *  blocks live between evictions (BENCH_PR10). */
-constexpr uint16_t RecordBackoffDispatches = 2;
-
-} // anonymous namespace
-
-uint64_t
-Core::regsFingerprint(uint64_t mask) const
-{
-    // Order-sensitive splitmix-style fold over the named registers. A
-    // collision only costs a mid-replay VA divergence (the per-op
-    // check below is the definitive guard), never correctness.
-    uint64_t h = 0x9e3779b97f4a7c15ull;
-    for (uint64_t m = mask; m != 0; m &= m - 1) {
-        uint64_t x = h ^ regs_[unsigned(std::countr_zero(m))];
-        x *= 0xbf58476d1ce4e5b9ull;
-        x ^= x >> 27;
-        h = x;
-    }
-    return h;
-}
-
-bool
-Core::traceGuardHolds(const TimingTrace &trace)
-{
-    for (const TimingTrace::Guard &g : trace.guards) {
-        const uint64_t now =
-            g.structId == TimingTrace::GuardStruct::Dtlb
-                ? mem_->dtlb().setGen(g.set)
-                : mem_->l1d().setGen(g.set);
-        if (now == g.label)
-            continue;
-        // Attribute the break for telemetry: if a known disturbance
-        // source ran since the recording, charge it; otherwise this
-        // is plain cross-access eviction (a Prime+Probe traversal,
-        // wrong-path fills, another block's misses). The labels stay
-        // the ground truth either way.
-        ++sbStats_.traceGuardBreaks;
-        if (mem_->flushDisturbances() != trace.disturbFlush)
-            ++sbStats_.traceBreakFlush;
-        else if (mem_->noiseDisturbances() != trace.disturbNoise)
-            ++sbStats_.traceBreakNoise;
-        else
-            ++sbStats_.traceBreakEviction;
-        return false;
-    }
-    return true;
-}
-
-bool
-Core::beginTraceRecord(Superblock &sb)
-{
-    TimingTrace &trace = sb.trace;
-    trace.memOps.clear();
-    trace.guards.clear();
-    trace.recFailed = false;
-    trace.recDevice = false;
-    trace.el = uint8_t(el_);
-
-    // Entry-live address registers: those some data op's address
-    // computation reads before anything earlier in the block writes
-    // them. Hashing their dispatch-time values gives a fast whole-
-    // block pre-check that the recorded addresses will recur; the
-    // per-op VA comparison during replay remains the definitive
-    // guard, so over- or under-approximation here only moves the
-    // replay rate, never correctness.
-    uint64_t written = 0;
-    uint64_t addr_regs = 0;
-    bool has_mem = false;
-    for (const SuperblockOp &o : sb.ops) {
-        const Inst &i = o.inst;
-        switch (o.kind) {
-          case SbOpKind::Load:
-          case SbOpKind::Store:
-            has_mem = true;
-            if (!(written & (uint64_t(1) << i.rn)))
-                addr_regs |= uint64_t(1) << i.rn;
-            if (regOffset(i.op) && !(written & (uint64_t(1) << i.rm)))
-                addr_regs |= uint64_t(1) << i.rm;
-            if (o.kind == SbOpKind::Load)
-                written |= uint64_t(1) << i.rd;
-            break;
-          case SbOpKind::Alu:
-            // Mirrors aluExec: every ALU form writes rd except the
-            // compares and NOP.
-            if (i.op != Opcode::CMP && i.op != Opcode::CMPI &&
-                i.op != Opcode::NOP) {
-                written |= uint64_t(1) << i.rd;
-            }
-            break;
-          case SbOpKind::Pac:
-          case SbOpKind::Mrs:
-            written |= uint64_t(1) << i.rd;
-            break;
-          case SbOpKind::Branch:
-            if (i.op == Opcode::BL)
-                written |= uint64_t(1) << isa::LR;
-            break;
-          case SbOpKind::BranchCond:
-          case SbOpKind::Msr:
-          case SbOpKind::Barrier:
-          case SbOpKind::Svc:
-          case SbOpKind::Eret:
-          case SbOpKind::Stop:
-            break;
-        }
-    }
-    if (!has_mem)
-        return false; // pure-ALU block: nothing to memoize
-    trace.addrRegMask = addr_regs;
-    trace.regFingerprint = regsFingerprint(addr_regs);
-    return true;
-}
-
-Core::SbMode
-Core::chooseSbMode(Superblock &sb)
-{
-    if (!cfg_.timingTraces)
-        return SbMode::Live;
-    TimingTrace &trace = sb.trace;
-
-    const auto rerecord = [&]() -> SbMode {
-        trace.reset();
-        if (!beginTraceRecord(sb)) {
-            trace.state = TimingTrace::State::Ineligible;
-            return SbMode::Live;
-        }
-        return SbMode::Record;
-    };
-
-    switch (trace.state) {
-      case TimingTrace::State::Ineligible:
-        return SbMode::Live;
-      case TimingTrace::State::None:
-        if (trace.recordBackoff > 0) {
-            --trace.recordBackoff;
-            return SbMode::Live;
-        }
-        return rerecord();
-      case TimingTrace::State::Recorded:
-        break;
-    }
-
-    if (trace.el != el_) {
-        // The same physical code dispatched at the other EL: the
-        // recorded permission outcomes don't transfer. Re-record.
-        ++sbStats_.traceBreakEl;
-        return rerecord();
-    }
-    if (!traceGuardHolds(trace)) {
-        // A guarded set's membership changed (attributed inside the
-        // check): the recorded ways/lines may be gone. Re-record —
-        // this dispatch's live walk re-warms the structures.
-        return rerecord();
-    }
-    if (regsFingerprint(trace.addrRegMask) != trace.regFingerprint) {
-        // Same code, different addresses (pointer-chasing, a moved
-        // buffer): run live but keep the trace — the old addresses
-        // often come back (loop re-entry). Re-record only after
-        // several consecutive misses.
-        ++sbStats_.traceSoftMisses;
-        if (++trace.softMisses >= SoftMissLimit)
-            return rerecord();
-        return SbMode::Live;
-    }
-    ++sbStats_.traceReplays;
-    return SbMode::Replay;
-}
-
-bool
-Core::execMemRecord(const Inst &inst, ExitStatus *status,
-                    uint16_t op_idx, Superblock &sb)
-{
-    // Live execution, identical to execMem() — plus the hit-path
-    // capture below.
-    const bool is_load = isa::instClass(inst.op) == InstClass::Load;
-    uint64_t issue = cycle_ + 1;
-    issue = std::max(issue, ready_[inst.rn]);
-    if (regOffset(inst.op))
-        issue = std::max(issue, ready_[inst.rm]);
-    if (!is_load)
-        issue = std::max(issue, ready_[inst.rd]);
-    const Addr va = regs_[inst.rn] +
-                    (regOffset(inst.op) ? regs_[inst.rm]
-                                        : uint64_t(inst.imm));
-    mem::AccessTrace at;
-    const auto res = mem_->access(
-        is_load ? mem::AccessKind::Load : mem::AccessKind::Store,
-        va, el_, false, &at);
-    if (res.fault != mem::Fault::None) {
-        *status = archFault(res.fault, va,
-                            is_load ? "data abort on load"
-                                    : "data abort on store");
-        return false;
-    }
-    const unsigned size = memSize(inst.op);
-    const uint64_t done = issue + res.latency;
-    if (is_load) {
-        regs_[inst.rd] = mem_->loadValue(res, va, size);
-        ready_[inst.rd] = done;
-    } else {
-        mem_->storeValue(res, va, regs_[inst.rd], size);
-    }
-    lastCompletion_ = std::max(lastCompletion_, done);
-
-    // Capture. Only an all-hit, non-device walk is replayable: it
-    // runs no victim logic, so its effect sequence is insensitive to
-    // what other accesses interleave between dispatches (as long as
-    // the guarded set memberships hold).
-    TimingTrace &trace = sb.trace;
-    if (trace.recFailed)
-        return true;
-    if (res.isDevice) {
-        trace.recFailed = true;
-        trace.recDevice = true;
-        return true;
-    }
-    if (!at.l1TlbHit || !at.l1CacheHit) {
-        trace.recFailed = true;
-        return true;
-    }
-    mem::Tlb &dtlb = mem_->dtlb();
-    mem::Tlb::Way *way = dtlb.wayFor(
-        isa::pageNumber(isa::vaPart(va)),
-        isa::isKernelVa(va) ? mem::Asid::Kernel : mem::Asid::User);
-    mem::Cache::Line *line = mem_->l1d().lineFor(res.pa);
-    if (!way || !line) {
-        trace.recFailed = true; // unreachable after a hit; stay safe
-        return true;
-    }
-    TimingTrace::MemOp rec;
-    rec.opIdx = op_idx;
-    rec.way = uint32_t(dtlb.indexOf(way));
-    rec.line = uint32_t(mem_->l1d().indexOf(line));
-    rec.va = va;
-    trace.memOps.push_back(rec);
-    return true;
-}
-
-bool
-Core::execMemReplay(const Inst &inst, const TimingTrace::MemOp &rec)
-{
-    const bool is_load = isa::instClass(inst.op) == InstClass::Load;
-    uint64_t issue = cycle_ + 1;
-    issue = std::max(issue, ready_[inst.rn]);
-    if (regOffset(inst.op))
-        issue = std::max(issue, ready_[inst.rm]);
-    if (!is_load)
-        issue = std::max(issue, ready_[inst.rd]);
-    const Addr va = regs_[inst.rn] +
-                    (regOffset(inst.op) ? regs_[inst.rm]
-                                        : uint64_t(inst.imm));
-    if (va != rec.va)
-        return false; // divergence: nothing applied, caller runs live
-
-    // The guarded set labels guarantee the recorded way/line still
-    // hold this VA's translation and line, and the pinned entry EL
-    // makes the recorded permission outcome (no fault) re-apply.
-    // Replay the two hits with exactly the live walk's bookkeeping
-    // and re-derive the PA from the live mapping; an all-hit walk
-    // adds no TLB latency, so the access costs exactly the (current,
-    // migration-aware) L1 load-to-use latency.
-    mem::Tlb &dtlb = mem_->dtlb();
-    mem::Tlb::Way *way = dtlb.wayAt(rec.way);
-    dtlb.rehitN(way, 1);
-    mem::Cache &l1d = mem_->l1d();
-    l1d.rehitN(l1d.lineAt(rec.line), 1);
-    const Addr pa = (way->entry.ppn << isa::PageShift) |
-                    isa::pageOffset(isa::vaPart(va));
-    const uint64_t done = issue + mem_->config().lat.l1Hit;
-    if (is_load) {
-        regs_[inst.rd] = mem_->phys().read(pa, memSize(inst.op));
-        ready_[inst.rd] = done;
-    } else {
-        mem_->phys().write(pa, regs_[inst.rd], memSize(inst.op));
-    }
-    lastCompletion_ = std::max(lastCompletion_, done);
-    return true;
-}
-
-void
-Core::finalizeTraceRecord(Superblock &sb)
-{
-    TimingTrace &trace = sb.trace;
-    if (trace.recFailed) {
-        ++sbStats_.traceRecordFailures;
-        const bool device = trace.recDevice;
-        trace.reset();
-        if (device) {
-            // Device timing bypasses the hierarchy walk entirely:
-            // never replayable, stop burning record attempts.
-            trace.state = TimingTrace::State::Ineligible;
-        } else {
-            trace.recordBackoff = RecordBackoffDispatches;
-        }
-        return;
-    }
-    if (trace.memOps.empty()) {
-        // The dispatch bailed before reaching any data op (entry-op
-        // mispredict or an early trace exit). Nothing was captured;
-        // stay None and record on a fuller run.
-        return;
-    }
-
-    // Belt-and-braces: verify every recorded way/line still holds its
-    // translation/line at end of block before publishing. In-block
-    // code cannot structurally touch the dTLB or L1D (data ops were
-    // all hits, fetch crossings fill the L1I/L2/SLC only), so a
-    // failure here would mean the all-hit reasoning has a hole — we
-    // degrade to a record failure rather than publish a bad trace.
-    mem::Tlb &dtlb = mem_->dtlb();
-    mem::Cache &l1d = mem_->l1d();
-    for (const TimingTrace::MemOp &rec : trace.memOps) {
-        mem::Tlb::Way *way = dtlb.wayFor(
-            isa::pageNumber(isa::vaPart(rec.va)),
-            isa::isKernelVa(rec.va) ? mem::Asid::Kernel
-                                    : mem::Asid::User);
-        if (!way || dtlb.indexOf(way) != rec.way) {
-            ++sbStats_.traceRecordFailures;
-            trace.reset();
-            trace.recordBackoff = RecordBackoffDispatches;
-            return;
-        }
-        const Addr pa = (way->entry.ppn << isa::PageShift) |
-                        isa::pageOffset(isa::vaPart(rec.va));
-        mem::Cache::Line *line = l1d.lineFor(pa);
-        if (!line || l1d.indexOf(line) != rec.line) {
-            ++sbStats_.traceRecordFailures;
-            trace.reset();
-            trace.recordBackoff = RecordBackoffDispatches;
-            return;
-        }
-    }
-
-    // One guard per distinct set the trace touches, labelled with the
-    // set's current generation (unchanged since the ops ran — see the
-    // verification argument above).
-    const uint32_t tlb_ways = dtlb.config().ways;
-    const uint32_t l1d_ways = l1d.config().ways;
-    auto guard = [&trace](TimingTrace::GuardStruct s, uint32_t set,
-                          uint64_t label) {
-        for (const TimingTrace::Guard &g : trace.guards) {
-            if (g.structId == s && g.set == set)
-                return;
-        }
-        trace.guards.push_back({s, set, label});
-    };
-    for (const TimingTrace::MemOp &rec : trace.memOps) {
-        const uint32_t tset = rec.way / tlb_ways;
-        guard(TimingTrace::GuardStruct::Dtlb, tset, dtlb.setGen(tset));
-        const uint32_t cset = rec.line / l1d_ways;
-        guard(TimingTrace::GuardStruct::L1d, cset, l1d.setGen(cset));
-    }
-    trace.disturbNoise = mem_->noiseDisturbances();
-    trace.disturbFlush = mem_->flushDisturbances();
-    trace.softMisses = 0;
-    trace.state = TimingTrace::State::Recorded;
-    ++sbStats_.tracesRecorded;
-}
-
 Superblock *
 Core::blockAt(Addr pa, uint64_t page_gen, bool *built)
 {
@@ -1235,7 +854,7 @@ Core::blockAt(Addr pa, uint64_t page_gen, bool *built)
     Superblock *sb = superblocks_.lookup(pa, page_gen, &sbStats_);
     if (!sb) {
         sb = &superblocks_.insertSlot(pa, page_gen);
-        buildSuperblock(*sb, mem_->phys(), cfg_.superblockMaxOps);
+        buildSuperblock(*sb, mem_->phys(), SuperblockCache::MaxOps);
         *built = !sb->ops.empty();
         sbStats_.blocksBuilt += *built;
     }
@@ -1266,16 +885,12 @@ Core::dispatchBlocks(Addr pa, uint64_t page_gen, uint64_t budget,
 
     uint64_t executed = 0;
     for (;;) {
-        const SbMode mode = chooseSbMode(*sb);
         SbExit how = SbExit::Interpret;
         const uint64_t n = runSuperblock(*sb, way, line,
                                          budget - executed, status,
-                                         &how, mode);
+                                         &how);
         executed += n;
         sbStats_.blockInsts += n;
-        // Before the successor lookup, which may reuse this slot.
-        if (mode == SbMode::Record)
-            finalizeTraceRecord(*sb);
         if (how == SbExit::Return) {
             *exited = true;
             return executed;
@@ -1342,29 +957,8 @@ Core::chainTo(mem::Tlb::Way **way_out, mem::Cache::Line **line_out)
 uint64_t
 Core::runSuperblock(Superblock &sb, mem::Tlb::Way *way,
                     mem::Cache::Line *line, uint64_t budget,
-                    ExitStatus *status, SbExit *how, SbMode mode)
+                    ExitStatus *status, SbExit *how)
 {
-    // Timing-trace state. The replay cursor walks the recorded data
-    // ops in lockstep with execution: block execution always covers a
-    // contiguous prefix of ops[] (a branch resolving off-trace exits
-    // at the pc check in sb_next), so the k-th data op executed is
-    // the k-th recorded. Divergence (length or address) is a soft
-    // miss: the op and the rest of the block run live, the trace
-    // survives. A replay that never diverged resets the consecutive-
-    // miss counter on exit, whichever exit path is taken.
-    TimingTrace &trace = sb.trace;
-    size_t cursor = 0;
-    struct ReplayReset
-    {
-        const SbMode &mode;
-        TimingTrace &trace;
-        ~ReplayReset()
-        {
-            if (mode == SbMode::Replay)
-                trace.softMisses = 0;
-        }
-    } replay_reset{mode, trace};
-
     // Fetch-replay state. Every in-block fetch re-hits the entry's
     // iTLB way (one block = one page, and the EL changes only at a
     // terminating SVC/ERET) and the current L1I line. Nothing else
@@ -1418,26 +1012,6 @@ Core::runSuperblock(Superblock &sb, mem::Tlb::Way *way,
   sb_load:
     ++stats_.instsRetired;
     ++executed;
-    if (mode == SbMode::Replay) {
-        if (cursor < trace.memOps.size() &&
-            trace.memOps[cursor].opIdx ==
-                uint16_t(op - sb.ops.data()) &&
-            execMemReplay(op->inst, trace.memOps[cursor])) {
-            ++cursor;
-            ++sbStats_.traceOpsReplayed;
-            pc_ += isa::InstBytes;
-            goto sb_next;
-        }
-        mode = SbMode::Live; // soft miss: live for the rest
-        ++trace.softMisses;
-        ++sbStats_.traceSoftMisses;
-    } else if (mode == SbMode::Record) {
-        if (!execMemRecord(op->inst, status,
-                           uint16_t(op - sb.ops.data()), sb))
-            goto sb_return;
-        pc_ += isa::InstBytes;
-        goto sb_next;
-    }
     if (!execMem(op->inst, status))
         goto sb_return;
     pc_ += isa::InstBytes;
@@ -1446,30 +1020,6 @@ Core::runSuperblock(Superblock &sb, mem::Tlb::Way *way,
   sb_store:
     ++stats_.instsRetired;
     ++executed;
-    if (mode == SbMode::Replay) {
-        if (cursor < trace.memOps.size() &&
-            trace.memOps[cursor].opIdx ==
-                uint16_t(op - sb.ops.data()) &&
-            execMemReplay(op->inst, trace.memOps[cursor])) {
-            ++cursor;
-            ++sbStats_.traceOpsReplayed;
-            if (mem_->phys().pageGen(sb.pa) != sb.gen)
-                goto sb_smc;
-            pc_ += isa::InstBytes;
-            goto sb_next;
-        }
-        mode = SbMode::Live; // soft miss: live for the rest
-        ++trace.softMisses;
-        ++sbStats_.traceSoftMisses;
-    } else if (mode == SbMode::Record) {
-        if (!execMemRecord(op->inst, status,
-                           uint16_t(op - sb.ops.data()), sb))
-            goto sb_return;
-        if (mem_->phys().pageGen(sb.pa) != sb.gen)
-            goto sb_smc;
-        pc_ += isa::InstBytes;
-        goto sb_next;
-    }
     if (!execMem(op->inst, status))
         goto sb_return;
     if (mem_->phys().pageGen(sb.pa) != sb.gen)

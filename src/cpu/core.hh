@@ -94,11 +94,6 @@ struct CoreStats
     uint64_t wrongPathMemOps = 0;
     uint64_t specFaultsSuppressed = 0;
     uint64_t syscalls = 0;
-
-    // Decode-cache effectiveness (host-side perf; not architectural —
-    // excluded from the fast-vs-slow equivalence dumps).
-    uint64_t icacheDecodeHits = 0;
-    uint64_t icacheDecodeMisses = 0;
 };
 
 /** The core. One instance per simulated hardware thread. */
@@ -275,67 +270,6 @@ class Core
      *  architectural flags/registers (no side effect). */
     bool condTaken(const isa::Inst &inst) const;
 
-    // --- Timing-trace machinery (DESIGN.md §4k) ---
-
-    /** How one dispatch of runSuperblock treats the block's trace. */
-    enum class SbMode : uint8_t
-    {
-        Live,   //!< full per-op hierarchy walk, no trace in play
-        Record, //!< live walk while capturing a fresh trace
-        Replay, //!< guards held: apply recorded hits via rehitN()
-    };
-
-    /**
-     * Pick the execution mode for this dispatch of @p sb: Replay when
-     * its recorded trace's guards hold (per-set generation labels,
-     * entry EL, address-register fingerprint), Record when there is
-     * no usable trace and recording is due, Live otherwise. Performs
-     * all the guard-break bookkeeping (cause attribution, soft-miss
-     * counting, re-record backoff) as a side effect.
-     */
-    SbMode chooseSbMode(Superblock &sb);
-
-    /** Set-label guard check with break-cause attribution. */
-    bool traceGuardHolds(const TimingTrace &trace);
-
-    /** Order-sensitive hash of the registers named by @p mask. */
-    uint64_t regsFingerprint(uint64_t mask) const;
-
-    /**
-     * Start a recording: clear stale capture state and compute the
-     * entry-live address-register mask and fingerprint.
-     * @return false when the block has no data ops at all — nothing
-     * to memoize; the caller marks the trace Ineligible.
-     */
-    bool beginTraceRecord(Superblock &sb);
-
-    /** Verify and publish (or discard) the trace captured during a
-     *  Record-mode run of @p sb. */
-    void finalizeTraceRecord(Superblock &sb);
-
-    /**
-     * execMem with trace capture: identical architectural, timing and
-     * hierarchy effects, plus records the op's resolved VA and the
-     * dTLB way / L1D line it hit into @p sb's trace — or marks the
-     * recording failed when the op was not an all-hit, non-device
-     * access.
-     */
-    bool execMemRecord(const isa::Inst &inst, ExitStatus *status,
-                       uint16_t op_idx, Superblock &sb);
-
-    /**
-     * Replay one recorded data op: computes issue timing from the
-     * live scoreboard, re-derives the VA from live registers and —
-     * when it matches @p rec.va — applies the recorded dTLB/L1D hits
-     * via rehitN(), deriving the PA from the live TLB entry. Bit-
-     * identical to the live all-hit walk at a fraction of the cost.
-     * @return false when the VA diverged (nothing was applied; the
-     * caller must run the op live and drop to Live for the rest of
-     * the block).
-     */
-    bool execMemReplay(const isa::Inst &inst,
-                       const TimingTrace::MemOp &rec);
-
     /** How a runSuperblock() dispatch ended. */
     enum class SbExit : uint8_t
     {
@@ -354,13 +288,11 @@ class Core
      * executed (0 only when the entry op is a mispredicted
      * conditional branch, which the interpreter must run); *how says
      * how the block ended (SbExit::Return with *status filled on a
-     * fault, FPAC, undefined system access, HLT or BRK). @p mode
-     * selects the timing-trace behaviour for data ops.
+     * fault, FPAC, undefined system access, HLT or BRK).
      */
     uint64_t runSuperblock(Superblock &sb, mem::Tlb::Way *way,
                            mem::Cache::Line *line, uint64_t budget,
-                           ExitStatus *status, SbExit *how,
-                           SbMode mode);
+                           ExitStatus *status, SbExit *how);
 
     /**
      * The cached block entered at @p pa, built on a miss (*built

@@ -134,108 +134,6 @@ struct SuperblockOp
     bool readsRd = false;
 };
 
-/**
- * A superblock's memoized data-side hierarchy walk (DESIGN.md §4k).
- *
- * On first execution (record mode) the core captures, per committed
- * memory op, the address it resolved and the raw indices of the dTLB
- * way and L1D line it hit — eligible only when *every* data op was an
- * L1-TLB hit + L1D hit to a non-device page (an all-hit walk touches
- * no victim logic, so its replay is insensitive to interleaved LRU
- * refreshes from other code). On later dispatches the core replays
- * each op as Tlb::rehitN + Cache::rehitN on the recorded entries — the
- * exact hit-path bookkeeping sequence (tick, journal touch, LRU
- * stamp, hit count) the live walk would perform, with the physical
- * address re-derived from the live way's mapping — skipping the
- * translation and tag scans entirely.
- *
- * Validity is guard-based, the same never-reused-label discipline as
- * the decode/superblock caches themselves:
- *
- *  - guards[]: the generation label of every cache/TLB set the trace
- *    touched, captured at record time. Any structural change to a
- *    guarded set (eviction-set prime, noise, fault-injector flush,
- *    snapshot restore past the capture) moves the label and the
- *    trace falls back to the live model and re-records.
- *  - el: a block changes EL only at a terminating SVC/ERET, after all
- *    its data ops; pinning the entry EL makes the recorded permission
- *    outcomes (all None) re-apply.
- *  - addrRegMask/regFingerprint: a hash of the entry-live address
- *    registers (those not written earlier in the block). A mismatch
- *    is a *soft* miss — the block runs live but the trace is kept,
- *    re-recording only after several consecutive misses.
- *  - Per-op, replay re-computes the VA from live registers and
- *    requires it to equal the recorded one — the definitive address
- *    guard (the fingerprint is only a fast pre-check); a divergence
- *    mid-block falls back to live execution for the remaining ops,
- *    which is safe because replay applies effects op by op (any
- *    prefix is valid).
- */
-struct TimingTrace
-{
-    enum class State : uint8_t
-    {
-        None,       //!< never recorded (or dropped; may re-record)
-        Recorded,   //!< valid trace, replayable while guards hold
-        Ineligible, //!< contains a device op or is pure-ALU: never
-                    //!< replayable, don't burn record attempts
-    };
-
-    /** One memoized data op. */
-    struct MemOp
-    {
-        uint16_t opIdx = 0;   //!< position in Superblock::ops
-        uint32_t way = 0;     //!< raw dTLB way index (Tlb::wayAt)
-        uint32_t line = 0;    //!< raw L1D line index (Cache::lineAt)
-        isa::Addr va = 0;     //!< address the op resolved at record
-    };
-
-    /** Structures a guard entry can name. */
-    enum class GuardStruct : uint8_t
-    {
-        Dtlb,
-        L1d,
-    };
-
-    /** One guarded set: its generation label at record time. */
-    struct Guard
-    {
-        GuardStruct structId = GuardStruct::Dtlb;
-        uint32_t set = 0;
-        uint64_t label = 0;
-    };
-
-    State state = State::None;
-    uint8_t el = 0;            //!< entry EL the trace was recorded at
-    uint8_t softMisses = 0;    //!< consecutive fingerprint/VA misses
-    uint16_t recordBackoff = 0; //!< dispatches to skip before retrying
-                                //!< a failed (non-all-hit) recording
-    uint64_t addrRegMask = 0;   //!< entry-live address registers
-    uint64_t regFingerprint = 0; //!< hash of those registers at entry
-    uint64_t disturbNoise = 0;  //!< hierarchy noise count at record
-    uint64_t disturbFlush = 0;  //!< hierarchy flush count at record
-    std::vector<MemOp> memOps;
-    std::vector<Guard> guards;
-
-    // Transient capture flags, meaningful only between
-    // Core::beginTraceRecord and Core::finalizeTraceRecord.
-    bool recFailed = false; //!< a data op was not an all-hit access
-    bool recDevice = false; //!< ... because it touched a device page
-
-    /** Forget the recording but keep vector capacity (rebuild-free). */
-    void
-    reset()
-    {
-        state = State::None;
-        softMisses = 0;
-        recordBackoff = 0;
-        memOps.clear();
-        guards.clear();
-        recFailed = false;
-        recDevice = false;
-    }
-};
-
 /** A cached single-page trace entered at physical address pa. */
 struct Superblock
 {
@@ -244,7 +142,6 @@ struct Superblock
     isa::Addr pa = NoPa; //!< entry PA (all ops on the same page)
     uint64_t gen = 0;    //!< page write generation at build time
     std::vector<SuperblockOp> ops;
-    TimingTrace trace;   //!< memoized data-side walk (§4k)
 };
 
 /**
@@ -271,29 +168,10 @@ struct SuperblockStats
                                     //!< interpreter fetch (subset of
                                     //!< blockHits + blocksBuilt)
 
-    // Monotonic mirrors of CoreStats::icacheDecode{Hits,Misses},
-    // bumped at the same sites; see the struct comment for why the
-    // CoreStats copies cannot serve telemetry across restores.
+    // Decoded-instruction cache effectiveness (cpu/decode_cache.hh):
+    // fetches served from the memo vs decoded afresh.
     uint64_t decodeHits = 0;
     uint64_t decodeMisses = 0;
-
-    // --- Timing-trace telemetry (DESIGN.md §4k) ---
-    uint64_t tracesRecorded = 0;     //!< successful recordings
-    uint64_t traceRecordFailures = 0; //!< aborted: a data op missed,
-                                      //!< hit a device page, or the
-                                      //!< post-run verification failed
-    uint64_t traceReplays = 0;       //!< dispatches served by replay
-    uint64_t traceOpsReplayed = 0;   //!< data ops replayed (each one a
-                                      //!< skipped full hierarchy walk)
-    uint64_t traceGuardBreaks = 0;   //!< set-label guard failures
-                                      //!< (sum of the three causes)
-    uint64_t traceBreakFlush = 0;    //!< ... fault-injector flush ran
-    uint64_t traceBreakNoise = 0;    //!< ... injectNoise ran
-    uint64_t traceBreakEviction = 0; //!< ... plain cross-access
-                                      //!< eviction (prime/probe etc.)
-    uint64_t traceBreakEl = 0;       //!< entry-EL mismatch
-    uint64_t traceSoftMisses = 0;    //!< fingerprint/VA/length misses
-                                      //!< (ran live, trace kept)
 };
 
 /**
@@ -354,7 +232,6 @@ class SuperblockCache
         b.pa = pa;
         b.gen = page_gen;
         b.ops.clear();
-        b.trace.reset(); // new code, fresh recording eligibility
         return b;
     }
 
@@ -377,6 +254,7 @@ class SuperblockCache
     void flush();
 
     static constexpr size_t NumBlocks = 2048; //!< total, power of two
+    static constexpr unsigned MaxOps = 64;    //!< longest block, in insts
     static constexpr unsigned Ways = 2;
     static constexpr size_t NumSets = NumBlocks / Ways;
 
@@ -400,7 +278,8 @@ class SuperblockCache
  * targets and conditional branches along their likely direction
  * (backward taken, forward not-taken), until a terminator (included
  * as the last op), an ineligible opcode, an undecodable word, any
- * step leaving the page, or @p max_ops. Reads physical memory
+ * step leaving the page, or @p max_ops (the core passes
+ * SuperblockCache::MaxOps). Reads physical memory
  * functionally (PhysMem::read is const — discovery has no
  * architectural or timing side effect). The result is empty exactly
  * when the entry instruction itself must be interpreted.

@@ -39,12 +39,6 @@ constexpr size_t PacMemoSets = 1024; //!< power of two
 
 thread_local std::array<PacMemoSet, PacMemoSets> pacMemoTable;
 
-#ifdef PACMAN_DISABLE_FASTPATH
-thread_local bool pacMemoOn = false;
-#else
-thread_local bool pacMemoOn = true;
-#endif
-
 size_t
 pacMemoIndex(uint64_t ptr, uint64_t mod, uint64_t k0)
 {
@@ -80,19 +74,17 @@ computePac(uint64_t canonical_ptr, uint64_t modifier, const PacKey &key,
     PACMAN_ASSERT(pac_bits >= 1 && pac_bits <= 16,
                   "unsupported PAC width %u", pac_bits);
     const uint32_t meta = (pac_bits << 8) | uint32_t(rounds & 0xff);
-    PacMemoSet *set = nullptr;
     const auto matches = [&](const PacMemoEntry &e) {
         return e.ptr == canonical_ptr && e.mod == modifier &&
                e.w0 == key.w0 && e.k0 == key.k0 && e.meta == meta;
     };
-    if (pacMemoOn) {
-        set = &pacMemoTable[pacMemoIndex(canonical_ptr, modifier, key.k0)];
-        if (matches(set->way[0]))
-            return set->way[0].pac;
-        if (matches(set->way[1])) {
-            std::swap(set->way[0], set->way[1]);
-            return set->way[0].pac;
-        }
+    PacMemoSet &set =
+        pacMemoTable[pacMemoIndex(canonical_ptr, modifier, key.k0)];
+    if (matches(set.way[0]))
+        return set.way[0].pac;
+    if (matches(set.way[1])) {
+        std::swap(set.way[0], set.way[1]);
+        return set.way[0].pac;
     }
     const Qarma64 cipher(key.w0, key.k0, rounds);
     const uint64_t ct = cipher.encrypt(canonical_ptr, modifier);
@@ -100,24 +92,10 @@ computePac(uint64_t canonical_ptr, uint64_t modifier, const PacKey &key,
     // bits of the ciphertext mirrors hardware, which slices the QARMA
     // output into the PAC field.
     const auto pac = uint16_t(bits(ct, 63, 64 - pac_bits));
-    if (set) {
-        set->way[1] = set->way[0];
-        set->way[0] =
-            PacMemoEntry{canonical_ptr, modifier, key.w0, key.k0, meta, pac};
-    }
+    set.way[1] = set.way[0];
+    set.way[0] =
+        PacMemoEntry{canonical_ptr, modifier, key.w0, key.k0, meta, pac};
     return pac;
-}
-
-void
-setPacMemoEnabled(bool on)
-{
-    pacMemoOn = on;
-}
-
-bool
-pacMemoEnabled()
-{
-    return pacMemoOn;
 }
 
 } // namespace pacman::crypto

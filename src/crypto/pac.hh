@@ -49,7 +49,20 @@ const char *pacKeyName(PacKeySelect sel);
 /**
  * Stateless PAC function: computes the @p pac_bits -bit PAC of
  * @p canonical_ptr (extension bits already canonicalized by the caller)
- * under @p modifier and @p key.
+ * under @p modifier and @p key — the top @p pac_bits of
+ * Qarma64(key, rounds).encrypt(canonical_ptr, modifier).
+ *
+ * Results are memoized in a thread-local two-way table keyed by the
+ * full (pointer, modifier, key, width, rounds) tuple: the attack's
+ * training loops authenticate the same pointer thousands of times,
+ * and skipping the repeated QARMA key schedule and rounds is the
+ * single largest hot-path win. A hit requires the whole tuple to
+ * match, so the memo cannot change a result (the
+ * PacMemo.MatchesUncachedCipher test checks every memo path against
+ * Qarma64), and it needs no flush on Machine::restore() or
+ * Kernel::rekey(): an entry for an old key can only be hit by a
+ * query using that key. Being thread-local, the memo is neither
+ * shared nor contended by parallel campaign workers.
  *
  * @param canonical_ptr Pointer with its PAC field holding the canonical
  *                      extension (the value hashed by hardware).
@@ -62,28 +75,6 @@ const char *pacKeyName(PacKeySelect sel);
 uint16_t computePac(uint64_t canonical_ptr, uint64_t modifier,
                     const PacKey &key, unsigned pac_bits = 16,
                     int rounds = 7);
-
-/**
- * Toggle the (thread-local) computePac memo table. computePac is a
- * pure function, so memoization cannot change any result — a memo hit
- * requires the full (pointer, modifier, key, width, rounds) tuple to
- * match — but the attack's training loops authenticate the same
- * pointer thousands of times, and skipping the repeated QARMA key
- * schedule + rounds is the single largest hot-path win. Defaults on;
- * a PACMAN_DISABLE_FASTPATH build defaults it off so the slow
- * reference configuration measures the uncached cipher.
- *
- * The table and the flag are thread_local: parallel campaign workers
- * neither share nor contend on memo state.
- *
- * Because entries are keyed by the full tuple *including the key
- * material*, the memo is also snapshot/rekey-safe: Machine::restore()
- * and Kernel::rekey() change which keys are live in the sysregs, but
- * a memo entry for an old key can only be hit by a query using that
- * old key — so no flush is needed (or performed) on either path.
- */
-void setPacMemoEnabled(bool on);
-bool pacMemoEnabled();
 
 } // namespace pacman::crypto
 

@@ -77,32 +77,20 @@ Machine::statsReport()
     row("wrong-path instructions", cs.wrongPathInsts);
     row("wrong-path memory ops", cs.wrongPathMemOps);
     row("speculative faults suppressed", cs.specFaultsSuppressed);
-    // Host-side perf counters (not architectural state): how well the
-    // decoded-instruction cache is absorbing front-end decode work.
-    row("decode-cache hits", cs.icacheDecodeHits);
-    row("decode-cache misses", cs.icacheDecodeMisses);
-    // Superblock engine telemetry (monotonic — unlike CoreStats these
-    // never rewind on snapshot restore; see cpu/superblock.hh).
+    // Fast-path telemetry (host-side, not architectural state, and
+    // monotonic — unlike CoreStats these never rewind on snapshot
+    // restore; see cpu/superblock.hh): how well the decoded-
+    // instruction cache absorbs front-end decode work, and how much
+    // guest code the superblock engine runs.
     const cpu::SuperblockStats &sbs = core_.superblockStats();
+    row("decode-cache hits", sbs.decodeHits);
+    row("decode-cache misses", sbs.decodeMisses);
     row("superblocks built", sbs.blocksBuilt);
     row("superblock hits", sbs.blockHits);
     row("superblock instructions", sbs.blockInsts);
     row("superblock invalidations", sbs.invalidations);
     row("superblock fallback exits", sbs.fallbackExits);
     row("superblock chained dispatches", sbs.chainedDispatches);
-    // Timing-trace telemetry (DESIGN.md §4k): how often block
-    // re-dispatches replay the memoized hierarchy walk, and why the
-    // guard rejected a recorded trace when it did not.
-    row("timing traces recorded", sbs.tracesRecorded);
-    row("timing-trace record failures", sbs.traceRecordFailures);
-    row("timing-trace replays", sbs.traceReplays);
-    row("timing-trace ops replayed", sbs.traceOpsReplayed);
-    row("timing-trace guard breaks", sbs.traceGuardBreaks);
-    row("timing-trace breaks: eviction", sbs.traceBreakEviction);
-    row("timing-trace breaks: noise", sbs.traceBreakNoise);
-    row("timing-trace breaks: flush", sbs.traceBreakFlush);
-    row("timing-trace breaks: el", sbs.traceBreakEl);
-    row("timing-trace soft misses", sbs.traceSoftMisses);
 
     auto structure = [&](const char *name, uint64_t hits,
                          uint64_t misses) {
@@ -185,10 +173,6 @@ Machine::injectNoise()
         !noiseRng_.chance(cfg_.noiseProbability)) {
         return;
     }
-    // Attribute any timing-trace guard break the accesses below cause
-    // to the noise model (telemetry only; the per-set generation
-    // labels remain the validity ground truth).
-    mem_.noteNoiseDisturbance();
     // Ambient system activity: one demand access per configured noise
     // page, pages drawn *without replacement* so each perturbation
     // touches exactly `noisePages` distinct pages (the old model drew

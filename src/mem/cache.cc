@@ -8,7 +8,7 @@ namespace pacman::mem
 
 Cache::Cache(const SetAssocConfig &cfg, ReplPolicy policy, Random *rng)
     : cfg_(cfg), policy_(policy), rng_(rng),
-      lines_(size_t(cfg.sets) * cfg.ways), setGen_(cfg.sets, 0)
+      lines_(size_t(cfg.sets) * cfg.ways)
 {
     if (!isPowerOf2(cfg.sets))
         fatal("cache %s: set count %u not a power of two",
@@ -96,10 +96,8 @@ Cache::accessRef(Addr pa, bool *hit)
         return line;
     }
     ++misses_;
-    const uint64_t set = setIndex(pa);
-    Line &victim = victimIn(set);
+    Line &victim = victimIn(setIndex(pa));
     journalTouch(&victim);
-    bumpSet(set);
     victim.valid = true;
     victim.tag = tagOf(lineNumber(pa));
     victim.lruStamp = tick_;
@@ -126,7 +124,6 @@ Cache::invalidate(Addr pa)
 {
     if (Line *line = findLine(pa)) {
         journalTouch(line);
-        bumpSet(setIndex(pa));
         line->valid = false;
     }
 }
@@ -137,8 +134,6 @@ Cache::flushAll()
     journalBulk();
     for (Line &line : lines_)
         line.valid = false;
-    for (uint64_t set = 0; set < cfg_.sets; ++set)
-        bumpSet(set);
 }
 
 void
@@ -165,7 +160,7 @@ Cache::takeSnapshot() const
     journalOff_ = false;
     journal_.clear();
     journaled_.assign(lines_.size(), 0);
-    return {lines_, setGen_, tick_, hits_, misses_, journalEpoch_};
+    return {lines_, tick_, hits_, misses_, journalEpoch_};
 }
 
 void
@@ -177,20 +172,14 @@ Cache::restore(const Snapshot &snap)
     if (snap.journalEpoch == journalEpoch_ && !journalOff_) {
         // The journal lists exactly the lines dirtied since this
         // snapshot was captured; everything else is already identical.
-        // A set's generation label only moves when a line in it is
-        // structurally mutated — which always journals that line — so
-        // rewinding the journaled lines' sets covers every moved label.
         for (const uint32_t idx : journal_) {
-            const uint64_t set = idx / cfg_.ways;
             lines_[idx] = snap.lines[idx];
-            setGen_[set] = snap.setGen[set];
             journaled_[idx] = 0;
         }
         journal_.clear();
         return;
     }
     lines_ = snap.lines;
-    setGen_ = snap.setGen;
     if (snap.journalEpoch == journalEpoch_) {
         // The journal overflowed, but the full copy just made the
         // live state equal this (still armed) snapshot again: re-arm.

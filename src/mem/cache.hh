@@ -67,31 +67,6 @@ class Cache
     /** Live line containing @p pa, or nullptr. No state change. */
     Line *lineFor(Addr pa) { return findLine(pa); }
 
-    /** Line at raw array index @p idx (timing-trace replay: the trace
-     *  recorded the index of the line it hit; the set's generation
-     *  label guarantees the index still names the same line). */
-    Line *lineAt(size_t idx) { return &lines_[idx]; }
-
-    /** Raw array index of a live @p line (timing-trace recording). */
-    size_t indexOf(const Line *line) const
-    {
-        return size_t(line - lines_.data());
-    }
-
-    /**
-     * Generation label of @p set: a value drawn from a never-rewound
-     * per-structure counter on every *structural* mutation of the set
-     * — a miss fill/eviction, an invalidation, or a flush. Pure LRU
-     * refreshes on hits deliberately do NOT move it: hit replay is
-     * order-insensitive (no victim choice happens), so the
-     * timing-trace layer only needs to know the set's *membership* is
-     * unchanged. Like PhysMem's page write generations, labels are
-     * never reused and a snapshot restore rewinds a set's label
-     * together with its lines, so a label match always implies the
-     * identical set contents — across restores included.
-     */
-    uint64_t setGen(uint64_t set) const { return setGen_[set]; }
-
     /** Probe without changing any state. */
     bool contains(Addr pa) const;
 
@@ -135,7 +110,6 @@ class Cache
     struct Snapshot
     {
         std::vector<Line> lines;
-        std::vector<uint64_t> setGen; //!< per-set generation labels
         uint64_t tick = 0;
         uint64_t hits = 0;
         uint64_t misses = 0;
@@ -185,9 +159,6 @@ class Cache
      *  journal until the next capture re-arms it. */
     void journalBulk() { journalOff_ = true; }
 
-    /** Stamp a fresh generation label on @p set (structural change). */
-    void bumpSet(uint64_t set) { setGen_[set] = ++genCounter_; }
-
     SetAssocConfig cfg_;
     ReplPolicy policy_;
     Random *rng_;
@@ -202,13 +173,6 @@ class Cache
     uint64_t tick_ = 0;
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;
-
-    // Per-set generation labels (see setGen()). The counter is the
-    // label source; like PhysMem's write-generation counter it is
-    // never captured or rewound, so labels stay unique across
-    // restores and a stale timing trace can never re-validate.
-    std::vector<uint64_t> setGen_;
-    uint64_t genCounter_ = 0;
 
     // Dirty-line journal (see takeSnapshot). Mutable: arming from the
     // const capture path only redirects how restore copies bytes, it

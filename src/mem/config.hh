@@ -94,19 +94,6 @@ struct HierarchyConfig
      * state (the transmission channel is closed).
      */
     bool delayOnMiss = false;
-
-    /**
-     * Back PhysMem with the direct-indexed frame table (fast path).
-     * Purely a performance knob: both settings are bit-identical by
-     * contract (tests/runner/test_fastpath_equiv.cc). Defaults off in
-     * PACMAN_DISABLE_FASTPATH builds so the sanitizer CI leg runs the
-     * reference path.
-     */
-#ifdef PACMAN_DISABLE_FASTPATH
-    bool fastMem = false;
-#else
-    bool fastMem = true;
-#endif
 };
 
 /** The paper's M1 performance-core hierarchy (Table 2 + Figure 6). */

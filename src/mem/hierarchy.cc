@@ -6,7 +6,7 @@ namespace pacman::mem
 {
 
 MemoryHierarchy::MemoryHierarchy(const HierarchyConfig &cfg, Random *rng)
-    : cfg_(cfg), rng_(rng), phys_(cfg.fastMem),
+    : cfg_(cfg), rng_(rng),
       l1i_(cfg.l1i, cfg.replPolicy, rng),
       l1d_(cfg.l1d, cfg.replPolicy, rng),
       l2_(cfg.l2, cfg.replPolicy, rng),

@@ -202,24 +202,6 @@ class MemoryHierarchy
      */
     uint64_t fetchEpoch() const { return flushEpoch_; }
 
-    // --- Disturbance attribution (timing-trace telemetry only) ---
-    //
-    // Monotonic counters bumped when a known disturbance source runs:
-    // the ambient-noise model (Machine::injectNoise) and the fault
-    // injector's context-switch flush/pollute paths. They are NOT
-    // validity guards — the per-set generation labels on Cache/Tlb
-    // are the precise ground truth — and are never captured by
-    // snapshots (monotonicity keeps "moved since record" meaningful
-    // across restores). A timing trace records both at capture; when
-    // a set label later breaks, the core compares them to attribute
-    // the break to noise, a flush, or plain cross-access eviction in
-    // the guard-break telemetry.
-
-    void noteNoiseDisturbance() { ++disturbNoise_; }
-    void noteFlushDisturbance() { ++disturbFlush_; }
-    uint64_t noiseDisturbances() const { return disturbNoise_; }
-    uint64_t flushDisturbances() const { return disturbFlush_; }
-
     /**
      * Complete simulated-memory state: physical pages (COW against
      * write generations), page table, all cache tag arrays and all TLB
@@ -273,8 +255,6 @@ class MemoryHierarchy
 
     std::vector<Device *> devices_;          //!< index = ppn - DevicePhysBase/PageSize
     uint64_t flushEpoch_ = 0;                //!< bumped by flushAll()
-    uint64_t disturbNoise_ = 0;              //!< injectNoise firings
-    uint64_t disturbFlush_ = 0;              //!< fault-injector flushes
 };
 
 } // namespace pacman::mem

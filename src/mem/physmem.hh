@@ -7,21 +7,19 @@
  *
  * Two lookup paths back the same byte-level contract:
  *
- *  - The *frame table* (default): two direct-indexed windows of page
- *    frames covering the simulated DRAM ranges (the linear-mapped
- *    user half below 32 GB and the first GB of the kernel half's
- *    frames). Frame chunks are allocated lazily, so a boot costs a
- *    few KB of pointers, and every load/store/fetch resolves with two
- *    compares and two array indexes instead of a hash lookup.
- *  - The *sparse map* fallback: an `unordered_map` keyed by PPN, used
- *    for frames outside the windows (huge synthetic addresses, device
- *    frames) — and for everything when the fast path is disabled
- *    (`fastFrames = false`, the PACMAN_DISABLE_FASTPATH reference
- *    configuration).
+ *  - The *frame table*: two direct-indexed windows of page frames
+ *    covering the simulated DRAM ranges (the linear-mapped user half
+ *    below 32 GB and the first GB of the kernel half's frames). Frame
+ *    chunks are allocated lazily, so a boot costs a few KB of
+ *    pointers, and every load/store/fetch resolves with two compares
+ *    and two array indexes instead of a hash lookup.
+ *  - The *sparse map*: an `unordered_map` keyed by PPN, used for
+ *    frames outside the windows (huge synthetic addresses, device
+ *    frames).
  *
- * Both paths are bit-identical by contract; the fast-vs-slow
- * equivalence suite (tests/runner/test_fastpath_equiv.cc) proves it
- * end to end.
+ * The simulator always runs with both. The sparse map alone
+ * (`PhysMem(false)`) is the reference the frame table must match
+ * byte for byte; PhysMem.SlowPathParity compares the two.
  *
  * Every backed page also carries a *write generation*: a label drawn
  * from a single monotonic counter on every write touching the page.
@@ -61,9 +59,10 @@ class PhysMem
   public:
     /**
      * @param fastFrames Use the direct-indexed frame table for DRAM
-     *                   frames (default). When false every frame goes
-     *                   through the sparse map — the slow reference
-     *                   path the equivalence tests compare against.
+     *                   frames (default; what MemoryHierarchy uses).
+     *                   false sends every frame through the sparse
+     *                   map: the reference PhysMem.SlowPathParity
+     *                   compares the frame table against.
      */
     explicit PhysMem(bool fastFrames = true);
 

@@ -8,7 +8,7 @@ namespace pacman::mem
 
 Tlb::Tlb(const SetAssocConfig &cfg, ReplPolicy policy, Random *rng)
     : cfg_(cfg), policy_(policy), rng_(rng),
-      ways_(size_t(cfg.sets) * cfg.ways), setGen_(cfg.sets, 0)
+      ways_(size_t(cfg.sets) * cfg.ways)
 {
     if (!isPowerOf2(cfg.sets))
         fatal("tlb %s: set count %u not a power of two",
@@ -85,19 +85,16 @@ std::optional<TlbEntry>
 Tlb::insert(const TlbEntry &entry)
 {
     ++tick_;
-    // Refresh in place if already present. Still a structural change:
-    // the refreshed entry may map a different frame or permissions
-    // (remap + re-walk), so the set label moves.
+    // Refresh in place if already present (a remap + re-walk may
+    // change the mapped frame or permissions).
     if (Way *way = find(entry.vpn, entry.asid)) {
         journalTouch(way);
-        bumpSet(setIndex(entry.vpn));
         way->entry = entry;
         way->lruStamp = tick_;
         return std::nullopt;
     }
     Way &victim = victimIn(setIndex(entry.vpn));
     journalTouch(&victim);
-    bumpSet(setIndex(entry.vpn));
     std::optional<TlbEntry> evicted;
     if (victim.valid)
         evicted = victim.entry;
@@ -112,7 +109,6 @@ Tlb::remove(uint64_t vpn, Asid asid)
 {
     if (Way *way = find(vpn, asid)) {
         journalTouch(way);
-        bumpSet(setIndex(vpn));
         way->valid = false;
         return way->entry;
     }
@@ -125,8 +121,6 @@ Tlb::flushAll()
     journalBulk();
     for (Way &way : ways_)
         way.valid = false;
-    for (uint64_t set = 0; set < cfg_.sets; ++set)
-        bumpSet(set);
 }
 
 unsigned
@@ -134,11 +128,9 @@ Tlb::flushAsid(Asid asid)
 {
     journalBulk();
     unsigned n = 0;
-    for (size_t idx = 0; idx < ways_.size(); ++idx) {
-        Way &way = ways_[idx];
+    for (Way &way : ways_) {
         if (way.valid && way.entry.asid == asid) {
             way.valid = false;
-            bumpSet(idx / cfg_.ways);
             ++n;
         }
     }
@@ -170,7 +162,6 @@ Tlb::flushSetAsid(uint64_t set, Asid asid)
         Way &way = ways_[set * cfg_.ways + w];
         if (way.valid && way.entry.asid == asid) {
             journalTouch(&way);
-            bumpSet(set);
             way.valid = false;
             ++n;
         }
@@ -185,7 +176,7 @@ Tlb::takeSnapshot() const
     journalOff_ = false;
     journal_.clear();
     journaled_.assign(ways_.size(), 0);
-    return {ways_, setGen_, tick_, hits_, misses_, journalEpoch_};
+    return {ways_, tick_, hits_, misses_, journalEpoch_};
 }
 
 void
@@ -197,20 +188,14 @@ Tlb::restore(const Snapshot &snap)
     if (snap.journalEpoch == journalEpoch_ && !journalOff_) {
         // The journal lists exactly the ways dirtied since this
         // snapshot was captured; everything else is already identical.
-        // Every structural mutation journals a way in the set it
-        // relabels, so rewinding the journaled ways' sets covers
-        // every moved generation label.
         for (const uint32_t idx : journal_) {
-            const uint64_t set = idx / cfg_.ways;
             ways_[idx] = snap.ways[idx];
-            setGen_[set] = snap.setGen[set];
             journaled_[idx] = 0;
         }
         journal_.clear();
         return;
     }
     ways_ = snap.ways;
-    setGen_ = snap.setGen;
     if (snap.journalEpoch == journalEpoch_) {
         // Journal overflowed; the full copy re-synced us with this
         // (still armed) snapshot: re-arm.

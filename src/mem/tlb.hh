@@ -63,28 +63,6 @@ class Tlb
      */
     Way *wayFor(uint64_t vpn, Asid asid) { return find(vpn, asid); }
 
-    /** Way at raw array index @p idx (timing-trace replay: the trace
-     *  recorded the index of the way it hit; the set's generation
-     *  label guarantees the index still names the same entry). */
-    Way *wayAt(size_t idx) { return &ways_[idx]; }
-
-    /** Raw array index of a live @p way (timing-trace recording). */
-    size_t indexOf(const Way *way) const
-    {
-        return size_t(way - ways_.data());
-    }
-
-    /**
-     * Generation label of @p set: drawn from a never-rewound
-     * per-structure counter on every *structural* mutation of the set
-     * — an insert (fill, eviction, or in-place refresh: the mapped
-     * frame or permissions may change), a removal, or a flush. Pure
-     * LRU refreshes on lookup hits do NOT move it. See
-     * Cache::setGen() for the label discipline (never reused;
-     * restores rewind labels together with the ways they describe).
-     */
-    uint64_t setGen(uint64_t set) const { return setGen_[set]; }
-
     /**
      * Replay @p k back-to-back hits on @p way, each with exactly the
      * bookkeeping of lookup()'s hit path (tick, journal touch, LRU
@@ -161,7 +139,6 @@ class Tlb
     struct Snapshot
     {
         std::vector<Way> ways;
-        std::vector<uint64_t> setGen; //!< per-set generation labels
         uint64_t tick = 0;
         uint64_t hits = 0;
         uint64_t misses = 0;
@@ -206,9 +183,6 @@ class Tlb
     /** Whole-array mutation: disarm until the next capture. */
     void journalBulk() { journalOff_ = true; }
 
-    /** Stamp a fresh generation label on @p set (structural change). */
-    void bumpSet(uint64_t set) { setGen_[set] = ++genCounter_; }
-
     SetAssocConfig cfg_;
     ReplPolicy policy_;
     Random *rng_;
@@ -216,11 +190,6 @@ class Tlb
     uint64_t tick_ = 0;
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;
-
-    // Per-set generation labels (see setGen()); the counter is never
-    // captured or rewound (see Cache).
-    std::vector<uint64_t> setGen_;
-    uint64_t genCounter_ = 0;
 
     // Dirty-way journal (see Cache). Disarmed until first capture.
     mutable bool journalOff_ = true;

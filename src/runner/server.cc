@@ -164,13 +164,6 @@ struct OracleServer::Impl
     std::atomic<uint64_t> sbChainedDispatches{0};
     std::atomic<uint64_t> decodeHits{0};
     std::atomic<uint64_t> decodeMisses{0};
-    // Timing-trace telemetry (DESIGN.md §4k), same delta scheme.
-    std::atomic<uint64_t> traceRecorded{0};
-    std::atomic<uint64_t> traceRecordFailures{0};
-    std::atomic<uint64_t> traceReplays{0};
-    std::atomic<uint64_t> traceOpsReplayed{0};
-    std::atomic<uint64_t> traceGuardBreaks{0};
-    std::atomic<uint64_t> traceSoftMisses{0};
     mutable std::mutex tenantMu;
     std::map<std::string, SampleStat> tenantLatencyUs;
 
@@ -185,7 +178,7 @@ struct OracleServer::Impl
                     Job &job);
     CachedWorker &getWorker(
         std::unordered_map<std::string, CachedWorker> &cache,
-        const std::string &key, const std::string &config_text);
+        const std::string &config_text);
     void accountWorker(CachedWorker &cw, uint64_t items);
     std::string metricsJson() const;
 };
@@ -299,21 +292,25 @@ OracleServer::Impl::readerLoop(std::shared_ptr<Connection> conn)
 CachedWorker &
 OracleServer::Impl::getWorker(
     std::unordered_map<std::string, CachedWorker> &cache,
-    const std::string &key, const std::string &config_text)
+    const std::string &config_text)
 {
-    CachedWorker &cw = cache[key];
-    if (!cw.worker) {
-        ReplicaConfig replica;
-        SupervisionConfig sup;
-        if (!decodeReplicaWire(config_text, replica, sup))
-            throw std::runtime_error("undecodable replica config");
-        // Journal/quarantine paths never travel the wire: the
-        // campaign owner journals decoded payloads client-side.
-        cw.worker = std::make_unique<Worker>(replica, sup);
-        cw.replica = replica;
-        cw.snapshot = replica.snapshot;
-    }
-    return cw;
+    if (auto it = cache.find(config_text); it != cache.end())
+        return it->second;
+    // Build before inserting: a body that fails to decode, or whose
+    // Worker constructor throws (FaultPlan::validate), must not leave
+    // a dead entry keyed by the whole (up to MaxFrameBytes) body for
+    // the life of the daemon.
+    ReplicaConfig replica;
+    SupervisionConfig sup;
+    if (!decodeReplicaWire(config_text, replica, sup))
+        throw std::runtime_error("undecodable replica config");
+    // Journal/quarantine paths never travel the wire: the campaign
+    // owner journals decoded payloads client-side.
+    CachedWorker cw;
+    cw.worker = std::make_unique<Worker>(replica, sup);
+    cw.replica = replica;
+    cw.snapshot = replica.snapshot;
+    return cache.emplace(config_text, std::move(cw)).first->second;
 }
 
 void
@@ -340,17 +337,6 @@ OracleServer::Impl::accountWorker(CachedWorker &cw, uint64_t items)
                                   cw.lastSb.chainedDispatches);
     decodeHits.fetch_add(sb.decodeHits - cw.lastSb.decodeHits);
     decodeMisses.fetch_add(sb.decodeMisses - cw.lastSb.decodeMisses);
-    traceRecorded.fetch_add(sb.tracesRecorded -
-                            cw.lastSb.tracesRecorded);
-    traceRecordFailures.fetch_add(sb.traceRecordFailures -
-                                  cw.lastSb.traceRecordFailures);
-    traceReplays.fetch_add(sb.traceReplays - cw.lastSb.traceReplays);
-    traceOpsReplayed.fetch_add(sb.traceOpsReplayed -
-                               cw.lastSb.traceOpsReplayed);
-    traceGuardBreaks.fetch_add(sb.traceGuardBreaks -
-                               cw.lastSb.traceGuardBreaks);
-    traceSoftMisses.fetch_add(sb.traceSoftMisses -
-                              cw.lastSb.traceSoftMisses);
     cw.lastSb = sb;
 }
 
@@ -384,8 +370,7 @@ OracleServer::Impl::executeJob(
             } else if (!cfg.allowTruth) {
                 throw std::runtime_error("TRUTH disabled");
             }
-            CachedWorker &cw =
-                getWorker(cache, job.msg.body, job.msg.body);
+            CachedWorker &cw = getWorker(cache, job.msg.body);
             // Tenant isolation: restore the checkpoint (discarding
             // the previous request's state), then rotate to the
             // tenant's PAC keys.
@@ -438,8 +423,7 @@ OracleServer::Impl::executeJob(
                 throw std::runtime_error("undecodable chunk request");
             std::string payload;
             uint64_t items = 1;
-            CachedWorker &cw =
-                getWorker(cache, req->configKey, req->configKey);
+            CachedWorker &cw = getWorker(cache, req->configKey);
             if (req->kind == ChunkRequest::Kind::BruteForce) {
                 const uint64_t n =
                     uint64_t(req->bf.last) - req->bf.first + 1;
@@ -603,24 +587,6 @@ OracleServer::Impl::metricsJson() const
     if (sbBuilt + sbHits > 0)
         add("superblock_hit_rate", sbHits / (sbBuilt + sbHits),
             "higher");
-    // Timing-trace memoization (DESIGN.md §4k): traces built, block
-    // dispatches that replayed one, memory ops replayed without a
-    // hierarchy walk, and the guard-break / divergence counts that
-    // bound how often the model fell back to the live walk.
-    add("timing_traces_recorded", double(traceRecorded.load()),
-        "lower");
-    add("timing_trace_record_failures",
-        double(traceRecordFailures.load()), "lower");
-    const double replays = double(traceReplays.load());
-    add("timing_trace_replays", replays, "higher");
-    add("timing_trace_ops_replayed", double(traceOpsReplayed.load()),
-        "higher");
-    add("timing_trace_guard_breaks", double(traceGuardBreaks.load()),
-        "lower");
-    add("timing_trace_soft_misses", double(traceSoftMisses.load()),
-        "lower");
-    if (sbHits > 0)
-        add("timing_trace_replay_rate", replays / sbHits, "higher");
     const double dh = double(decodeHits.load());
     const double dm = double(decodeMisses.load());
     if (dh + dm > 0)

@@ -1,7 +1,6 @@
 #include "worker.hh"
 
 #include <chrono>
-#include <cstdlib>
 
 #include "base/logging.hh"
 #include "base/stats.hh"
@@ -10,14 +9,6 @@
 
 namespace pacman::runner
 {
-
-bool
-snapshotReplicasDefault()
-{
-    static const bool disabled =
-        std::getenv("PACMAN_DISABLE_SNAPSHOT") != nullptr;
-    return !disabled;
-}
 
 namespace
 {

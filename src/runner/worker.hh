@@ -54,13 +54,6 @@
 namespace pacman::runner
 {
 
-/**
- * Default for ReplicaConfig::snapshot: true unless the
- * PACMAN_DISABLE_SNAPSHOT environment variable is set (to anything).
- * Read once per process.
- */
-bool snapshotReplicasDefault();
-
 /** What each worker's replica is provisioned with. */
 struct ReplicaConfig
 {
@@ -103,9 +96,11 @@ struct ReplicaConfig
      * tests compare against; the recovery ladder then has no rung 1
      * (there is no checkpoint to rewind) and escalates straight to
      * re-provisioning. Either way the per-item results are
-     * bit-identical; only wall-clock time differs.
+     * bit-identical; only wall-clock time differs. Travels the wire
+     * with the rest of the replica config; the examples expose it as
+     * --no-snapshot.
      */
-    bool snapshot = snapshotReplicasDefault();
+    bool snapshot = true;
 };
 
 /** Supervision knobs for a campaign's workers. */

@@ -101,9 +101,6 @@ FaultInjector::contextSwitch()
 {
     ++stats_.contextSwitches;
     auto &mem = machine_.mem();
-    // Attribute any timing-trace guard break the flush/pollute below
-    // causes to the fault injector (telemetry only).
-    mem.noteFlushDisturbance();
     if (rng_.chance(plan_.fullFlushFraction)) {
         // Full EL0 flush: the attacker's address space was switched
         // out; kernel (global) translations survive.
@@ -125,7 +122,6 @@ void
 FaultInjector::preempt()
 {
     ++stats_.preemptions;
-    machine_.mem().noteFlushDisturbance();
     const uint64_t burn =
         uint64_t(rng_.range(int64_t(plan_.preemptMinCycles),
                             int64_t(plan_.preemptMaxCycles)));

@@ -151,7 +151,7 @@ class DecodeCacheCoreTest : public ::testing::Test
     cacheOnConfig()
     {
         CoreConfig cfg;
-        cfg.decodeCache = true;
+        cfg.fastPath = FastPath::Full;
         return cfg;
     }
 
@@ -186,13 +186,13 @@ TEST_F(DecodeCacheCoreTest, HostWriteInvalidates)
 
     EXPECT_EQ(runFrom(SlotBase).kind, ExitKind::Halted);
     EXPECT_EQ(core.reg(X0), 1u);
-    const uint64_t misses1 = core.stats().icacheDecodeMisses;
+    const uint64_t misses1 = core.superblockStats().decodeMisses;
     EXPECT_GT(misses1, 0u);
 
     // Re-run: same code, all fetches served from the decode cache.
     EXPECT_EQ(runFrom(SlotBase).kind, ExitKind::Halted);
-    EXPECT_EQ(core.stats().icacheDecodeMisses, misses1);
-    EXPECT_GT(core.stats().icacheDecodeHits, 0u);
+    EXPECT_EQ(core.superblockStats().decodeMisses, misses1);
+    EXPECT_GT(core.superblockStats().decodeHits, 0u);
 
     // Host (functional) write to the code page: the page generation
     // moves, so the stale decode must not be served.
@@ -292,17 +292,17 @@ TEST_F(DecodeCacheCoreTest, UndefinedInstructionExit)
 
     // Second run is served by the negative-decode memo and must take
     // the identical exit.
-    const uint64_t hits1 = core.stats().icacheDecodeHits;
+    const uint64_t hits1 = core.superblockStats().decodeHits;
     const ExitStatus again = runFrom(SlotBase);
     EXPECT_EQ(again.kind, ExitKind::UndefinedInst);
     EXPECT_EQ(again.code, garbage);
-    EXPECT_GT(core.stats().icacheDecodeHits, hits1);
+    EXPECT_GT(core.superblockStats().decodeHits, hits1);
 }
 
 TEST_F(DecodeCacheCoreTest, DisabledCacheCountsNothing)
 {
     CoreConfig cfg;
-    cfg.decodeCache = false;
+    cfg.fastPath = FastPath::Reference;
     Core slow(cfg, &hier, &rng);
 
     writeWords(SlotBase,
@@ -312,8 +312,8 @@ TEST_F(DecodeCacheCoreTest, DisabledCacheCountsNothing)
     slow.setEl(0);
     EXPECT_EQ(slow.run(1'000'000).kind, ExitKind::Halted);
     EXPECT_EQ(slow.reg(X0), 9u);
-    EXPECT_EQ(slow.stats().icacheDecodeHits, 0u);
-    EXPECT_EQ(slow.stats().icacheDecodeMisses, 0u);
+    EXPECT_EQ(slow.superblockStats().decodeHits, 0u);
+    EXPECT_EQ(slow.superblockStats().decodeMisses, 0u);
 }
 
 } // namespace

@@ -6,9 +6,9 @@
  * following, likely-direction heuristics, page and length limits),
  * plus core-level equivalence — a core running with superblocks must
  * be bit-identical to the plain interpreter across loops,
- * self-modifying stores into the running block, host writes, page
- * remap/unmap, budget exits mid-block, and snapshot restores across a
- * half-executed block.
+ * self-modifying stores into the running block or from outside it,
+ * host writes, page remap/unmap, budget exits mid-block, and snapshot
+ * restores across a half-executed block.
  */
 
 #include <gtest/gtest.h>
@@ -260,15 +260,16 @@ TEST(SuperblockBuild, UndecodableWordEndsTrace)
 
 constexpr Addr CodeBase = 0x0000'4000'0000ull;
 constexpr Addr SlotBase = CodeBase + PageSize;
+constexpr Addr PatchSlot = CodeBase + 2 * PageSize;
 constexpr Addr DataBase = 0x0000'6000'0000ull;
 constexpr Addr KernelCode = 0xFFFF'8000'0010'0000ull; //!< VBAR_EL1
 
-/** One independent core+hierarchy, superblocks on or off. */
+/** One independent core+hierarchy at the given fast-path setting. */
 struct Rig
 {
-    explicit Rig(bool superblocks)
+    explicit Rig(FastPath fast_path)
         : rng(1), hier(mem::m1PCoreConfig(), &rng),
-          core(coreConfig(superblocks), &hier, &rng)
+          core(coreConfig(fast_path), &hier, &rng)
     {
         hier.mapRange(CodeBase, 16 * PageSize,
                       mem::PageFlags{.user = true, .writable = true,
@@ -286,11 +287,10 @@ struct Rig
     }
 
     static CoreConfig
-    coreConfig(bool superblocks)
+    coreConfig(FastPath fast_path)
     {
         CoreConfig cfg;
-        cfg.decodeCache = true;
-        cfg.superblocks = superblocks;
+        cfg.fastPath = fast_path;
         return cfg;
     }
 
@@ -394,15 +394,19 @@ struct Rig
     Core core;
 };
 
-/** A counted loop with loads/stores: the block-friendly hot shape. */
+/** A counted loop with loads/stores: the block-friendly hot shape.
+ *  @p loop_out receives the back-edge target (the address of the add),
+ *  for tests that patch the loop body. */
 void
-emitLoop(Assembler &a, unsigned iters)
+emitLoop(Assembler &a, unsigned iters, Addr *loop_out = nullptr)
 {
     a.movz(X0, uint16_t(iters));
     a.mov64(X2, DataBase);
     a.movz(X1, 0);
     // loop: X1 += X0; mem[X2] = X1; X3 = mem[X2]; X0 -= 1; cbnz loop
     const Addr loop = a.here();
+    if (loop_out)
+        *loop_out = loop;
     a.add(X1, X1, X0);
     a.str(X1, X2);
     a.ldr(X3, X2);
@@ -413,7 +417,7 @@ emitLoop(Assembler &a, unsigned iters)
 
 TEST(SuperblockCore, LoopBitIdenticalToInterpreter)
 {
-    Rig fast(true), slow(false);
+    Rig fast(FastPath::Full), slow(FastPath::Reference);
     for (Rig *r : {&fast, &slow}) {
         r->assemble(SlotBase, [](Assembler &a) { emitLoop(a, 100); });
         EXPECT_EQ(r->runFrom(SlotBase).kind, ExitKind::Halted);
@@ -429,7 +433,7 @@ TEST(SuperblockCore, BudgetExitMidBlockBitIdentical)
     // Stop both cores mid-loop — for the fast rig that is a budget
     // exit from inside a half-executed superblock — then resume to
     // completion. State must match at the pause and at the end.
-    Rig fast(true), slow(false);
+    Rig fast(FastPath::Full), slow(FastPath::Reference);
     for (Rig *r : {&fast, &slow}) {
         r->assemble(SlotBase, [](Assembler &a) { emitLoop(a, 100); });
         EXPECT_EQ(r->runFrom(SlotBase, 137).kind, ExitKind::MaxInsts);
@@ -464,7 +468,7 @@ TEST(SuperblockCore, GuestStoreIntoRunningBlockBitIdentical)
         a.hlt(0);
     };
 
-    Rig fast(true), slow(false);
+    Rig fast(FastPath::Full), slow(FastPath::Reference);
     ExitStatus fast_st, slow_st;
     fast.assemble(SlotBase, emit);
     slow.assemble(SlotBase, emit);
@@ -477,9 +481,47 @@ TEST(SuperblockCore, GuestStoreIntoRunningBlockBitIdentical)
     EXPECT_EQ(fast.dump(), slow.dump());
 }
 
+TEST(SuperblockCore, GuestStoreFromOutsideBlockBitIdentical)
+{
+    // Self-modifying code from *outside* the patched block: a second
+    // snippet, on its own page, stores over the warm loop's
+    // [add][str] pair. The store moves the loop page's write
+    // generation, so the cached loop block gen-fails at its next
+    // dispatch and is rebuilt from the new bytes.
+    const InstWord movz_x1 = wordOf([](Assembler &a) { a.movz(X1, 7); });
+    const InstWord movz_x10 =
+        wordOf([](Assembler &a) { a.movz(X10, 0); });
+    const uint64_t patch = (uint64_t(movz_x10) << 32) | movz_x1;
+
+    Rig fast(FastPath::Full), slow(FastPath::Reference);
+    for (Rig *r : {&fast, &slow}) {
+        Addr loop = 0;
+        r->assemble(SlotBase,
+                    [&](Assembler &a) { emitLoop(a, 300, &loop); });
+        r->assemble(PatchSlot, [&](Assembler &a) {
+            a.mov64(X6, loop);
+            a.mov64(X7, patch);
+            a.str(X7, X6);
+            a.hlt(0);
+        });
+        EXPECT_EQ(r->runFrom(SlotBase).kind, ExitKind::Halted);
+    }
+    EXPECT_EQ(fast.dump(), slow.dump());
+
+    const uint64_t inval = fast.core.superblockStats().invalidations;
+    for (Rig *r : {&fast, &slow}) {
+        EXPECT_EQ(r->runFrom(PatchSlot).kind, ExitKind::Halted);
+        EXPECT_EQ(r->runFrom(SlotBase).kind, ExitKind::Halted);
+    }
+    EXPECT_EQ(fast.dump(), slow.dump());
+    // The patched loop never adds, so X1 holds the patched-in 7.
+    EXPECT_EQ(fast.core.reg(X1), 7u);
+    EXPECT_GT(fast.core.superblockStats().invalidations, inval);
+}
+
 TEST(SuperblockCore, HostWriteInvalidates)
 {
-    Rig fast(true);
+    Rig fast(FastPath::Full);
     fast.assemble(SlotBase, [](Assembler &a) {
         a.movz(X0, 1);
         a.hlt(0);
@@ -505,7 +547,7 @@ TEST(SuperblockCore, HostWriteInvalidates)
 
 TEST(SuperblockCore, RemapExecutesNewFrame)
 {
-    Rig fast(true);
+    Rig fast(FastPath::Full);
     fast.assemble(SlotBase, [](Assembler &a) {
         a.movz(X0, 1);
         a.hlt(0);
@@ -535,7 +577,7 @@ TEST(SuperblockCore, RemapExecutesNewFrame)
 
 TEST(SuperblockCore, UnmapFaultsInsteadOfServingStaleBlock)
 {
-    Rig fast(true);
+    Rig fast(FastPath::Full);
     fast.assemble(SlotBase, [](Assembler &a) {
         a.movz(X0, 1);
         a.hlt(0);
@@ -557,7 +599,7 @@ TEST(SuperblockCore, RestoreAcrossHalfExecutedBlockBitIdentical)
     // must be bit-identical — and identical to the interpreter doing
     // the same dance. This is the per-item campaign pattern with the
     // restore point landing inside a half-executed block.
-    Rig fast(true), slow(false);
+    Rig fast(FastPath::Full), slow(FastPath::Reference);
     std::string fast_end1, fast_end2, slow_end1, slow_end2;
     for (Rig *r : {&fast, &slow}) {
         r->assemble(SlotBase, [](Assembler &a) { emitLoop(a, 200); });
@@ -581,7 +623,7 @@ TEST(SuperblockCore, RestoreAcrossHalfExecutedBlockBitIdentical)
 
 TEST(SuperblockCore, TraceHookDisablesBlockPath)
 {
-    Rig fast(true);
+    Rig fast(FastPath::Full);
     fast.assemble(SlotBase, [](Assembler &a) { emitLoop(a, 10); });
 
     unsigned records = 0;
@@ -605,7 +647,7 @@ TEST(SuperblockCore, MispredictedLoopExitFallsBack)
     // machinery. Observable as fallback exits on the fast rig — with
     // state still bit-identical (covered by the dump comparison in
     // LoopBitIdenticalToInterpreter; here we pin the counter).
-    Rig fast(true);
+    Rig fast(FastPath::Full);
     fast.assemble(SlotBase, [](Assembler &a) { emitLoop(a, 100); });
     EXPECT_EQ(fast.runFrom(SlotBase).kind, ExitKind::Halted);
     EXPECT_GT(fast.core.superblockStats().fallbackExits, 0u);
@@ -651,8 +693,8 @@ struct WarmRoundTrip
         EXPECT_EQ(fast.dump(), slow.dump());
     }
 
-    Rig fast{true};
-    Rig slow{false};
+    Rig fast{FastPath::Full};
+    Rig slow{FastPath::Reference};
 };
 
 TEST(SuperblockChain, SyscallRoundTripRunsAsOneDispatch)
@@ -722,7 +764,7 @@ TEST(SuperblockChain, RefusesMispredictedEntryBranch)
     // the chain must refuse and leave the branch — and its wrong-path
     // speculation — to the interpreter.
     const Addr page2 = SlotBase + PageSize;
-    Rig fast(true), slow(false);
+    Rig fast(FastPath::Full), slow(FastPath::Reference);
     for (Rig *r : {&fast, &slow}) {
         r->assemble(SlotBase, [&](Assembler &a) {
             a.nop();
@@ -760,7 +802,7 @@ TEST(SuperblockChain, RefusesIndirectBranchEntry)
     // indirect branches). Both successors must be refused: the BTB
     // and the link register belong to the interpreter.
     const Addr func = SlotBase + 0x100;
-    Rig fast(true), slow(false);
+    Rig fast(FastPath::Full), slow(FastPath::Reference);
     for (Rig *r : {&fast, &slow}) {
         r->assemble(SlotBase, [&](Assembler &a) {
             a.mov64(X5, func);
@@ -794,7 +836,7 @@ TEST(SuperblockChain, RefusesNonExecutablePage)
     // run the chain's peek finds that iTLB way and must refuse on the
     // permission check, leaving the fault to the interpreter.
     const Addr nx = CodeBase + 8 * PageSize;
-    Rig fast(true), slow(false);
+    Rig fast(FastPath::Full), slow(FastPath::Reference);
     for (Rig *r : {&fast, &slow}) {
         r->hier.mapPage(nx, mem::PageFlags{.user = true,
                                            .writable = true,
@@ -890,7 +932,7 @@ TEST(SuperblockChain, NestedSvcAndEretAtEl0InsideBlock)
          emitHandler, ExitKind::Breakpoint, "brk #3"},
     };
     for (const Case &c : cases) {
-        Rig fast(true), slow(false);
+        Rig fast(FastPath::Full), slow(FastPath::Reference);
         for (Rig *r : {&fast, &slow}) {
             r->assemble(SlotBase, c.user);
             r->assemble(KernelCode, c.kernel);
@@ -918,7 +960,7 @@ TEST(SuperblockChain, CrossLineFetchWithL1iMissMidBlock)
     // a real L1I miss between batched re-hits. Hit/miss counters and
     // the LRU stamps of every line (so every later victim choice)
     // must match the interpreter's.
-    Rig fast(true), slow(false);
+    Rig fast(FastPath::Full), slow(FastPath::Reference);
     for (Rig *r : {&fast, &slow}) {
         r->assemble(SlotBase, [](Assembler &a) {
             for (unsigned i = 0; i < 40; ++i)

@@ -1,14 +1,14 @@
 /**
  * @file
- * The fast-path equivalence contract: with the decode cache, the
- * PhysMem frame table, the PAC memo, the superblock engine, and the
- * timing-trace memoization enabled (the default build), every
- * observable architectural outcome is bit-identical to the slow
- * reference paths — oracle miss counts, cycle counts, every cache/TLB
- * hit/miss counter, and whole-campaign fingerprints at any job count,
- * with and without injected faults. The fast paths are host-side
- * memoization only; if any of these comparisons ever diverges, one of
- * them leaked into architectural state.
+ * The fast-path equivalence contract: with CoreConfig::fastPath at
+ * FastPath::Full (decode cache + superblock engine, the default
+ * build), every observable architectural outcome is bit-identical to
+ * FastPath::Reference, the plain interpreter — oracle miss counts,
+ * cycle counts, every cache/TLB hit/miss counter, and whole-campaign
+ * fingerprints at any job count, with and without injected faults,
+ * ambient noise, or context-switch flushes. The fast path is
+ * host-side memoization only; if any of these comparisons ever
+ * diverges, it leaked into architectural state.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +21,7 @@
 #include "crypto/pac.hh"
 #include "kernel/layout.hh"
 #include "runner/campaign.hh"
+#include "sim/faults.hh"
 
 namespace pacman
 {
@@ -30,40 +31,25 @@ namespace
 using namespace pacman::attack;
 using namespace pacman::kernel;
 using namespace pacman::runner;
+using cpu::FastPath;
 
-/**
- * The four equivalence rungs: 0 = slow reference (plain interpreter,
- * sparse PhysMem), 1 = decode cache + frame table, 2 = those plus the
- * superblock engine with timing traces off, 3 = the full default
- * build (superblocks + timing-trace memoization, DESIGN.md §4k).
- * Every rung must be bit-identical to every other.
- */
+/** The setting under test, compared against FastPath::Reference. */
+constexpr FastPath Fast = FastPath::Full;
+
+/** The default machine with CoreConfig::fastPath set explicitly (a
+ *  PACMAN_DISABLE_FASTPATH build only flips the default). */
 MachineConfig
-fastSlowConfig(int level)
+fastPathConfig(FastPath fast_path)
 {
     MachineConfig cfg = defaultMachineConfig();
-    cfg.core.decodeCache = level >= 1;
-    cfg.hier.fastMem = level >= 1;
-    cfg.core.superblocks = level >= 2;
-    cfg.core.timingTraces = level >= 3;
+    cfg.core.fastPath = fast_path;
     return cfg;
 }
 
-/** RAII toggle for the thread-local PAC memo. */
-struct PacMemoScope
-{
-    explicit PacMemoScope(bool on) : prev(crypto::pacMemoEnabled())
-    {
-        crypto::setPacMemoEnabled(on);
-    }
-    ~PacMemoScope() { crypto::setPacMemoEnabled(prev); }
-    bool prev;
-};
-
 /**
  * Full architectural stats dump: every counter the simulation exposes
- * except the decode-cache hit/miss counters, which are host-side by
- * design (they count memo effectiveness, not guest behavior).
+ * (the fast path's own telemetry, SuperblockStats, is host-side by
+ * design and not part of it).
  */
 std::string
 archDump(Machine &m)
@@ -98,13 +84,11 @@ archDump(Machine &m)
     return s;
 }
 
-/** A Figure-8 subset: 24 oracle queries, returning per-query miss
- *  counts and the final architectural stats dump. */
+/** Per-query oracle miss counts for 24 Figure-8 queries on
+ *  @p machine, followed by its architectural stats dump. */
 std::string
-runFig8Subset(int level, std::vector<unsigned> *counts)
+runFig8Subset(Machine &machine, std::vector<unsigned> *counts)
 {
-    const PacMemoScope memo(level >= 1);
-    Machine machine(fastSlowConfig(level));
     AttackerProcess proc(machine);
     OracleConfig ocfg;
     ocfg.trainIters = 8;
@@ -117,22 +101,68 @@ runFig8Subset(int level, std::vector<unsigned> *counts)
 
 TEST(FastpathEquiv, Fig8SubsetBitIdentical)
 {
-    std::vector<unsigned> slow_counts;
-    const std::string slow_dump = runFig8Subset(0, &slow_counts);
-    for (const int level : {1, 2, 3}) {
-        std::vector<unsigned> fast_counts;
-        const std::string fast_dump =
-            runFig8Subset(level, &fast_counts);
-        EXPECT_EQ(fast_counts, slow_counts) << "level " << level;
-        EXPECT_EQ(fast_dump, slow_dump) << "level " << level;
-    }
+    std::vector<unsigned> ref_counts, fast_counts;
+    Machine ref(fastPathConfig(FastPath::Reference));
+    Machine fast(fastPathConfig(Fast));
+    EXPECT_EQ(runFig8Subset(fast, &fast_counts),
+              runFig8Subset(ref, &ref_counts));
+    EXPECT_EQ(fast_counts, ref_counts);
+    // Vacuity guard: Full must actually have run blocks, Reference
+    // none.
+    EXPECT_GT(fast.core().superblockStats().blockInsts, 0u);
+    EXPECT_EQ(ref.core().superblockStats().blockInsts, 0u);
+}
+
+TEST(FastpathEquiv, HeavyNoiseDataGadgetBitIdentical)
+{
+    // The ambient noise model at full strength: every injectNoise
+    // opportunity sweeps 64 pages of the noise arena (which spans
+    // every dTLB set) between the data gadget's attack steps, so the
+    // structures the superblocks' data ops hit are evicted over and
+    // over. Both settings see the identical noise stream.
+    MachineConfig cfg = defaultMachineConfig();
+    cfg.noiseProbability = 1.0;
+    cfg.noisePages = 64;
+    std::vector<unsigned> ref_counts, fast_counts;
+    cfg.core.fastPath = FastPath::Reference;
+    Machine ref(cfg);
+    const std::string ref_dump = runFig8Subset(ref, &ref_counts);
+    cfg.core.fastPath = Fast;
+    Machine fast(cfg);
+    EXPECT_EQ(runFig8Subset(fast, &fast_counts), ref_dump);
+    EXPECT_EQ(fast_counts, ref_counts);
+    EXPECT_GT(fast.core().superblockStats().blockInsts, 0u);
+}
+
+TEST(FastpathEquiv, ContextSwitchFlushBitIdentical)
+{
+    // The fault injector's context switch at every opportunity: whole-
+    // ASID or per-set dTLB flushes plus pollution between guest calls,
+    // from one seeded stream shared by both settings.
+    FaultPlan plan;
+    plan.contextSwitchRate = 1.0;
+    std::vector<unsigned> ref_counts, fast_counts;
+    Machine ref(fastPathConfig(FastPath::Reference));
+    sim::FaultInjector ref_inj(ref, plan, Random::deriveSeed(99, 1));
+    ref_inj.attach();
+    const std::string ref_dump = runFig8Subset(ref, &ref_counts);
+    Machine fast(fastPathConfig(Fast));
+    sim::FaultInjector fast_inj(fast, plan, Random::deriveSeed(99, 1));
+    fast_inj.attach();
+    EXPECT_EQ(runFig8Subset(fast, &fast_counts), ref_dump);
+    EXPECT_EQ(fast_counts, ref_counts);
+    // Vacuity guards: the flushes fired, between running blocks.
+    EXPECT_GT(fast_inj.stats().contextSwitches, 0u);
+    EXPECT_EQ(fast_inj.stats().contextSwitches,
+              ref_inj.stats().contextSwitches);
+    EXPECT_GT(fast.core().superblockStats().blockInsts, 0u);
 }
 
 /** Brute-force campaign over a small window with the truth inside. */
 BruteForceCampaignConfig
-equivCampaign(int level, unsigned jobs, bool faults)
+equivCampaign(FastPath fast_path, unsigned jobs, bool faults)
 {
-    MachineConfig mcfg = fastSlowConfig(level);
+    MachineConfig mcfg = fastPathConfig(fast_path);
     mcfg.seed = 42;
 
     const isa::Addr target = BenignDataBase + 37 * isa::PageSize;
@@ -170,16 +200,14 @@ equivCampaign(int level, unsigned jobs, bool faults)
 TEST(FastpathEquiv, BruteForceFingerprintAcrossJobs)
 {
     for (const unsigned jobs : {1u, 4u, 16u}) {
-        const std::string slow_fp =
-            runBruteForceCampaign(equivCampaign(0, jobs, false))
+        const std::string ref_fp =
+            runBruteForceCampaign(
+                equivCampaign(FastPath::Reference, jobs, false))
                 .fingerprint();
-        for (const int level : {1, 2, 3}) {
-            const std::string fast_fp =
-                runBruteForceCampaign(equivCampaign(level, jobs, false))
-                    .fingerprint();
-            EXPECT_EQ(fast_fp, slow_fp)
-                << "jobs " << jobs << " level " << level;
-        }
+        const std::string fast_fp =
+            runBruteForceCampaign(equivCampaign(Fast, jobs, false))
+                .fingerprint();
+        EXPECT_EQ(fast_fp, ref_fp) << "jobs " << jobs;
     }
 }
 
@@ -189,16 +217,14 @@ TEST(FastpathEquiv, FaultedBruteForceFingerprintAcrossJobs)
     // faults and the self-healing machinery is retrying/recalibrating
     // — the paths where divergence would hide best.
     for (const unsigned jobs : {1u, 4u, 16u}) {
-        const BruteForceCampaignResult slow_res =
-            runBruteForceCampaign(equivCampaign(0, jobs, true));
-        for (const int level : {1, 2, 3}) {
-            const BruteForceCampaignResult fast_res =
-                runBruteForceCampaign(equivCampaign(level, jobs, true));
-            EXPECT_EQ(fast_res.fingerprint(), slow_res.fingerprint())
-                << "jobs " << jobs << " level " << level;
-            // Vacuity guard: the plan must have realized faults.
-            EXPECT_GT(fast_res.faultStats.total(), 0u);
-        }
+        const BruteForceCampaignResult ref_res = runBruteForceCampaign(
+            equivCampaign(FastPath::Reference, jobs, true));
+        const BruteForceCampaignResult fast_res =
+            runBruteForceCampaign(equivCampaign(Fast, jobs, true));
+        EXPECT_EQ(fast_res.fingerprint(), ref_res.fingerprint())
+            << "jobs " << jobs;
+        // Vacuity guard: the plan must have realized faults.
+        EXPECT_GT(fast_res.faultStats.total(), 0u);
     }
 }
 
@@ -209,11 +235,11 @@ TEST(FastpathEquiv, FaultedBruteForceFingerprintAcrossJobs)
  * between chained guest calls, and a fresh PAC key per trial.
  */
 AccuracyCampaignConfig
-equivInstCampaign(int level, unsigned jobs)
+equivInstCampaign(FastPath fast_path, unsigned jobs)
 {
     AccuracyCampaignConfig cfg;
     ReplicaConfig &r = cfg.replica;
-    r.machine = fastSlowConfig(level);
+    r.machine = fastPathConfig(fast_path);
     r.machine.seed = 42;
     r.machine.noiseProbability = 0.5;
     r.machine.noisePages = 4;
@@ -241,17 +267,15 @@ equivInstCampaign(int level, unsigned jobs)
 
 TEST(FastpathEquiv, NoisyInstructionAccuracyFingerprintAcrossJobs)
 {
-    for (const unsigned jobs : {1u, 4u}) {
-        const AccuracyCampaignResult slow_res =
-            runAccuracyCampaign(equivInstCampaign(0, jobs));
-        for (const int level : {1, 2, 3}) {
-            const AccuracyCampaignResult fast_res =
-                runAccuracyCampaign(equivInstCampaign(level, jobs));
-            EXPECT_EQ(fast_res.fingerprint(), slow_res.fingerprint())
-                << "jobs " << jobs << " level " << level;
-        }
+    for (const unsigned jobs : {1u, 4u, 16u}) {
+        const AccuracyCampaignResult ref_res = runAccuracyCampaign(
+            equivInstCampaign(FastPath::Reference, jobs));
+        const AccuracyCampaignResult fast_res =
+            runAccuracyCampaign(equivInstCampaign(Fast, jobs));
+        EXPECT_EQ(fast_res.fingerprint(), ref_res.fingerprint())
+            << "jobs " << jobs;
         // Vacuity guard: the campaign must have found its truths.
-        EXPECT_GT(slow_res.truePositives, 0u);
+        EXPECT_GT(ref_res.truePositives, 0u);
     }
 }
 

@@ -392,15 +392,16 @@ threadCount()
     return n;
 }
 
-/** This process's virtual size in kB (VmSize in /proc/self/status). */
+/** A kB figure of this process from /proc/self/status, e.g. the
+ *  virtual size ("VmSize:") or the resident set ("VmRSS:"). */
 uint64_t
-vmSizeKb()
+statusKb(const std::string &field)
 {
     std::ifstream in("/proc/self/status");
     std::string line;
     while (std::getline(in, line)) {
-        if (line.rfind("VmSize:", 0) == 0)
-            return std::stoull(line.substr(7));
+        if (line.rfind(field, 0) == 0)
+            return std::stoull(line.substr(field.size()));
     }
     return 0;
 }
@@ -427,11 +428,37 @@ TEST(Server, ConnectCloseCyclesReapReaders)
     // Warm-up: the allocator's per-thread arenas and its cache of
     // thread stacks grow once, up to a bound, and are then reused.
     cycles(100);
-    const uint64_t vm_kb = vmSizeKb();
+    const uint64_t vm_kb = statusKb("VmSize:");
     cycles(500);
     EXPECT_EQ(settled(threads), threads);
     // One leaked 8 MB stack per cycle would add about 4 GB.
-    EXPECT_LT(vmSizeKb(), vm_kb + 256 * 1024);
+    EXPECT_LT(statusKb("VmSize:"), vm_kb + 256 * 1024);
+}
+
+TEST(Server, UndecodableConfigsDoNotGrowReplicaCache)
+{
+    // A QUERY's body is its replica config, and each service thread
+    // caches one provisioned replica per distinct body. A body that
+    // does not decode is answered ERR and must leave no cache entry
+    // behind: keyed by the whole body (up to MaxFrameBytes), a dead
+    // entry per hostile request would grow the daemon for its life.
+    TestServer ts(/*threads=*/1);
+    OracleClient c(ts.endpoint());
+    const auto junk = [](int i) {
+        std::string body(1u << 20, 'x');
+        body.replace(0, 16, strprintf("%016d", i));
+        return body;
+    };
+    const auto send = [&](int first, int last) {
+        for (int i = first; i < last; ++i)
+            EXPECT_EQ(c.call("QUERY", "0 1", junk(i)).verb, "ERR");
+    };
+    // Warm-up: the allocator's arenas grow once to the frame size.
+    send(0, 20);
+    const uint64_t rss_kb = statusKb("VmRSS:");
+    send(20, 220);
+    // 200 leaked 1 MiB keys would add about 200 MiB.
+    EXPECT_LT(statusKb("VmRSS:"), rss_kb + 64 * 1024);
 }
 
 TEST(Server, DrainFinishesQueuedWorkAndRejectsNew)

@@ -4,10 +4,10 @@
  * checkpointed replica restored per work item produces bit-identical
  * results to a replica freshly provisioned per work item — machine
  * dumps, oracle miss counts, and whole-campaign fingerprints at any
- * job count, with and without injected faults. Provisioning is
- * deterministic in the boot seed, so the restored state IS the state
- * a fresh construction reaches; any divergence means some state
- * escaped the snapshot.
+ * job count, with and without injected faults, under both
+ * CoreConfig::fastPath settings. Provisioning is deterministic in the
+ * boot seed, so the restored state IS the state a fresh construction
+ * reaches; any divergence means some state escaped the snapshot.
  */
 
 #include <gtest/gtest.h>
@@ -32,6 +32,10 @@ namespace
 using namespace pacman::attack;
 using namespace pacman::kernel;
 using namespace pacman::runner;
+using cpu::FastPath;
+
+/** Both execution strategies: each must honour the contract. */
+constexpr FastPath FastPaths[] = {FastPath::Reference, FastPath::Full};
 
 /** Full architectural stats dump (mirrors test_fastpath_equiv.cc). */
 std::string
@@ -70,8 +74,8 @@ archDump(Machine &m)
 /** One provisioned attack stack for the machine-level tests. */
 struct Stack
 {
-    Stack()
-        : machine(defaultMachineConfig()), proc(machine),
+    explicit Stack(const MachineConfig &cfg = defaultMachineConfig())
+        : machine(cfg), proc(machine),
           oracle(proc, OracleConfig{})
     {
         oracle.setTarget(BenignDataBase + 37 * isa::PageSize, 0x6D0D);
@@ -120,10 +124,9 @@ TEST(Snapshot, SuperblockCacheSurvivesRestore)
     // regression this test exists to catch — it would put the
     // restore-per-item campaign path back to rebuilding every cached
     // block per work item.
-    if (!cpu::CoreConfig{}.superblocks)
-        GTEST_SKIP() << "superblocks off in this build "
-                        "(PACMAN_DISABLE_FASTPATH)";
-    Stack stack;
+    MachineConfig cfg = defaultMachineConfig();
+    cfg.core.fastPath = FastPath::Full;
+    Stack stack(cfg);
     std::vector<unsigned> warm_counts;
     stack.runQueries(&warm_counts); // build the hot blocks pre-capture
     sim::ReplicaCheckpoint ckpt(stack.machine, stack.oracle);
@@ -200,9 +203,11 @@ TEST(Snapshot, RekeyIsDeterministicAndRotatesKeys)
 
 /** Brute-force campaign (mirrors test_fastpath_equiv's window). */
 BruteForceCampaignConfig
-equivCampaign(bool snapshot, unsigned jobs, bool faults)
+equivCampaign(FastPath fast_path, bool snapshot, unsigned jobs,
+              bool faults)
 {
     MachineConfig mcfg = defaultMachineConfig();
+    mcfg.core.fastPath = fast_path;
     mcfg.seed = 42;
 
     const isa::Addr target = BenignDataBase + 37 * isa::PageSize;
@@ -239,10 +244,12 @@ equivCampaign(bool snapshot, unsigned jobs, bool faults)
 }
 
 AccuracyCampaignConfig
-accuracyCampaign(bool snapshot, unsigned jobs, bool faults)
+accuracyCampaign(FastPath fast_path, bool snapshot, unsigned jobs,
+                 bool faults)
 {
     AccuracyCampaignConfig cfg;
     cfg.replica.machine = defaultMachineConfig();
+    cfg.replica.machine.core.fastPath = fast_path;
     cfg.replica.target = BenignDataBase + 37 * isa::PageSize;
     cfg.replica.modifier = 0x9999;
     cfg.replica.samples = 1;
@@ -265,14 +272,18 @@ accuracyCampaign(bool snapshot, unsigned jobs, bool faults)
 
 TEST(SnapshotEquiv, BruteForceFingerprintAcrossJobs)
 {
-    for (const unsigned jobs : {1u, 4u, 16u}) {
-        const std::string snap_fp =
-            runBruteForceCampaign(equivCampaign(true, jobs, false))
-                .fingerprint();
-        const std::string fresh_fp =
-            runBruteForceCampaign(equivCampaign(false, jobs, false))
-                .fingerprint();
-        EXPECT_EQ(snap_fp, fresh_fp) << "jobs " << jobs;
+    for (const FastPath fp : FastPaths) {
+        for (const unsigned jobs : {1u, 4u, 16u}) {
+            const std::string snap_fp =
+                runBruteForceCampaign(equivCampaign(fp, true, jobs, false))
+                    .fingerprint();
+            const std::string fresh_fp =
+                runBruteForceCampaign(
+                    equivCampaign(fp, false, jobs, false))
+                    .fingerprint();
+            EXPECT_EQ(snap_fp, fresh_fp)
+                << "fastPath " << int(fp) << " jobs " << jobs;
+        }
     }
 }
 
@@ -281,43 +292,50 @@ TEST(SnapshotEquiv, FaultedBruteForceFingerprintAcrossJobs)
     // The contract must hold while the chaos layer fires and the
     // self-healing machinery retries/recalibrates — restores then
     // rewind mid-recovery state, where leaks would hide best.
-    for (const unsigned jobs : {1u, 4u, 16u}) {
-        const BruteForceCampaignResult snap_res =
-            runBruteForceCampaign(equivCampaign(true, jobs, true));
-        const BruteForceCampaignResult fresh_res =
-            runBruteForceCampaign(equivCampaign(false, jobs, true));
-        EXPECT_EQ(snap_res.fingerprint(), fresh_res.fingerprint())
-            << "jobs " << jobs;
-        // Vacuity guard: the plan must have realized faults.
-        EXPECT_GT(snap_res.faultStats.total(), 0u);
+    for (const FastPath fp : FastPaths) {
+        for (const unsigned jobs : {1u, 4u, 16u}) {
+            const BruteForceCampaignResult snap_res =
+                runBruteForceCampaign(equivCampaign(fp, true, jobs, true));
+            const BruteForceCampaignResult fresh_res =
+                runBruteForceCampaign(
+                    equivCampaign(fp, false, jobs, true));
+            EXPECT_EQ(snap_res.fingerprint(), fresh_res.fingerprint())
+                << "fastPath " << int(fp) << " jobs " << jobs;
+            // Vacuity guard: the plan must have realized faults.
+            EXPECT_GT(snap_res.faultStats.total(), 0u);
+        }
     }
 }
 
 TEST(SnapshotEquiv, AccuracyFingerprintAcrossJobs)
 {
-    for (const unsigned jobs : {1u, 4u, 16u}) {
-        const AccuracyCampaignResult snap_res =
-            runAccuracyCampaign(accuracyCampaign(true, jobs, false));
-        const AccuracyCampaignResult fresh_res =
-            runAccuracyCampaign(accuracyCampaign(false, jobs, false));
-        EXPECT_EQ(snap_res.fingerprint(), fresh_res.fingerprint())
-            << "jobs " << jobs;
-        EXPECT_EQ(snap_res.truePositives + snap_res.falsePositives +
-                      snap_res.falseNegatives,
-                  3u);
+    for (const FastPath fp : FastPaths) {
+        for (const unsigned jobs : {1u, 4u, 16u}) {
+            const AccuracyCampaignResult snap_res = runAccuracyCampaign(
+                accuracyCampaign(fp, true, jobs, false));
+            const AccuracyCampaignResult fresh_res = runAccuracyCampaign(
+                accuracyCampaign(fp, false, jobs, false));
+            EXPECT_EQ(snap_res.fingerprint(), fresh_res.fingerprint())
+                << "fastPath " << int(fp) << " jobs " << jobs;
+            EXPECT_EQ(snap_res.truePositives + snap_res.falsePositives +
+                          snap_res.falseNegatives,
+                      3u);
+        }
     }
 }
 
 TEST(SnapshotEquiv, FaultedAccuracyFingerprintAcrossJobs)
 {
-    for (const unsigned jobs : {1u, 4u, 16u}) {
-        const AccuracyCampaignResult snap_res =
-            runAccuracyCampaign(accuracyCampaign(true, jobs, true));
-        const AccuracyCampaignResult fresh_res =
-            runAccuracyCampaign(accuracyCampaign(false, jobs, true));
-        EXPECT_EQ(snap_res.fingerprint(), fresh_res.fingerprint())
-            << "jobs " << jobs;
-        EXPECT_GT(snap_res.faultStats.total(), 0u);
+    for (const FastPath fp : FastPaths) {
+        for (const unsigned jobs : {1u, 4u, 16u}) {
+            const AccuracyCampaignResult snap_res = runAccuracyCampaign(
+                accuracyCampaign(fp, true, jobs, true));
+            const AccuracyCampaignResult fresh_res = runAccuracyCampaign(
+                accuracyCampaign(fp, false, jobs, true));
+            EXPECT_EQ(snap_res.fingerprint(), fresh_res.fingerprint())
+                << "fastPath " << int(fp) << " jobs " << jobs;
+            EXPECT_GT(snap_res.faultStats.total(), 0u);
+        }
     }
 }
 

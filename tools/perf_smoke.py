@@ -1,16 +1,15 @@
 #!/usr/bin/env python3
 """Run the micro_sim_perf benchmark binary and distil its JSON output
-into the checked-in perf baseline (BENCH_PR10.json).
+into the checked-in perf baseline (BENCH_PR13.json).
 
 The baseline captures the handful of end-to-end numbers the project
-optimizes for — guest MIPS on the Figure-8 training loop (the default
-superblock+timing-trace configuration, the decode-cache-only
-configuration, and the slow reference path), the superblock engine's
+optimizes for — guest MIPS on the Figure-8 training loop at both
+CoreConfig::fastPath settings (FastPath::Full, the default build, and
+FastPath::Reference, the plain interpreter), the superblock engine's
 own telemetry (threaded-dispatch instruction rate, dispatch hit rate,
-invalidation count), the timing-trace memoization telemetry (replay
-rate and guard-break count; DESIGN.md §4k), oracle queries per
-second, the wall clock of a Figure-8 subset extrapolated to the
-paper's 20000-trial campaign, and the replica checkpointing numbers
+invalidation count), oracle queries per second, the wall clock of a
+Figure-8 subset extrapolated to the paper's 20000-trial campaign, and
+the replica checkpointing numbers
 (full provision cost, per-item restore cost, and the snapshot-vs-
 fresh accuracy-campaign speedup) — in a direction-annotated schema
 that tools/perf_compare.py can diff across commits. Metrics new in
@@ -30,9 +29,9 @@ QUERY throughput and the remote-vs-local campaign wall-clock overhead
 
 Usage:
     python3 tools/perf_smoke.py --bench build/bench/micro_sim_perf \
-        --output BENCH_PR10.json [--min-time 0.5] [--repetitions 5] \
+        --output BENCH_PR13.json [--min-time 0.5] [--repetitions 5] \
         [--server-bench build/bench/server_campaign] \
-        [--supersedes BENCH_PR9.json] [--provenance "why rebaselined"]
+        [--supersedes BENCH_PR10.json] [--provenance "why rebaselined"]
 """
 
 import argparse
@@ -102,9 +101,9 @@ def distil(raw):
                     return value, aggs.get("cv")
         raise KeyError(f"benchmark '{name}' missing from output")
 
-    fast, fast_cv = need("BM_Fig8TrainingLoop/2")
-    decode_only, decode_cv = need("BM_Fig8TrainingLoop/1")
-    slow, slow_cv = need("BM_Fig8TrainingLoop/0")
+    # The benchmark argument is the cpu::FastPath value.
+    fast, fast_cv = need("BM_Fig8TrainingLoop/1")  # FastPath::Full
+    slow, slow_cv = need("BM_Fig8TrainingLoop/0")  # FastPath::Reference
     oracle, oracle_cv = need("BM_OracleQuery")
     syscall, syscall_cv = need("BM_GuestSyscall")
     subset, subset_cv = need("BM_Fig8Subset")
@@ -128,16 +127,9 @@ def distil(raw):
                       FIG8_CAMPAIGN_TRIALS)
 
     metrics = {
-        # Default (superblock + timing-trace) configuration — the
-        # shipped build.
+        # FastPath::Full — the shipped build.
         "fig8_guest_mips": metric(
             fast["guest_insts"] / 1e6, "higher", fast_cv,
-            "guest_insts"),
-        # Decode-cache-only configuration: what fig8_guest_mips
-        # measured before the superblock engine existed, kept so the
-        # engine's own contribution stays attributable.
-        "fig8_decode_only_mips": metric(
-            decode_only["guest_insts"] / 1e6, "higher", decode_cv,
             "guest_insts"),
         "fig8_guest_mips_slowpath": metric(
             slow["guest_insts"] / 1e6, "higher", slow_cv,
@@ -154,21 +146,6 @@ def distil(raw):
         "superblock_invalidations": metric(
             fast["sb_invalidations"], "lower", fast_cv,
             "sb_invalidations"),
-        # Timing-trace memoization telemetry (DESIGN.md §4k): the
-        # fraction of cached-block dispatches that replayed the
-        # memoized hierarchy walk, the memory ops that skipped a live
-        # walk, and the guard-break count over the pinned measured
-        # region (breaks here are warm-up/eviction churn; a large
-        # count means traces are thrashing).
-        "trace_replay_rate": metric(
-            fast["trace_replay_rate"], "higher", fast_cv,
-            "trace_replay_rate"),
-        "trace_ops_replayed": metric(
-            fast["trace_ops_replayed"], "higher", fast_cv,
-            "trace_ops_replayed"),
-        "trace_guard_breaks": metric(
-            fast["trace_guard_breaks"], "lower", fast_cv,
-            "trace_guard_breaks"),
         "fig8_queries_per_sec": metric(
             fast["queries_per_sec"], "higher", fast_cv,
             "queries_per_sec"),
@@ -187,13 +164,6 @@ def distil(raw):
     speedup = (metrics["fig8_guest_mips"]["value"] /
                metrics["fig8_guest_mips_slowpath"]["value"])
     metrics["fastpath_speedup"] = {"value": speedup, "better": "higher"}
-    # The superblock engine's marginal gain over the decode cache it
-    # extends (both sides run the identical pinned query sequence).
-    metrics["superblock_speedup"] = {
-        "value": (metrics["fig8_guest_mips"]["value"] /
-                  metrics["fig8_decode_only_mips"]["value"]),
-        "better": "higher",
-    }
 
     # Replica checkpointing (the provision-once/restore-per-item fast
     # path): what one worker pays to provision a replica from scratch,
@@ -268,7 +238,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--bench", default="build/bench/micro_sim_perf",
                         help="path to the micro_sim_perf binary")
-    parser.add_argument("--output", default="BENCH_PR10.json",
+    parser.add_argument("--output", default="BENCH_PR13.json",
                         help="where to write the distilled baseline")
     parser.add_argument("--min-time", default="0.5",
                         help="per-benchmark --benchmark_min_time")
