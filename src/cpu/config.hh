@@ -59,9 +59,6 @@ struct CoreConfig
      */
     bool eagerNestedSquash = true;
 
-    /** Faults on squashed paths are suppressed (crash suppression). */
-    bool faultSuppression = true;
-
     // --- Section 9 mitigations (default off) ---
 
     /**

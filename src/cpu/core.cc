@@ -621,6 +621,24 @@ Core::condTaken(const Inst &inst) const
     return inst.op == Opcode::CBZ ? zero : !zero;
 }
 
+void
+Core::mispredict(Addr wrong_pc, uint64_t resolve)
+{
+    ++stats_.branchMispredicts;
+    SpecContext &ctx = specCtx_[0];
+    ctx.regs = regs_;
+    ctx.ready = ready_;
+    ctx.poison.fill(false);
+    ctx.taint.fill(false);
+    ctx.flags = flags_;
+    ctx.flagsReady = flagsReady_;
+    ctx.flagsPoison = false;
+    unsigned rob = cfg_.robSize;
+    speculate(wrong_pc, cycle_ + 1, resolve, ctx, rob, 0);
+    cycle_ = resolve + cfg_.redirectPenalty;
+    fetchGroup_ = 0;
+}
+
 ExitStatus
 Core::run(uint64_t max_insts)
 {
@@ -709,22 +727,8 @@ Core::run(uint64_t max_insts)
             const uint64_t resolve =
                 std::max(cycle_ + 1, op_ready) + cfg_.branchResolveLat;
             predictor_.update(pc_, actual);
-            if (predicted != actual) {
-                ++stats_.branchMispredicts;
-                SpecContext &ctx = specCtx_[0];
-                ctx.regs = regs_;
-                ctx.ready = ready_;
-                ctx.poison.fill(false);
-                ctx.taint.fill(false);
-                ctx.flags = flags_;
-                ctx.flagsReady = flagsReady_;
-                ctx.flagsPoison = false;
-                unsigned rob = cfg_.robSize;
-                speculate(predicted ? taken_target : next_pc, cycle_ + 1,
-                          resolve, ctx, rob, 0);
-                cycle_ = resolve + cfg_.redirectPenalty;
-                fetchGroup_ = 0;
-            }
+            if (predicted != actual)
+                mispredict(predicted ? taken_target : next_pc, resolve);
             if (actual)
                 next_pc = taken_target;
             break;
@@ -765,19 +769,7 @@ Core::run(uint64_t max_insts)
                 ready_[isa::LR] = cycle_ + 1;
             }
             if (predicted && *predicted != target) {
-                ++stats_.branchMispredicts;
-                SpecContext &ctx = specCtx_[0];
-                ctx.regs = regs_;
-                ctx.ready = ready_;
-                ctx.poison.fill(false);
-                ctx.taint.fill(false);
-                ctx.flags = flags_;
-                ctx.flagsReady = flagsReady_;
-                ctx.flagsPoison = false;
-                unsigned rob = cfg_.robSize;
-                speculate(*predicted, cycle_ + 1, resolve, ctx, rob, 0);
-                cycle_ = resolve + cfg_.redirectPenalty;
-                fetchGroup_ = 0;
+                mispredict(*predicted, resolve);
             } else if (!predicted) {
                 // BTB miss: the front end waits for the target.
                 cycle_ = resolve;
@@ -849,9 +841,10 @@ Core::run(uint64_t max_insts)
 Superblock *
 Core::blockAt(Addr pa, uint64_t page_gen, bool *built)
 {
-    superblocks_.syncEpoch(mem_->fetchEpoch(), &sbStats_);
+    superblocks_.syncEpoch(mem_->fetchEpoch(), &sbStats_.invalidations);
     *built = false;
-    Superblock *sb = superblocks_.lookup(pa, page_gen, &sbStats_);
+    Superblock *sb =
+        superblocks_.lookup(pa, page_gen, &sbStats_.invalidations);
     if (!sb) {
         sb = &superblocks_.insertSlot(pa, page_gen);
         buildSuperblock(*sb, mem_->phys(), SuperblockCache::MaxOps);

@@ -340,6 +340,13 @@ class Core
                    SpecContext &ctx, unsigned &rob_budget,
                    unsigned depth);
 
+    /**
+     * A committed branch resolving at @p resolve was mispredicted
+     * towards @p wrong_pc: count it, run that wrong path from the
+     * committed state (specCtx_[0]), then pay the redirect penalty.
+     */
+    void mispredict(isa::Addr wrong_pc, uint64_t resolve);
+
     /** Deepest speculate() recursion: the depth guard admits depths
      *  0..MaxSpecDepth, and a nested call may seed one slot beyond. */
     static constexpr unsigned MaxSpecDepth = 8;

@@ -11,12 +11,10 @@
  * `fetchLatency` are byte-for-byte identical with the cache on or off
  * (proved end to end by tests/runner/test_fastpath_equiv.cc).
  *
- * Coherence is validation-based rather than invalidation-based, so the
- * store hot path carries no callbacks:
+ * Coherence is the memo table's validation (cpu/pa_memo.hh):
  *
- *  - Self-modifying code: every entry snapshots the PhysMem write
- *    generation of its page; a store to the page bumps the generation
- *    and the next fetch sees the mismatch and re-decodes.
+ *  - Self-modifying code: a store to the page bumps its write
+ *    generation and the next fetch sees the mismatch and re-decodes.
  *  - Remap/unmap/flushAll: the core feeds the hierarchy's fetch epoch
  *    through syncEpoch() once per fetch; any mapping change or flush
  *    bumps the epoch and drops the whole cache. (PA keying already
@@ -27,65 +25,31 @@
 #define PACMAN_CPU_DECODE_CACHE_HH
 
 #include <cstdint>
-#include <vector>
 
+#include "cpu/pa_memo.hh"
 #include "isa/inst.hh"
-#include "isa/pointer.hh"
 
 namespace pacman::cpu
 {
 
-/** Two-way set-associative cache of decoded instructions, keyed by
- *  PA. Two ways (with a 1-bit LRU per set) matter: the training loop
- *  alternates between user trampoline PCs and kernel gadget PCs whose
- *  index bits coincide, and a direct-mapped array thrashes on exactly
- *  that pair-per-set pattern. */
-class DecodeCache
+/** A memoized decode outcome (also caches decode *failures* so
+ *  wrong-path run-off into non-code bytes is memoized too). */
+struct DecodedInst : PaMemoKey
+{
+    uint32_t word = 0;     //!< raw word (valid when undefined)
+    bool undefined = false;
+    isa::Inst inst;
+};
+
+/** Decode outcomes keyed by PA, 8192 entries. */
+class DecodeCache : public PaMemo<DecodedInst, 8192>
 {
   public:
-    DecodeCache();
-
-    /** A memoized decode outcome (also caches decode *failures* so
-     *  wrong-path run-off into non-code bytes is memoized too). */
-    struct Entry
-    {
-        isa::Addr pa = NoPa;
-        uint64_t gen = 0;
-        uint32_t word = 0;     //!< raw word (valid when undefined)
-        bool undefined = false;
-        isa::Inst inst;
-    };
-
-    /**
-     * Cached decode outcome at @p pa, or nullptr when absent or stale
-     * (the page's write generation no longer matches @p page_gen —
-     * the entry is dropped on the spot).
-     */
-    const Entry *
-    lookup(isa::Addr pa, uint64_t page_gen)
-    {
-        const size_t set = setOf(pa);
-        for (unsigned w = 0; w < Ways; ++w) {
-            Entry &e = entries_[set * Ways + w];
-            if (e.pa != pa)
-                continue;
-            if (e.gen != page_gen) {
-                e.pa = NoPa;
-                return nullptr;
-            }
-            victim_[set] = uint8_t(w ^ 1);
-            return &e;
-        }
-        return nullptr;
-    }
-
     /** Memoize a successful decode. */
     void
     insert(isa::Addr pa, uint64_t page_gen, const isa::Inst &inst)
     {
-        Entry &e = victimFor(pa);
-        e.pa = pa;
-        e.gen = page_gen;
+        DecodedInst &e = claim(pa, page_gen);
         e.undefined = false;
         e.inst = inst;
     }
@@ -94,69 +58,10 @@ class DecodeCache
     void
     insertUndefined(isa::Addr pa, uint64_t page_gen, uint32_t word)
     {
-        Entry &e = victimFor(pa);
-        e.pa = pa;
-        e.gen = page_gen;
+        DecodedInst &e = claim(pa, page_gen);
         e.undefined = true;
         e.word = word;
     }
-
-    /**
-     * Compare against the hierarchy's fetch epoch; flush everything
-     * when it moved (page remap/unmap or a flushAll-style reset).
-     */
-    void
-    syncEpoch(uint64_t epoch)
-    {
-        if (epoch != epoch_) {
-            epoch_ = epoch;
-            flush();
-        }
-    }
-
-    /** Drop every entry. */
-    void flush();
-
-    static constexpr size_t NumEntries = 8192; //!< total, power of two
-    static constexpr unsigned Ways = 2;
-    static constexpr size_t NumSets = NumEntries / Ways;
-
-    static constexpr isa::Addr NoPa = ~isa::Addr(0);
-
-  private:
-    static size_t
-    setOf(isa::Addr pa)
-    {
-        // Fold page-number bits into the index: hot code regions
-        // (trampolines, eviction stubs) sit at identical page offsets
-        // across many pages, which a pure offset index would alias
-        // into a handful of sets.
-        return (size_t(pa >> 2) ^ size_t(pa >> isa::PageShift) ^
-                size_t(pa >> (2 * isa::PageShift))) &
-               (NumSets - 1);
-    }
-
-    /** Pick the fill slot for @p pa: its own way if present, else an
-     *  empty way, else the set's LRU victim. Updates the LRU bit. */
-    Entry &
-    victimFor(isa::Addr pa)
-    {
-        const size_t set = setOf(pa);
-        unsigned pick = victim_[set];
-        for (unsigned w = 0; w < Ways; ++w) {
-            Entry &e = entries_[set * Ways + w];
-            if (e.pa == pa || e.pa == NoPa) {
-                pick = w;
-                break;
-            }
-        }
-        victim_[set] = uint8_t(pick ^ 1);
-        return entries_[set * Ways + pick];
-    }
-
-    std::vector<Entry> entries_;
-    std::vector<uint8_t> victim_;
-    uint64_t epoch_ = 0;
 };
 
 } // namespace pacman::cpu

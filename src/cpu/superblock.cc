@@ -57,18 +57,6 @@ sbKindFor(isa::Opcode op, SbOpKind *kind)
     }
 }
 
-SuperblockCache::SuperblockCache()
-    : blocks_(NumBlocks), victim_(NumSets, 0)
-{
-}
-
-void
-SuperblockCache::flush()
-{
-    for (Superblock &b : blocks_)
-        b.pa = Superblock::NoPa;
-}
-
 void
 buildSuperblock(Superblock &sb, const mem::PhysMem &phys,
                 unsigned max_ops)

@@ -76,6 +76,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "cpu/pa_memo.hh"
 #include "isa/inst.hh"
 #include "isa/pointer.hh"
 
@@ -134,13 +135,10 @@ struct SuperblockOp
     bool readsRd = false;
 };
 
-/** A cached single-page trace entered at physical address pa. */
-struct Superblock
+/** A cached single-page trace entered at physical address pa (all
+ *  ops on the same page). */
+struct Superblock : PaMemoKey
 {
-    static constexpr isa::Addr NoPa = ~isa::Addr(0);
-
-    isa::Addr pa = NoPa; //!< entry PA (all ops on the same page)
-    uint64_t gen = 0;    //!< page write generation at build time
     std::vector<SuperblockOp> ops;
 };
 
@@ -175,39 +173,14 @@ struct SuperblockStats
 };
 
 /**
- * Two-way set-associative cache of superblocks keyed by entry PA,
- * with the same page-folding index hash and 1-bit-LRU scheme as the
- * decode cache (hot entry PCs repeat at identical page offsets across
- * user trampolines and kernel gadgets).
+ * Superblocks keyed by entry PA, 2048 entries: the decode cache's
+ * table (same index hash and 1-bit LRU — hot entry PCs repeat at
+ * identical page offsets across user trampolines and kernel gadgets).
  */
-class SuperblockCache
+class SuperblockCache : public PaMemo<Superblock, 2048>
 {
   public:
-    SuperblockCache();
-
-    /**
-     * Cached block entered at @p pa, or nullptr when absent or stale
-     * (the page's write generation moved; the entry is dropped on the
-     * spot and counted in @p stats->invalidations).
-     */
-    Superblock *
-    lookup(isa::Addr pa, uint64_t page_gen, SuperblockStats *stats)
-    {
-        const size_t set = setOf(pa);
-        for (unsigned w = 0; w < Ways; ++w) {
-            Superblock &b = blocks_[set * Ways + w];
-            if (b.pa != pa)
-                continue;
-            if (b.gen != page_gen) {
-                b.pa = Superblock::NoPa;
-                ++stats->invalidations;
-                return nullptr;
-            }
-            victim_[set] = uint8_t(w ^ 1);
-            return &b;
-        }
-        return nullptr;
-    }
+    static constexpr unsigned MaxOps = 64; //!< longest block, in insts
 
     /**
      * Claim the fill slot for a block entered at @p pa: sets the key,
@@ -218,58 +191,10 @@ class SuperblockCache
     Superblock &
     insertSlot(isa::Addr pa, uint64_t page_gen)
     {
-        const size_t set = setOf(pa);
-        unsigned pick = victim_[set];
-        for (unsigned w = 0; w < Ways; ++w) {
-            Superblock &b = blocks_[set * Ways + w];
-            if (b.pa == pa || b.pa == Superblock::NoPa) {
-                pick = w;
-                break;
-            }
-        }
-        victim_[set] = uint8_t(pick ^ 1);
-        Superblock &b = blocks_[set * Ways + pick];
-        b.pa = pa;
-        b.gen = page_gen;
+        Superblock &b = claim(pa, page_gen);
         b.ops.clear();
         return b;
     }
-
-    /**
-     * Compare against the hierarchy's fetch epoch; drop everything
-     * when it moved (remap/unmap/flushAll — also counted once in
-     * @p stats->invalidations).
-     */
-    void
-    syncEpoch(uint64_t epoch, SuperblockStats *stats)
-    {
-        if (epoch != epoch_) {
-            epoch_ = epoch;
-            flush();
-            ++stats->invalidations;
-        }
-    }
-
-    /** Drop every block. */
-    void flush();
-
-    static constexpr size_t NumBlocks = 2048; //!< total, power of two
-    static constexpr unsigned MaxOps = 64;    //!< longest block, in insts
-    static constexpr unsigned Ways = 2;
-    static constexpr size_t NumSets = NumBlocks / Ways;
-
-  private:
-    static size_t
-    setOf(isa::Addr pa)
-    {
-        return (size_t(pa >> 2) ^ size_t(pa >> isa::PageShift) ^
-                size_t(pa >> (2 * isa::PageShift))) &
-               (NumSets - 1);
-    }
-
-    std::vector<Superblock> blocks_;
-    std::vector<uint8_t> victim_;
-    uint64_t epoch_ = 0;
 };
 
 /**

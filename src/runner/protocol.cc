@@ -264,9 +264,9 @@ encodeReplicaWire(const ReplicaConfig &cfg, const SupervisionConfig &sup)
                      (unsigned long long)m.timerRatePer1k,
                      (unsigned long long)m.timerJitter,
                      hexBits(m.noiseProbability).c_str(), m.noisePages);
-    out += strprintf("C %d %d %d %d %d %d\n", int(c.speculativeMemIssue),
-                     int(c.eagerNestedSquash), int(c.faultSuppression),
-                     int(c.autFence), int(c.pacTaint), int(c.fpac));
+    out += strprintf("C %d %d %d %d %d\n", int(c.speculativeMemIssue),
+                     int(c.eagerNestedSquash), int(c.autFence),
+                     int(c.pacTaint), int(c.fpac));
     out += strprintf("O %u %u %u %llu %u %d %u %u %u %d\n",
                      unsigned(o.kind), unsigned(o.channel), o.trainIters,
                      (unsigned long long)o.latencyThreshold,
@@ -338,12 +338,11 @@ decodeReplicaWire(const std::string &text, ReplicaConfig &cfg,
                 return false;
         } else if (tag == "C") {
             cpu::CoreConfig &cc = cfg.machine.core;
-            int smi = 0, ens = 0, fs = 0, af = 0, pt = 0, fp = 0;
-            if (!(in >> smi >> ens >> fs >> af >> pt >> fp))
+            int smi = 0, ens = 0, af = 0, pt = 0, fp = 0;
+            if (!(in >> smi >> ens >> af >> pt >> fp))
                 return false;
             cc.speculativeMemIssue = smi;
             cc.eagerNestedSquash = ens;
-            cc.faultSuppression = fs;
             cc.autFence = af;
             cc.pacTaint = pt;
             cc.fpac = fp;

@@ -18,7 +18,7 @@
  * request; retry later), and ERR (args carries the reason).
  *
  * Configuration codec: a replica travels as the line-oriented
- * `pacman-oracle-wire-v1` text — campaign-variable machine fields
+ * `pacman-oracle-wire-v2` text — campaign-variable machine fields
  * (seed, timer, ambient noise), the mitigation/speculation switches,
  * the full oracle tuning, target binding, the full fault plan, and
  * the supervision budgets. Cache/TLB geometry is deliberately NOT on
@@ -68,7 +68,7 @@ constexpr uint32_t MaxFrameBytes = 64u << 20;
 constexpr size_t FrameHeaderBytes = 12;
 
 /** Version line every config payload must lead with. */
-constexpr const char *WireVersion = "pacman-oracle-wire-v1";
+constexpr const char *WireVersion = "pacman-oracle-wire-v2";
 
 /**
  * Write @p len raw bytes (EINTR-retried, whole buffer). Sockets are

@@ -39,6 +39,11 @@ namespace
 
 using Clock = std::chrono::steady_clock;
 
+/** METRICS summarises each tenant's latency over its most recent this
+ *  many requests: a fixed window keeps a long-running daemon's memory
+ *  and the cost of METRICS flat (DESIGN.md §4h). */
+constexpr size_t TenantLatencyWindow = 1024;
+
 /** One accepted connection; jobs hold it alive past reader exit. */
 struct Connection
 {
@@ -164,8 +169,15 @@ struct OracleServer::Impl
     std::atomic<uint64_t> sbChainedDispatches{0};
     std::atomic<uint64_t> decodeHits{0};
     std::atomic<uint64_t> decodeMisses{0};
+    /** One tenant's lifetime request count and its latest latencies
+     *  (a ring of TenantLatencyWindow samples). */
+    struct TenantLatency
+    {
+        uint64_t requests = 0;
+        std::vector<double> recentUs;
+    };
     mutable std::mutex tenantMu;
-    std::map<std::string, SampleStat> tenantLatencyUs;
+    std::map<std::string, TenantLatency> tenantLatency;
 
     void reply(const std::shared_ptr<Connection> &conn, uint64_t id,
                const char *verb, std::string args = {},
@@ -459,7 +471,12 @@ OracleServer::Impl::executeJob(
                           Clock::now() - job.enqueued)
                           .count();
     std::lock_guard<std::mutex> lock(tenantMu);
-    tenantLatencyUs[job.tenant].add(us);
+    TenantLatency &t = tenantLatency[job.tenant];
+    if (t.recentUs.size() < TenantLatencyWindow)
+        t.recentUs.push_back(us);
+    else
+        t.recentUs[t.requests % TenantLatencyWindow] = us;
+    ++t.requests;
 }
 
 void
@@ -591,19 +608,21 @@ OracleServer::Impl::metricsJson() const
     const double dm = double(decodeMisses.load());
     if (dh + dm > 0)
         add("decode_hit_rate", dh / (dh + dm), "higher");
+    std::map<std::string, TenantLatency> tenants;
     {
         std::lock_guard<std::mutex> lock(tenantMu);
-        for (const auto &[tenant, lat] : tenantLatencyUs) {
-            const std::string t = sanitizeMetricName(tenant);
-            add("tenant_" + t + "_requests", double(lat.count()),
-                "higher");
-            if (lat.count() != 0) {
-                add("tenant_" + t + "_latency_p50_us",
-                    lat.percentile(50), "lower");
-                add("tenant_" + t + "_latency_p99_us",
-                    lat.percentile(99), "lower");
-            }
-        }
+        tenants = tenantLatency;
+    }
+    for (const auto &[tenant, lat] : tenants) {
+        const std::string t = sanitizeMetricName(tenant);
+        add("tenant_" + t + "_requests", double(lat.requests), "higher");
+        SampleStat recent;
+        for (const double us : lat.recentUs)
+            recent.add(us);
+        add("tenant_" + t + "_latency_p50_us", recent.percentile(50),
+            "lower");
+        add("tenant_" + t + "_latency_p99_us", recent.percentile(99),
+            "lower");
     }
     return strprintf(
         "{\"schema\":\"pacman-bench-v1\",\"context\":{\"bench\":"

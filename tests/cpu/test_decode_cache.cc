@@ -1,9 +1,10 @@
 /**
  * @file
  * Coverage for the front-end decoded-instruction cache: unit-level
- * behavior of the DecodeCache structure (generation staleness,
- * negative-decode memoization, two-way conflict retention, epoch
- * flushes) and core-level invalidation correctness (self-modifying
+ * behavior of the DecodeCache structure (negative-decode memoization,
+ * two-way conflict retention; generation staleness and epoch flushes
+ * are tests/cpu/test_pa_memo.cc's, shared with the superblock cache)
+ * and core-level invalidation correctness (self-modifying
  * writes from both the host and the guest, page remap/unmap, and the
  * SIGILL-style UndefinedInst exit).
  */
@@ -59,19 +60,6 @@ TEST(DecodeCacheUnit, InsertLookupRoundTrip)
     EXPECT_EQ(c.lookup(pa + 4, 1), nullptr);
 }
 
-TEST(DecodeCacheUnit, StaleGenerationDropsEntry)
-{
-    DecodeCache c;
-    const Addr pa = 0x2000;
-    c.insert(pa, 5, instOf(wordOf([](Assembler &a) { a.movz(X0, 1); })));
-
-    // A write to the page bumped its generation: the lookup must miss
-    // and must also drop the entry, so the original generation can
-    // never match again later.
-    EXPECT_EQ(c.lookup(pa, 6), nullptr);
-    EXPECT_EQ(c.lookup(pa, 5), nullptr);
-}
-
 TEST(DecodeCacheUnit, NegativeDecodeMemoized)
 {
     DecodeCache c;
@@ -81,20 +69,6 @@ TEST(DecodeCacheUnit, NegativeDecodeMemoized)
     ASSERT_NE(e, nullptr);
     EXPECT_TRUE(e->undefined);
     EXPECT_EQ(e->word, 0xFFFF'FFFFu);
-}
-
-TEST(DecodeCacheUnit, EpochChangeFlushes)
-{
-    DecodeCache c;
-    const Addr pa = 0x4000;
-    const Inst inst =
-        instOf(wordOf([](Assembler &a) { a.movz(X0, 1); }));
-
-    c.insert(pa, 1, inst);
-    c.syncEpoch(0); // construction epoch: no change, no flush
-    EXPECT_NE(c.lookup(pa, 1), nullptr);
-    c.syncEpoch(1); // page remap / flushAll moved the epoch
-    EXPECT_EQ(c.lookup(pa, 1), nullptr);
 }
 
 TEST(DecodeCacheUnit, TwoWaysRetainConflictingPair)

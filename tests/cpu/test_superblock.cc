@@ -1,8 +1,9 @@
 /**
  * @file
  * Coverage for the committed-fast-path superblock engine: unit-level
- * behavior of the SuperblockCache (generation staleness, epoch
- * flushes) and of buildSuperblock's trace discovery (branch
+ * behavior of the SuperblockCache (slot reuse; generation staleness
+ * and epoch flushes are tests/cpu/test_pa_memo.cc's) and of
+ * buildSuperblock's trace discovery (branch
  * following, likely-direction heuristics, page and length limits),
  * plus core-level equivalence — a core running with superblocks must
  * be bit-identical to the plain interpreter across loops,
@@ -40,42 +41,6 @@ wordOf(Emit emit)
 }
 
 // --- SuperblockCache unit level -------------------------------------
-
-TEST(SuperblockCacheUnit, StaleGenerationDropsEntry)
-{
-    SuperblockCache c;
-    SuperblockStats stats;
-    const Addr pa = 0x2000;
-
-    Superblock &slot = c.insertSlot(pa, 5);
-    slot.ops.push_back({});
-    ASSERT_NE(c.lookup(pa, 5, &stats), nullptr);
-    EXPECT_EQ(stats.invalidations, 0u);
-
-    // A write to the page bumped its generation: the lookup must miss,
-    // count the invalidation, and drop the entry so the original
-    // generation can never match again later.
-    EXPECT_EQ(c.lookup(pa, 6, &stats), nullptr);
-    EXPECT_EQ(stats.invalidations, 1u);
-    EXPECT_EQ(c.lookup(pa, 5, &stats), nullptr);
-    EXPECT_EQ(stats.invalidations, 1u);
-}
-
-TEST(SuperblockCacheUnit, EpochChangeFlushes)
-{
-    SuperblockCache c;
-    SuperblockStats stats;
-    const Addr pa = 0x4000;
-
-    c.insertSlot(pa, 1).ops.push_back({});
-    c.syncEpoch(0, &stats); // construction epoch: no change, no flush
-    EXPECT_NE(c.lookup(pa, 1, &stats), nullptr);
-    EXPECT_EQ(stats.invalidations, 0u);
-
-    c.syncEpoch(1, &stats); // flushAll moved the epoch
-    EXPECT_EQ(c.lookup(pa, 1, &stats), nullptr);
-    EXPECT_EQ(stats.invalidations, 1u);
-}
 
 TEST(SuperblockCacheUnit, InsertSlotReclaimsSameKey)
 {
@@ -368,11 +333,11 @@ struct Rig
         std::string s;
         const mem::Cache::Snapshot l1i = hier.l1i().takeSnapshot();
         s += strprintf("l1i tick=%llu:", (unsigned long long)l1i.tick);
-        for (size_t i = 0; i < l1i.lines.size(); ++i) {
-            if (l1i.lines[i].valid)
+        for (size_t i = 0; i < l1i.ways.size(); ++i) {
+            if (l1i.ways[i].valid)
                 s += strprintf(" %zu/%llx@%llu", i,
-                               (unsigned long long)l1i.lines[i].tag,
-                               (unsigned long long)l1i.lines[i].lruStamp);
+                               (unsigned long long)l1i.ways[i].tag,
+                               (unsigned long long)l1i.ways[i].lruStamp);
         }
         for (unsigned el : {0u, 1u}) {
             const mem::Tlb::Snapshot tlb = hier.itlb(el).takeSnapshot();

@@ -152,6 +152,17 @@ TEST(Protocol, ReplicaWireRoundTripIsCanonical)
     EXPECT_FALSE(decodeReplicaWire("V wrong-version\n", back,
                                    back_sup));
     EXPECT_FALSE(decodeReplicaWire("", back, back_sup));
+
+    // A well-formed v1 body, whose C line still carries the deleted
+    // fault-suppression column, is rejected by its version: read with
+    // v2's fixed columns it would set autFence from that column.
+    std::string v1 = wire;
+    const std::string v2_core = "\nC 1 1 1 0 0\n";
+    const size_t core_at = v1.find(v2_core);
+    ASSERT_NE(core_at, std::string::npos);
+    v1.replace(core_at, v2_core.size(), "\nC 1 1 1 1 0 0\n");
+    v1.replace(0, v1.find('\n'), "V pacman-oracle-wire-v1");
+    EXPECT_FALSE(decodeReplicaWire(v1, back, back_sup));
 }
 
 TEST(Protocol, ChunkRequestRoundTrip)
@@ -379,6 +390,42 @@ TEST(Server, BackpressureAnswersBusyWhenQueueFull)
     const std::string metrics = c.metricsJson();
     EXPECT_NE(metrics.find("\"busy_rejections\":{\"value\":1"),
               std::string::npos);
+}
+
+/** The value of metric @p name in a METRICS document, or -1. */
+double
+metricValue(const std::string &metrics, const std::string &name)
+{
+    const std::string key = "\"" + name + "\":{\"value\":";
+    const size_t at = metrics.find(key);
+    if (at == std::string::npos)
+        return -1;
+    return std::stod(metrics.substr(at + key.size()));
+}
+
+TEST(Server, TenantLatencyWindowIsBounded)
+{
+    // METRICS reports each tenant's latency over a fixed window of its
+    // most recent requests, so the daemon's memory stays flat. A slow
+    // burst (over 1 % of all the tenant's requests, so a lifetime p99
+    // would keep it forever) leaves the p99 once more fast requests
+    // than the window holds have followed it.
+    TestServer ts(/*threads=*/1);
+    OracleClient c(ts.endpoint());
+    c.hello("win", 0x5EED);
+    constexpr int Slow = 20, Fast = 1100;
+    constexpr double SlowUs = 50'000;
+    for (int i = 0; i < Slow; ++i)
+        ASSERT_EQ(c.call("SLEEP", "50").verb, "OK");
+    EXPECT_GE(metricValue(c.metricsJson(), "tenant_win_latency_p99_us"),
+              SlowUs);
+    for (int i = 0; i < Fast; ++i)
+        ASSERT_EQ(c.call("SLEEP", "0").verb, "OK");
+    const std::string metrics = c.metricsJson();
+    EXPECT_EQ(metricValue(metrics, "tenant_win_requests"), Slow + Fast);
+    const double p99 = metricValue(metrics, "tenant_win_latency_p99_us");
+    EXPECT_GE(p99, 0);
+    EXPECT_LT(p99, SlowUs);
 }
 
 /** Threads in this process (entries of /proc/self/task). */
