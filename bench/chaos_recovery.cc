@@ -642,6 +642,20 @@ endpointFailoverScenario(const Options &opt, ScenarioTally &tally)
                         waitForServer(dcfg.endpoints[1]),
                     "failover servers never came up");
 
+        // With workers affine to both endpoints, hold the survivor:
+        // both of B's service threads sleep while A serves its two
+        // chunks and dies, so A's workers still find chunks queued
+        // and must fail over. Unheld, a CPU-starved A could watch B
+        // drain the whole queue first and leave no fault to recover
+        // from. B's reader answers the PING only after it has queued
+        // both SLEEPs, so they run before any chunk B receives.
+        OracleClient hold(dcfg.endpoints[1]);
+        if (jobs > 1) {
+            hold.sendRequest("SLEEP", "1000");
+            hold.sendRequest("SLEEP", "1000");
+            hold.ping();
+        }
+
         cfg.pool.jobs = jobs;
         cfg.supervision = SupervisionConfig{};
         const auto t0 = std::chrono::steady_clock::now();

@@ -115,7 +115,7 @@ GadgetScanner::walkPath(const asmjit::Program &prog, Addr branch_pc,
         }
 
         // Liveness update.
-        if (isa::isPacAuth(inst->op) && inst->op != Opcode::XPAC) {
+        if (isa::isPacAuth(inst->op)) {
             aut_origin[inst->rd] = pc;
         } else if (isa::writesRd(*inst)) {
             aut_origin[inst->rd] = 0;

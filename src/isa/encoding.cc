@@ -9,121 +9,6 @@ namespace pacman::isa
 namespace
 {
 
-/** Encoding format families, derived from the opcode. */
-enum class Format
-{
-    R, I, M, B, C, D, S, W, None,
-};
-
-Format
-formatOf(Opcode op)
-{
-    switch (op) {
-      case Opcode::ADD:
-      case Opcode::SUB:
-      case Opcode::AND:
-      case Opcode::ORR:
-      case Opcode::EOR:
-      case Opcode::LSLV:
-      case Opcode::LSRV:
-      case Opcode::ASRV:
-      case Opcode::MUL:
-      case Opcode::SUBS:
-      case Opcode::ADDS:
-      case Opcode::CMP:
-      case Opcode::MOVR:
-      case Opcode::LDRR:
-      case Opcode::STRR:
-      case Opcode::BR:
-      case Opcode::BLR:
-      case Opcode::RET:
-      case Opcode::BRAA:
-      case Opcode::BLRAA:
-      case Opcode::RETAA:
-      case Opcode::PACIA:
-      case Opcode::PACIB:
-      case Opcode::PACDA:
-      case Opcode::PACDB:
-      case Opcode::AUTIA:
-      case Opcode::AUTIB:
-      case Opcode::AUTDA:
-      case Opcode::AUTDB:
-      case Opcode::XPAC:
-        return Format::R;
-      case Opcode::ADDI:
-      case Opcode::SUBI:
-      case Opcode::ANDI:
-      case Opcode::ORRI:
-      case Opcode::EORI:
-      case Opcode::LSLI:
-      case Opcode::LSRI:
-      case Opcode::ASRI:
-      case Opcode::SUBSI:
-      case Opcode::CMPI:
-      case Opcode::LDR:
-      case Opcode::STR:
-      case Opcode::LDRB:
-      case Opcode::STRB:
-        return Format::I;
-      case Opcode::MOVZ:
-      case Opcode::MOVK:
-        return Format::M;
-      case Opcode::B:
-      case Opcode::BL:
-        return Format::B;
-      case Opcode::BCOND:
-        return Format::C;
-      case Opcode::CBZ:
-      case Opcode::CBNZ:
-        return Format::D;
-      case Opcode::MRS:
-      case Opcode::MSR:
-        return Format::S;
-      case Opcode::SVC:
-      case Opcode::HLT:
-      case Opcode::BRK:
-        return Format::W;
-      case Opcode::ERET:
-      case Opcode::ISB:
-      case Opcode::DSB:
-      case Opcode::NOP:
-        return Format::None;
-      default:
-        return Format::None;
-    }
-}
-
-bool
-knownOpcode(uint8_t byte)
-{
-    const Opcode op = Opcode(byte);
-    switch (op) {
-      case Opcode::ADD: case Opcode::SUB: case Opcode::AND:
-      case Opcode::ORR: case Opcode::EOR: case Opcode::LSLV:
-      case Opcode::LSRV: case Opcode::ASRV: case Opcode::MUL:
-      case Opcode::SUBS: case Opcode::ADDS: case Opcode::CMP:
-      case Opcode::MOVR: case Opcode::ADDI: case Opcode::SUBI:
-      case Opcode::ANDI: case Opcode::ORRI: case Opcode::EORI:
-      case Opcode::LSLI: case Opcode::LSRI: case Opcode::ASRI:
-      case Opcode::SUBSI: case Opcode::CMPI: case Opcode::MOVZ:
-      case Opcode::MOVK: case Opcode::LDR: case Opcode::STR:
-      case Opcode::LDRB: case Opcode::STRB: case Opcode::LDRR:
-      case Opcode::STRR: case Opcode::B: case Opcode::BL:
-      case Opcode::BCOND: case Opcode::CBZ: case Opcode::CBNZ:
-      case Opcode::BR: case Opcode::BLR: case Opcode::RET:
-      case Opcode::BRAA: case Opcode::BLRAA: case Opcode::RETAA:
-      case Opcode::PACIA: case Opcode::PACIB: case Opcode::PACDA:
-      case Opcode::PACDB: case Opcode::AUTIA: case Opcode::AUTIB:
-      case Opcode::AUTDA: case Opcode::AUTDB: case Opcode::XPAC:
-      case Opcode::MRS: case Opcode::MSR: case Opcode::SVC:
-      case Opcode::ERET: case Opcode::ISB: case Opcode::DSB:
-      case Opcode::NOP: case Opcode::HLT: case Opcode::BRK:
-        return true;
-      default:
-        return false;
-    }
-}
-
 /** Check and encode a signed word-scaled branch offset. */
 uint64_t
 encodeWordOffset(const Inst &inst, unsigned nbits)
@@ -152,7 +37,7 @@ encode(const Inst &inst)
                   "encode %s: register index out of range",
                   opcodeName(inst.op).c_str());
 
-    switch (formatOf(inst.op)) {
+    switch (opcodeInfo(inst.op).format) {
       case Format::R:
         word = insertBits(word, 23, 19, inst.rd);
         word = insertBits(word, 18, 14, inst.rn);
@@ -209,14 +94,13 @@ encode(const Inst &inst)
 std::optional<Inst>
 decode(InstWord word)
 {
-    const uint8_t opbyte = uint8_t(bits(word, 31, 24));
-    if (!knownOpcode(opbyte))
+    Inst inst;
+    inst.op = Opcode(bits(word, 31, 24));
+    const OpcodeInfo &info = opcodeInfo(inst.op);
+    if (!info.mnemonic)
         return std::nullopt;
 
-    Inst inst;
-    inst.op = Opcode(opbyte);
-
-    switch (formatOf(inst.op)) {
+    switch (info.format) {
       case Format::R:
         inst.rd = RegIndex(bits(word, 23, 19));
         inst.rn = RegIndex(bits(word, 18, 14));

@@ -56,309 +56,4 @@ parseCondName(const std::string &name)
     return std::nullopt;
 }
 
-std::string
-opcodeName(Opcode op)
-{
-    switch (op) {
-      case Opcode::ADD: return "add";
-      case Opcode::SUB: return "sub";
-      case Opcode::AND: return "and";
-      case Opcode::ORR: return "orr";
-      case Opcode::EOR: return "eor";
-      case Opcode::LSLV: return "lslv";
-      case Opcode::LSRV: return "lsrv";
-      case Opcode::ASRV: return "asrv";
-      case Opcode::MUL: return "mul";
-      case Opcode::SUBS: return "subs";
-      case Opcode::ADDS: return "adds";
-      case Opcode::CMP: return "cmp";
-      case Opcode::MOVR: return "mov";
-      case Opcode::ADDI: return "addi";
-      case Opcode::SUBI: return "subi";
-      case Opcode::ANDI: return "andi";
-      case Opcode::ORRI: return "orri";
-      case Opcode::EORI: return "eori";
-      case Opcode::LSLI: return "lsli";
-      case Opcode::LSRI: return "lsri";
-      case Opcode::ASRI: return "asri";
-      case Opcode::SUBSI: return "subsi";
-      case Opcode::CMPI: return "cmpi";
-      case Opcode::MOVZ: return "movz";
-      case Opcode::MOVK: return "movk";
-      case Opcode::LDR: return "ldr";
-      case Opcode::STR: return "str";
-      case Opcode::LDRB: return "ldrb";
-      case Opcode::STRB: return "strb";
-      case Opcode::LDRR: return "ldrr";
-      case Opcode::STRR: return "strr";
-      case Opcode::B: return "b";
-      case Opcode::BL: return "bl";
-      case Opcode::BCOND: return "b.cond";
-      case Opcode::CBZ: return "cbz";
-      case Opcode::CBNZ: return "cbnz";
-      case Opcode::BR: return "br";
-      case Opcode::BLR: return "blr";
-      case Opcode::RET: return "ret";
-      case Opcode::BRAA: return "braa";
-      case Opcode::BLRAA: return "blraa";
-      case Opcode::RETAA: return "retaa";
-      case Opcode::PACIA: return "pacia";
-      case Opcode::PACIB: return "pacib";
-      case Opcode::PACDA: return "pacda";
-      case Opcode::PACDB: return "pacdb";
-      case Opcode::AUTIA: return "autia";
-      case Opcode::AUTIB: return "autib";
-      case Opcode::AUTDA: return "autda";
-      case Opcode::AUTDB: return "autdb";
-      case Opcode::XPAC: return "xpac";
-      case Opcode::MRS: return "mrs";
-      case Opcode::MSR: return "msr";
-      case Opcode::SVC: return "svc";
-      case Opcode::ERET: return "eret";
-      case Opcode::ISB: return "isb";
-      case Opcode::DSB: return "dsb";
-      case Opcode::NOP: return "nop";
-      case Opcode::HLT: return "hlt";
-      case Opcode::BRK: return "brk";
-      default: return "?unk?";
-    }
-}
-
-InstClass
-instClass(Opcode op)
-{
-    switch (op) {
-      case Opcode::LDR:
-      case Opcode::LDRB:
-      case Opcode::LDRR:
-        return InstClass::Load;
-      case Opcode::STR:
-      case Opcode::STRB:
-      case Opcode::STRR:
-        return InstClass::Store;
-      case Opcode::B:
-      case Opcode::BL:
-        return InstClass::BranchDirect;
-      case Opcode::BCOND:
-      case Opcode::CBZ:
-      case Opcode::CBNZ:
-        return InstClass::BranchCond;
-      case Opcode::BR:
-      case Opcode::BLR:
-      case Opcode::RET:
-      case Opcode::BRAA:
-      case Opcode::BLRAA:
-      case Opcode::RETAA:
-        return InstClass::BranchIndirect;
-      case Opcode::PACIA:
-      case Opcode::PACIB:
-      case Opcode::PACDA:
-      case Opcode::PACDB:
-        return InstClass::PacSign;
-      case Opcode::AUTIA:
-      case Opcode::AUTIB:
-      case Opcode::AUTDA:
-      case Opcode::AUTDB:
-      case Opcode::XPAC:
-        return InstClass::PacAuth;
-      case Opcode::MRS:
-      case Opcode::MSR:
-      case Opcode::SVC:
-      case Opcode::ERET:
-      case Opcode::HLT:
-      case Opcode::BRK:
-        return InstClass::System;
-      case Opcode::ISB:
-      case Opcode::DSB:
-        return InstClass::Barrier;
-      default:
-        return InstClass::Alu;
-    }
-}
-
-bool
-isMemOp(Opcode op)
-{
-    const InstClass c = instClass(op);
-    return c == InstClass::Load || c == InstClass::Store;
-}
-
-bool
-isBranch(Opcode op)
-{
-    const InstClass c = instClass(op);
-    return c == InstClass::BranchDirect || c == InstClass::BranchCond ||
-           c == InstClass::BranchIndirect;
-}
-
-bool
-isCondBranch(Opcode op)
-{
-    return instClass(op) == InstClass::BranchCond;
-}
-
-bool
-isIndirectBranch(Opcode op)
-{
-    return instClass(op) == InstClass::BranchIndirect;
-}
-
-bool
-isAuthBranch(Opcode op)
-{
-    return op == Opcode::BRAA || op == Opcode::BLRAA ||
-           op == Opcode::RETAA;
-}
-
-bool
-isPacSign(Opcode op)
-{
-    return instClass(op) == InstClass::PacSign;
-}
-
-bool
-isPacAuth(Opcode op)
-{
-    return instClass(op) == InstClass::PacAuth && op != Opcode::XPAC;
-}
-
-crypto::PacKeySelect
-pacKeyOf(Opcode op)
-{
-    switch (op) {
-      case Opcode::PACIA:
-      case Opcode::AUTIA:
-        return crypto::PacKeySelect::IA;
-      case Opcode::PACIB:
-      case Opcode::AUTIB:
-        return crypto::PacKeySelect::IB;
-      case Opcode::PACDA:
-      case Opcode::AUTDA:
-        return crypto::PacKeySelect::DA;
-      case Opcode::PACDB:
-      case Opcode::AUTDB:
-        return crypto::PacKeySelect::DB;
-      case Opcode::BRAA:
-      case Opcode::BLRAA:
-      case Opcode::RETAA:
-        return crypto::PacKeySelect::IA;
-      default:
-        panic("pacKeyOf: %s is not a keyed PA opcode",
-              opcodeName(op).c_str());
-    }
-}
-
-bool
-writesRd(const Inst &inst)
-{
-    switch (inst.op) {
-      case Opcode::CMP:
-      case Opcode::CMPI:
-      case Opcode::STR:
-      case Opcode::STRB:
-      case Opcode::STRR:
-      case Opcode::B:
-      case Opcode::BCOND:
-      case Opcode::CBZ:
-      case Opcode::CBNZ:
-      case Opcode::BR:
-      case Opcode::RET:
-      case Opcode::BRAA:
-      case Opcode::RETAA:
-      case Opcode::MSR:
-      case Opcode::SVC:
-      case Opcode::ERET:
-      case Opcode::ISB:
-      case Opcode::DSB:
-      case Opcode::NOP:
-      case Opcode::HLT:
-      case Opcode::BRK:
-        return false;
-      case Opcode::BL:
-      case Opcode::BLR:
-      case Opcode::BLRAA:
-        return true; // writes LR
-      default:
-        return true;
-    }
-}
-
-bool
-readsRn(const Inst &inst)
-{
-    switch (inst.op) {
-      case Opcode::MOVZ:
-      case Opcode::MOVK:
-      case Opcode::B:
-      case Opcode::BL:
-      case Opcode::BCOND:
-      case Opcode::SVC:
-      case Opcode::ERET:
-      case Opcode::ISB:
-      case Opcode::DSB:
-      case Opcode::NOP:
-      case Opcode::HLT:
-      case Opcode::BRK:
-      case Opcode::MRS:
-      case Opcode::CBZ:   // tests rd field
-      case Opcode::CBNZ:
-      case Opcode::XPAC:  // operates on rd in place
-        return false;
-      default:
-        return true;
-    }
-}
-
-bool
-readsRm(const Inst &inst)
-{
-    switch (inst.op) {
-      case Opcode::ADD:
-      case Opcode::SUB:
-      case Opcode::AND:
-      case Opcode::ORR:
-      case Opcode::EOR:
-      case Opcode::LSLV:
-      case Opcode::LSRV:
-      case Opcode::ASRV:
-      case Opcode::MUL:
-      case Opcode::SUBS:
-      case Opcode::ADDS:
-      case Opcode::CMP:
-      case Opcode::LDRR:
-      case Opcode::STRR:
-      case Opcode::BRAA:
-      case Opcode::BLRAA:
-      case Opcode::RETAA:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-readsRdAsSource(const Inst &inst)
-{
-    switch (inst.op) {
-      case Opcode::STR:
-      case Opcode::STRB:
-      case Opcode::STRR:  // store data register
-      case Opcode::MOVK:  // read-modify-write of halfword
-      case Opcode::CBZ:
-      case Opcode::CBNZ:  // tested register lives in the rd field
-      case Opcode::PACIA:
-      case Opcode::PACIB:
-      case Opcode::PACDA:
-      case Opcode::PACDB:
-      case Opcode::AUTIA:
-      case Opcode::AUTIB:
-      case Opcode::AUTDA:
-      case Opcode::AUTDB:
-      case Opcode::XPAC:  // pointer is modified in place
-        return true;
-      default:
-        return false;
-    }
-}
-
 } // namespace pacman::isa

@@ -5,6 +5,18 @@
 namespace pacman::mem
 {
 
+namespace
+{
+
+/** Physical address of @p va inside physical page @p ppn. */
+Addr
+framePa(uint64_t ppn, Addr va)
+{
+    return (ppn << isa::PageShift) | isa::pageOffset(isa::vaPart(va));
+}
+
+} // anonymous namespace
+
 MemoryHierarchy::MemoryHierarchy(const HierarchyConfig &cfg, Random *rng)
     : cfg_(cfg), rng_(rng),
       l1i_(cfg.l1i, cfg.replPolicy, rng),
@@ -58,6 +70,20 @@ MemoryHierarchy::checkPerms(AccessKind kind, const PageFlags &flags,
     return Fault::None;
 }
 
+void
+MemoryHierarchy::finishFromEntry(AccessKind kind, const TlbEntry &entry,
+                                 Addr va, unsigned el,
+                                 AccessResult &res) const
+{
+    res.fault = checkPerms(kind, PageFlags{
+        .user = entry.asid == Asid::User,
+        .writable = entry.writable,
+        .executable = entry.executable,
+        .device = false}, el);
+    if (res.fault == Fault::None)
+        res.pa = framePa(entry.ppn, va);
+}
+
 AccessResult
 MemoryHierarchy::translateTimed(AccessKind kind, Addr va, unsigned el,
                                 bool speculative, AccessTrace *trace)
@@ -81,20 +107,11 @@ MemoryHierarchy::translateTimed(AccessKind kind, Addr va, unsigned el,
     // L1 TLB lookup: iTLB (per-EL) for fetches, shared dTLB for data.
     Tlb &l1 = kind == AccessKind::Fetch ? itlb(el) : dtlb_;
     if (auto entry = l1.lookup(vpn, asid)) {
-        const Fault perm = checkPerms(kind, PageFlags{
-            .user = asid == Asid::User,
-            .writable = entry->writable,
-            .executable = entry->executable,
-            .device = false}, el);
-        if (perm != Fault::None) {
-            res.fault = perm;
+        finishFromEntry(kind, *entry, va, el, res);
+        if (res.fault != Fault::None)
             res.latency = 1;
-            return res;
-        }
-        if (trace)
+        else if (trace)
             trace->l1TlbHit = true;
-        res.pa = (entry->ppn << isa::PageShift) |
-                 isa::pageOffset(isa::vaPart(va));
         return res;
     }
 
@@ -113,17 +130,7 @@ MemoryHierarchy::translateTimed(AccessKind kind, Addr va, unsigned el,
             } else {
                 dtlb_.insert(*entry); // put it back, no movement
             }
-            const Fault perm = checkPerms(kind, PageFlags{
-                .user = asid == Asid::User,
-                .writable = entry->writable,
-                .executable = entry->executable,
-                .device = false}, el);
-            if (perm != Fault::None) {
-                res.fault = perm;
-                return res;
-            }
-            res.pa = (entry->ppn << isa::PageShift) |
-                     isa::pageOffset(isa::vaPart(va));
+            finishFromEntry(kind, *entry, va, el, res);
             return res;
         }
     }
@@ -152,8 +159,7 @@ MemoryHierarchy::translateTimed(AccessKind kind, Addr va, unsigned el,
                 res.fault = perm;
                 return res;
             }
-            res.pa = (mapping->ppn << isa::PageShift) |
-                     isa::pageOffset(isa::vaPart(va));
+            res.pa = framePa(mapping->ppn, va);
             res.isDevice = true;
             res.latency = cfg_.lat.device;
             return res;
@@ -164,15 +170,9 @@ MemoryHierarchy::translateTimed(AccessKind kind, Addr va, unsigned el,
         from_walk = true;
     }
 
-    const Fault perm = checkPerms(kind, PageFlags{
-        .user = asid == Asid::User,
-        .writable = entry->writable,
-        .executable = entry->executable,
-        .device = false}, el);
-    if (perm != Fault::None) {
-        res.fault = perm;
+    finishFromEntry(kind, *entry, va, el, res);
+    if (res.fault != Fault::None)
         return res;
-    }
 
     // Fill the TLBs; iTLB victims spill into the dTLB.
     if (fill_ok && from_walk)
@@ -185,9 +185,6 @@ MemoryHierarchy::translateTimed(AccessKind kind, Addr va, unsigned el,
             dtlb_.insert(*entry);
         }
     }
-
-    res.pa = (entry->ppn << isa::PageShift) |
-             isa::pageOffset(isa::vaPart(va));
     return res;
 }
 
@@ -276,8 +273,7 @@ MemoryHierarchy::translateFunctional(Addr va) const
     const auto mapping = pt_.translate(isa::pageNumber(isa::vaPart(va)));
     if (!mapping)
         return std::nullopt;
-    return (mapping->ppn << isa::PageShift) |
-           isa::pageOffset(isa::vaPart(va));
+    return framePa(mapping->ppn, va);
 }
 
 uint64_t

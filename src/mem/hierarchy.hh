@@ -238,6 +238,11 @@ class MemoryHierarchy
     Fault checkPerms(AccessKind kind, const PageFlags &flags,
                      unsigned el) const;
 
+    /** Finish a translation served by TLB entry @p entry: set
+     *  res.fault from its permissions and, if none, res.pa. */
+    void finishFromEntry(AccessKind kind, const TlbEntry &entry, Addr va,
+                         unsigned el, AccessResult &res) const;
+
     HierarchyConfig cfg_;
     Random *rng_;
     PhysMem phys_;

@@ -22,18 +22,6 @@ namespace
 
 using Clock = std::chrono::steady_clock;
 
-/** The per-pool-worker supervised-worker slot. */
-Worker &
-prepareWorker(std::vector<std::unique_ptr<Worker>> &slots,
-              unsigned worker, const ReplicaConfig &cfg,
-              const SupervisionConfig &sup)
-{
-    std::unique_ptr<Worker> &slot = slots[worker];
-    if (!slot)
-        slot = std::make_unique<Worker>(cfg, sup);
-    return *slot;
-}
-
 std::string
 statFingerprint(const SampleStat &s)
 {
@@ -212,6 +200,31 @@ dispatchChunk(const ChunkDispatcher &dispatch, unsigned worker,
     }
 }
 
+/**
+ * Run a campaign in-process: @p run_with (a run*CampaignWith) drives
+ * the pool, each pool worker runs its chunks through @p execute on its
+ * own supervised Worker, built on first use, and every Worker's
+ * recovery statistics are merged into the result once the pool drains.
+ */
+template <class Config, class RunWith, class Execute>
+auto
+runInProcess(const Config &cfg, RunWith run_with, Execute execute)
+{
+    std::vector<std::unique_ptr<Worker>> workers(
+        effectiveJobs(cfg.pool.jobs));
+    auto result = run_with(cfg, [&](unsigned worker, const Chunk &chunk) {
+        std::unique_ptr<Worker> &slot = workers[worker];
+        if (!slot)
+            slot = std::make_unique<Worker>(cfg.replica, cfg.supervision);
+        return execute(*slot, cfg, chunk);
+    });
+    for (const std::unique_ptr<Worker> &w : workers) {
+        if (w)
+            result.recovery.merge(w->recovery());
+    }
+    return result;
+}
+
 } // anonymous namespace
 
 std::string
@@ -318,19 +331,7 @@ runBruteForceCampaignWith(const BruteForceCampaignConfig &cfg,
 BruteForceCampaignResult
 runBruteForceCampaign(const BruteForceCampaignConfig &cfg)
 {
-    std::vector<std::unique_ptr<Worker>> workers(
-        effectiveJobs(cfg.pool.jobs));
-    BruteForceCampaignResult result = runBruteForceCampaignWith(
-        cfg, [&](unsigned worker, const Chunk &chunk) {
-            Worker &w = prepareWorker(workers, worker, cfg.replica,
-                                      cfg.supervision);
-            return executeBfChunk(w, cfg, chunk);
-        });
-    for (const std::unique_ptr<Worker> &w : workers) {
-        if (w)
-            result.recovery.merge(w->recovery());
-    }
-    return result;
+    return runInProcess(cfg, runBruteForceCampaignWith, executeBfChunk);
 }
 
 std::string
@@ -442,19 +443,8 @@ runAccuracyCampaignWith(const AccuracyCampaignConfig &cfg,
 AccuracyCampaignResult
 runAccuracyCampaign(const AccuracyCampaignConfig &cfg)
 {
-    std::vector<std::unique_ptr<Worker>> workers(
-        effectiveJobs(cfg.pool.jobs));
-    AccuracyCampaignResult result = runAccuracyCampaignWith(
-        cfg, [&](unsigned worker, const Chunk &chunk) {
-            Worker &w = prepareWorker(workers, worker, cfg.replica,
-                                      cfg.supervision);
-            return executeAccuracyChunk(w, cfg, chunk);
-        });
-    for (const std::unique_ptr<Worker> &w : workers) {
-        if (w)
-            result.recovery.merge(w->recovery());
-    }
-    return result;
+    return runInProcess(cfg, runAccuracyCampaignWith,
+                        executeAccuracyChunk);
 }
 
 WorkOutcome

@@ -135,6 +135,35 @@ decodeSamples(std::istringstream &in, SampleStat &s)
     return true;
 }
 
+/** The S, O and F lines both chunk kinds carry for each run. */
+std::string
+encodeRunLines(const attack::BruteForceStats &s,
+               const attack::OracleStats &o, const FaultStats &f)
+{
+    return encodeBfStats(s) + "\n" + encodeOracleStats(o) + "\n" +
+           encodeFaultStats(f) + "\n";
+}
+
+/** The Q line of a quarantined run; empty if none. */
+std::string
+encodeQuarantineLine(const std::optional<QuarantineRecord> &q)
+{
+    return q ? "Q " + q->serialize() + "\n" : std::string();
+}
+
+/** Parse the rest of a Q line into @p q; false if it is malformed. */
+bool
+decodeQuarantineLine(std::istringstream &in,
+                     std::optional<QuarantineRecord> &q)
+{
+    std::string rest;
+    std::getline(in, rest);
+    if (!rest.empty() && rest.front() == ' ')
+        rest.erase(0, 1);
+    q = QuarantineRecord::parse(rest);
+    return q.has_value();
+}
+
 QuarantineRecord
 makeQuarantineRecord(const char *campaign, uint64_t campaign_seed,
                      uint64_t chunk_index, uint64_t first_item,
@@ -173,13 +202,9 @@ resamplePolicy(const ReplicaConfig &cfg)
 std::string
 encodeBfChunk(const BfChunkResult &r)
 {
-    std::string out = encodeBfStats(r.stats) + "\n" +
-                      encodeOracleStats(r.oracle) + "\n" +
-                      encodeFaultStats(r.faults) + "\n" +
-                      encodeSamples(r.decisions) + "\n";
-    if (r.quarantine)
-        out += "Q " + r.quarantine->serialize() + "\n";
-    return out;
+    return encodeRunLines(r.stats, r.oracle, r.faults) +
+           encodeSamples(r.decisions) + "\n" +
+           encodeQuarantineLine(r.quarantine);
 }
 
 bool
@@ -202,15 +227,8 @@ decodeBfChunk(const std::string &payload, BfChunkResult &r)
             f = decodeFaultStats(in, r.faults);
         else if (tag == "D")
             d = decodeSamples(in, r.decisions);
-        else if (tag == "Q") {
-            std::string rest;
-            std::getline(in, rest);
-            if (!rest.empty() && rest.front() == ' ')
-                rest.erase(0, 1);
-            r.quarantine = QuarantineRecord::parse(rest);
-            if (!r.quarantine)
-                return false;
-        }
+        else if (tag == "Q" && !decodeQuarantineLine(in, r.quarantine))
+            return false;
     }
     return s && o && f && d;
 }
@@ -224,11 +242,8 @@ encodeTrialChunk(const std::vector<TrialResult> &trials,
         const TrialResult &r = trials[t - chunk.firstItem];
         out += strprintf("T %llu %u\n", (unsigned long long)t,
                          unsigned(r.verdict));
-        out += encodeBfStats(r.stats) + "\n" +
-               encodeOracleStats(r.oracle) + "\n" +
-               encodeFaultStats(r.faults) + "\n";
-        if (r.quarantine)
-            out += "Q " + r.quarantine->serialize() + "\n";
+        out += encodeRunLines(r.stats, r.oracle, r.faults) +
+               encodeQuarantineLine(r.quarantine);
     }
     return out;
 }
@@ -272,12 +287,7 @@ decodeTrialChunk(const std::string &payload,
             if (!decodeFaultStats(in, cur->faults))
                 return false;
         } else if (tag == "Q") {
-            std::string rest;
-            std::getline(in, rest);
-            if (!rest.empty() && rest.front() == ' ')
-                rest.erase(0, 1);
-            cur->quarantine = QuarantineRecord::parse(rest);
-            if (!cur->quarantine)
+            if (!decodeQuarantineLine(in, cur->quarantine))
                 return false;
         }
     }

@@ -21,7 +21,6 @@
 #include <mutex>
 #include <sstream>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "base/journal.hh"
@@ -105,6 +104,11 @@ struct CachedWorker
     cpu::SuperblockStats lastSb;
 };
 
+/** A service thread's replicas keyed by replica-wire body (a
+ *  QUERY/TRUTH body or a CHUNK's config prefix), most recently used
+ *  first and at most ReplicaCacheEntries long. */
+using ReplicaCache = std::list<std::pair<std::string, CachedWorker>>;
+
 std::string
 sanitizeMetricName(const std::string &name)
 {
@@ -186,11 +190,9 @@ struct OracleServer::Impl
     void serviceLoop();
     void acceptLoop();
     void reapReaders();
-    void executeJob(std::unordered_map<std::string, CachedWorker> &cache,
-                    Job &job);
-    CachedWorker &getWorker(
-        std::unordered_map<std::string, CachedWorker> &cache,
-        const std::string &config_text);
+    void executeJob(ReplicaCache &cache, Job &job);
+    CachedWorker &getWorker(ReplicaCache &cache,
+                            const std::string &config_text);
     void accountWorker(CachedWorker &cw, uint64_t items);
     std::string metricsJson() const;
 };
@@ -302,12 +304,15 @@ OracleServer::Impl::readerLoop(std::shared_ptr<Connection> conn)
 }
 
 CachedWorker &
-OracleServer::Impl::getWorker(
-    std::unordered_map<std::string, CachedWorker> &cache,
-    const std::string &config_text)
+OracleServer::Impl::getWorker(ReplicaCache &cache,
+                              const std::string &config_text)
 {
-    if (auto it = cache.find(config_text); it != cache.end())
-        return it->second;
+    for (auto it = cache.begin(); it != cache.end(); ++it) {
+        if (it->first == config_text) {
+            cache.splice(cache.begin(), cache, it);
+            return it->second;
+        }
+    }
     // Build before inserting: a body that fails to decode, or whose
     // Worker constructor throws (FaultPlan::validate), must not leave
     // a dead entry keyed by the whole (up to MaxFrameBytes) body for
@@ -316,13 +321,19 @@ OracleServer::Impl::getWorker(
     SupervisionConfig sup;
     if (!decodeReplicaWire(config_text, replica, sup))
         throw std::runtime_error("undecodable replica config");
+    // Evict before provisioning, so a thread never holds more than
+    // ReplicaCacheEntries machines. The evicted replica's counters
+    // were already folded into the server totals by accountWorker.
+    if (cache.size() == ReplicaCacheEntries)
+        cache.pop_back();
     // Journal/quarantine paths never travel the wire: the campaign
     // owner journals decoded payloads client-side.
     CachedWorker cw;
     cw.worker = std::make_unique<Worker>(replica, sup);
     cw.replica = replica;
     cw.snapshot = replica.snapshot;
-    return cache.emplace(config_text, std::move(cw)).first->second;
+    cache.emplace_front(config_text, std::move(cw));
+    return cache.front().second;
 }
 
 void
@@ -353,8 +364,7 @@ OracleServer::Impl::accountWorker(CachedWorker &cw, uint64_t items)
 }
 
 void
-OracleServer::Impl::executeJob(
-    std::unordered_map<std::string, CachedWorker> &cache, Job &job)
+OracleServer::Impl::executeJob(ReplicaCache &cache, Job &job)
 {
     const uint64_t id = job.msg.id;
     const std::string &verb = job.msg.verb;
@@ -482,7 +492,7 @@ OracleServer::Impl::executeJob(
 void
 OracleServer::Impl::serviceLoop()
 {
-    std::unordered_map<std::string, CachedWorker> cache;
+    ReplicaCache cache;
     for (;;) {
         Job job;
         {

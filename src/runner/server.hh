@@ -40,12 +40,20 @@
 #ifndef PACMAN_RUNNER_SERVER_HH
 #define PACMAN_RUNNER_SERVER_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
 
 namespace pacman::runner
 {
+
+/** Provisioned replicas one service thread keeps, least recently
+ *  used evicted first. Each is a whole simulated machine (~25 MB), so
+ *  the bound keeps the daemon's memory flat however many distinct
+ *  configs its clients send; an evicted config re-provisions on its
+ *  next request and answers as before (DESIGN.md §4h). */
+constexpr size_t ReplicaCacheEntries = 4;
 
 /** Deployment knobs for one pacman-oracled instance. */
 struct ServerConfig
@@ -58,9 +66,9 @@ struct ServerConfig
     uint16_t tcpPort = 0;
 
     /** Service threads == concurrently executing replicas. Each
-     *  thread caches one provisioned Worker per distinct replica
-     *  config, so steady-state campaign chunks pay only a
-     *  checkpoint restore. */
+     *  thread caches a provisioned Worker for each of its
+     *  ReplicaCacheEntries most recently used replica configs, so
+     *  steady-state campaign chunks pay only a checkpoint restore. */
     unsigned threads = 2;
 
     /** Bounded compute queue; admission control answers BUSY beyond

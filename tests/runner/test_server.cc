@@ -508,6 +508,57 @@ TEST(Server, UndecodableConfigsDoNotGrowReplicaCache)
     EXPECT_LT(statusKb("VmRSS:"), rss_kb + 64 * 1024);
 }
 
+#if defined(__SANITIZE_ADDRESS__)
+// libasan exports this; GCC ships no header declaring it.
+extern "C" void __sanitizer_purge_allocator();
+#endif
+
+/** VmRSS in kB once freed memory has left the allocator. Under
+ *  AddressSanitizer freed blocks wait in a quarantine of up to 256 MB
+ *  and stay resident, so without the purge every freed replica would
+ *  read as growth. */
+uint64_t
+settledRssKb()
+{
+#if defined(__SANITIZE_ADDRESS__)
+    __sanitizer_purge_allocator();
+#endif
+    return statusKb("VmRSS:");
+}
+
+TEST(Server, DistinctConfigsDoNotGrowReplicaCache)
+{
+    // Each distinct replica config a service thread serves needs a
+    // provisioned replica, a whole machine of about 25 MB. The thread
+    // keeps only the ReplicaCacheEntries most recently used, so a
+    // client sending a new config (here: a new modifier) on every
+    // QUERY cannot grow the daemon for its life.
+    TestServer ts(/*threads=*/1);
+    OracleClient c(ts.endpoint());
+    const uint64_t stream = Random::deriveSeed(7, 0);
+    const auto query = [&](uint64_t i) {
+        return c.query(0x1234, stream, testReplica(0x100 + i));
+    };
+    const auto first = query(0);
+    for (uint64_t i = 1; i < ReplicaCacheEntries; ++i)
+        query(i);
+    const uint64_t rss_kb = settledRssKb();
+    constexpr uint64_t More = 20;
+    for (uint64_t i = ReplicaCacheEntries; i < ReplicaCacheEntries + More;
+         ++i)
+        query(i);
+    // 20 more cached replicas would add about 500 MB.
+    EXPECT_LT(settledRssKb(), rss_kb + 64 * 1024);
+
+    // The first config was evicted long ago: it provisions afresh and
+    // answers exactly as it did the first time.
+    const auto again = query(0);
+    EXPECT_EQ(again.hot, first.hot);
+    EXPECT_EQ(again.misses, first.misses);
+    EXPECT_EQ(metricValue(c.metricsJson(), "replica_provisions"),
+              double(ReplicaCacheEntries + More + 1));
+}
+
 TEST(Server, DrainFinishesQueuedWorkAndRejectsNew)
 {
     TestServer ts(/*threads=*/1);
