@@ -5,6 +5,7 @@
 #include "base/bitfield.hh"
 #include "base/logging.hh"
 #include "base/stats.hh"
+#include "cpu/call_memo.hh"
 #include "isa/disasm.hh"
 #include "isa/pointer.hh"
 
@@ -145,10 +146,15 @@ regOffset(Opcode op)
 
 Core::Core(const CoreConfig &cfg, mem::MemoryHierarchy *mem, Random *rng)
     : cfg_(cfg), mem_(mem), rng_(rng),
-      predictor_(cfg.bimodalEntries), btb_(cfg.btbEntries)
+      predictor_(cfg.bimodalEntries), btb_(cfg.btbEntries),
+      l1iLineShift_(floorLog2(mem->config().l1i.lineBytes))
 {
     sysregs_[size_t(SysReg::CNTFRQ_EL0)] = cfg.cntFreqHz;
+    if (cfg.fastPath == FastPath::Full)
+        callMemo_ = std::make_unique<CallMemo>(*this);
 }
+
+Core::~Core() = default;
 
 uint64_t
 Core::reg(unsigned idx) const
@@ -527,6 +533,8 @@ Core::execBranchDirect(const Inst &inst)
 bool
 Core::execMrs(const Inst &inst, ExitStatus *status)
 {
+    if (touchLog_)
+        touchLog_->spoil(); // counters read the cycle and retired count
     const uint64_t issue = cycle_ + 1;
     bool undef = false;
     const uint64_t value = sysregRead(inst.sysreg, issue, &undef);
@@ -549,6 +557,8 @@ Core::execMrs(const Inst &inst, ExitStatus *status)
 bool
 Core::execMsr(const Inst &inst, ExitStatus *status)
 {
+    if (touchLog_)
+        touchLog_->spoil();
     if (!sysregWrite(inst.sysreg, regs_[inst.rd])) {
         status->kind =
             el_ == 0 ? ExitKind::CrashEl0 : ExitKind::KernelPanic;
@@ -625,6 +635,8 @@ void
 Core::mispredict(Addr wrong_pc, uint64_t resolve)
 {
     ++stats_.branchMispredicts;
+    if (touchLog_)
+        touchLog_->spoil(); // the wrong path is not recorded
     SpecContext &ctx = specCtx_[0];
     ctx.regs = regs_;
     ctx.ready = ready_;
@@ -641,6 +653,20 @@ Core::mispredict(Addr wrong_pc, uint64_t resolve)
 
 ExitStatus
 Core::run(uint64_t max_insts)
+{
+    if (!callMemo_ || traceHook_)
+        return execute(max_insts);
+    ExitStatus status;
+    if (callMemo_->replay(*this, max_insts, &status))
+        return status;
+    callMemo_->beginRecord(*this);
+    status = execute(max_insts);
+    callMemo_->endRecord(*this, status);
+    return status;
+}
+
+ExitStatus
+Core::execute(uint64_t max_insts)
 {
     uint64_t n = 0;
     while (n < max_insts) {
@@ -967,8 +993,7 @@ Core::runSuperblock(Superblock &sb, mem::Tlb::Way *way,
     uint64_t l1i_hits = 0;
 
     const uint64_t l1_lat = mem_->config().lat.l1Hit;
-    const unsigned line_shift =
-        floorLog2(mem_->config().l1i.lineBytes);
+    const unsigned line_shift = l1iLineShift_;
     const Addr pa_base = sb.pa & ~isa::Addr(isa::PageMask);
     const Addr va_base = pc_ & ~isa::Addr(isa::PageMask);
     uint64_t cur_line = sb.pa >> line_shift;

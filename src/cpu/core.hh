@@ -34,6 +34,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 
 #include "base/random.hh"
@@ -45,9 +46,12 @@
 #include "isa/encoding.hh"
 #include "isa/inst.hh"
 #include "mem/hierarchy.hh"
+#include "mem/touch_log.hh"
 
 namespace pacman::cpu
 {
+
+class CallMemo;
 
 /** Why a run() returned. */
 enum class ExitKind : uint8_t
@@ -101,6 +105,7 @@ class Core
 {
   public:
     Core(const CoreConfig &cfg, mem::MemoryHierarchy *mem, Random *rng);
+    ~Core();
 
     // --- Architectural state (host-side orchestration API) ---
 
@@ -140,7 +145,9 @@ class Core
 
     /**
      * Run until an exit condition, executing at most @p max_insts
-     * architectural instructions.
+     * architectural instructions. On FastPath::Full with no trace hook
+     * armed, a call matching a recorded pure call is replayed instead
+     * of executed (cpu/call_memo.hh), with the identical effect.
      */
     ExitStatus run(uint64_t max_insts = 100'000'000);
 
@@ -202,6 +209,8 @@ class Core
     void restore(const Snapshot &snap);
 
   private:
+    friend class CallMemo;
+
     /** Speculative (wrong-path) execution context. */
     struct SpecContext
     {
@@ -227,6 +236,10 @@ class Core
         isa::Addr pa = 0;       //!< physical address of the word
         uint64_t pageGen = 0;   //!< write generation of pa's page
     };
+
+    /** run() without the call memo: the interpreter loop with its
+     *  superblock dispatch. */
+    ExitStatus execute(uint64_t max_insts);
 
     // Architectural-path helpers.
     ExitStatus archFault(mem::Fault fault, isa::Addr addr,
@@ -386,6 +399,16 @@ class Core
 
     /** Pre-reserved speculation contexts, one per recursion depth. */
     std::array<SpecContext, MaxSpecDepth + 2> specCtx_;
+
+    /** log2 of the L1I line size (fixed geometry: migration swaps
+     *  only latencies). */
+    unsigned l1iLineShift_;
+
+    // Guest-call replay (FastPath::Full only): host-side like the
+    // caches above, never snapshotted. touchLog_ is the memo's log,
+    // which MRS/MSR and mispredicts spoil while a call records.
+    std::unique_ptr<CallMemo> callMemo_;
+    mem::TouchLog *touchLog_ = nullptr;
 };
 
 } // namespace pacman::cpu

@@ -14,31 +14,6 @@ BimodalPredictor::BimodalPredictor(unsigned entries)
               entries);
 }
 
-uint64_t
-BimodalPredictor::indexOf(isa::Addr pc) const
-{
-    return (pc >> 2) & (counters_.size() - 1);
-}
-
-bool
-BimodalPredictor::predict(isa::Addr pc) const
-{
-    return counters_[indexOf(pc)] >= 2;
-}
-
-void
-BimodalPredictor::update(isa::Addr pc, bool taken)
-{
-    uint8_t &ctr = counters_[indexOf(pc)];
-    if (taken) {
-        if (ctr < 3)
-            ++ctr;
-    } else {
-        if (ctr > 0)
-            --ctr;
-    }
-}
-
 void
 BimodalPredictor::reset()
 {
@@ -62,16 +37,25 @@ Btb::indexOf(isa::Addr pc) const
 std::optional<isa::Addr>
 Btb::lookup(isa::Addr pc) const
 {
-    const Entry &entry = entries_[indexOf(pc)];
-    if (entry.valid && entry.tag == pc)
+    const uint64_t idx = indexOf(pc);
+    const Entry &entry = entries_[idx];
+    if (entry.valid && entry.tag == pc) {
+        if (touchLog_)
+            touchLog_->touch(touchTable_, idx);
         return entry.target;
+    }
+    if (touchLog_)
+        touchLog_->spoil();
     return std::nullopt;
 }
 
 void
 Btb::update(isa::Addr pc, isa::Addr target)
 {
-    Entry &entry = entries_[indexOf(pc)];
+    const uint64_t idx = indexOf(pc);
+    if (touchLog_)
+        touchLog_->touch(touchTable_, idx);
+    Entry &entry = entries_[idx];
     entry.valid = true;
     entry.tag = pc;
     entry.target = target;

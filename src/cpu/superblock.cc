@@ -96,4 +96,13 @@ buildSuperblock(Superblock &sb, const mem::PhysMem &phys,
     }
 }
 
+const char *
+callGuardName(CallGuard guard)
+{
+    static const char *const names[NumCallGuards] = {
+        "entry", "budget", "registers", "sysregs", "scoreboard",
+        "latency", "ways", "predictor", "pages"};
+    return size_t(guard) < NumCallGuards ? names[size_t(guard)] : "none";
+}
+
 } // namespace pacman::cpu

@@ -73,6 +73,8 @@
 #ifndef PACMAN_CPU_SUPERBLOCK_HH
 #define PACMAN_CPU_SUPERBLOCK_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -142,6 +144,28 @@ struct Superblock : PaMemoKey
     std::vector<SuperblockOp> ops;
 };
 
+/** The guards a guest-call replay checks, in this order
+ *  (cpu/call_memo.hh). A miss is counted under the first one the most
+ *  recently used recording at the call's entry pc fails. */
+enum class CallGuard : uint8_t
+{
+    Entry,      //!< EL or fetch-group phase
+    Budget,     //!< recorded instructions exceed the budget
+    Registers,  //!< register file or flags
+    SysRegs,    //!< system-register array
+    Scoreboard, //!< ready times relative to the cycle
+    Latency,    //!< hierarchy latency constants
+    Ways,       //!< a touched cache/TLB way's content
+    Predictor,  //!< a read predictor counter or BTB entry
+    Pages,      //!< a fetched or loaded page's write generation
+    NumGuards,  //!< (every guard matched)
+};
+
+constexpr size_t NumCallGuards = size_t(CallGuard::NumGuards);
+
+/** Short name of @p guard ("entry", "budget", ...) for reports. */
+const char *callGuardName(CallGuard guard);
+
 /**
  * Monotonic fast-path telemetry. Deliberately outside CoreStats and
  * Core::Snapshot: CoreStats rewinds with every per-item replica
@@ -170,6 +194,14 @@ struct SuperblockStats
     // fetches served from the memo vs decoded afresh.
     uint64_t decodeHits = 0;
     uint64_t decodeMisses = 0;
+
+    // Guest-call replay (cpu/call_memo.hh).
+    uint64_t callsRecorded = 0; //!< pure calls kept as recordings
+    uint64_t callsReplayed = 0; //!< calls served by a recording
+    uint64_t instsReplayed = 0; //!< instructions those calls retired
+    /** Calls with a recording at their entry pc that none matched,
+     *  by the first guard the most recently used of them failed. */
+    std::array<uint64_t, NumCallGuards> replayMisses{};
 };
 
 /**

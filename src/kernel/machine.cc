@@ -91,6 +91,16 @@ Machine::statsReport()
     row("superblock invalidations", sbs.invalidations);
     row("superblock fallback exits", sbs.fallbackExits);
     row("superblock chained dispatches", sbs.chainedDispatches);
+    // Guest-call replay (cpu/call_memo.hh): calls served from a
+    // recording instead of executed, and why the others were not.
+    row("guest calls recorded", sbs.callsRecorded);
+    row("guest calls replayed", sbs.callsReplayed);
+    row("instructions replayed", sbs.instsReplayed);
+    for (size_t g = 0; g < cpu::NumCallGuards; ++g)
+        row(strprintf("replay misses: %s",
+                      cpu::callGuardName(cpu::CallGuard(g)))
+                .c_str(),
+            sbs.replayMisses[g]);
 
     auto structure = [&](const char *name, uint64_t hits,
                          uint64_t misses) {

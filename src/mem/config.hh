@@ -60,6 +60,8 @@ struct LatencyConfig
     uint64_t walkPenalty = 55;       //!< L2 TLB miss, page-table walk
     uint64_t itlbSpillProbe = 8;     //!< iTLB miss served by the dTLB
     uint64_t device = 10;      //!< uncacheable device access (timer)
+
+    bool operator==(const LatencyConfig &) const = default;
 };
 
 /** Full hierarchy configuration for one core type. */

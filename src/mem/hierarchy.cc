@@ -237,10 +237,26 @@ MemoryHierarchy::access(AccessKind kind, Addr va, unsigned el,
     return res;
 }
 
+void
+MemoryHierarchy::attachTouchLog(TouchLog *log)
+{
+    touchLog_ = log;
+    l1i_.attachTouchLog(log, TouchL1I);
+    l1d_.attachTouchLog(log, TouchL1D);
+    l2_.attachTouchLog(log, TouchL2);
+    slc_.attachTouchLog(log, TouchSlc);
+    itlbEl0_.attachTouchLog(log, TouchITlb0);
+    itlbEl1_.attachTouchLog(log, TouchITlb1);
+    dtlb_.attachTouchLog(log, TouchDTlb);
+    l2tlb_.attachTouchLog(log, TouchL2Tlb);
+}
+
 uint64_t
 MemoryHierarchy::loadValue(const AccessResult &res, Addr va, unsigned size)
 {
     PACMAN_ASSERT(res.fault == Fault::None, "loadValue after fault");
+    if (touchLog_)
+        touchLog_->load(res.pa, size);
     if (res.isDevice) {
         const uint64_t index =
             (res.pa >> isa::PageShift) - (DevicePhysBase >> isa::PageShift);
@@ -255,6 +271,8 @@ MemoryHierarchy::storeValue(const AccessResult &res, Addr va,
                             uint64_t value, unsigned size)
 {
     PACMAN_ASSERT(res.fault == Fault::None, "storeValue after fault");
+    if (touchLog_)
+        touchLog_->spoil();
     if (res.isDevice) {
         const uint64_t index =
             (res.pa >> isa::PageShift) - (DevicePhysBase >> isa::PageShift);

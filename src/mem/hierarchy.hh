@@ -26,6 +26,7 @@
 #include "mem/pagetable.hh"
 #include "mem/physmem.hh"
 #include "mem/tlb.hh"
+#include "mem/touch_log.hh"
 
 namespace pacman::mem
 {
@@ -171,6 +172,22 @@ class MemoryHierarchy
 
     const HierarchyConfig &config() const { return cfg_; }
 
+    /** Table ids attachTouchLog() gives the arrays. */
+    enum TouchTable : uint32_t
+    {
+        TouchL1I, TouchL1D, TouchL2, TouchSlc,
+        TouchITlb0, TouchITlb1, TouchDTlb, TouchL2Tlb,
+        NumTouchTables,
+    };
+
+    /**
+     * Route every array's touches, and the pages loads read, to @p log
+     * (nullptr detaches). Stores spoil it: a recorded guest call must
+     * leave memory alone. A device access has spoiled it already: its
+     * translation is never cached, so it missed the L1 TLB first.
+     */
+    void attachTouchLog(TouchLog *log);
+
     /**
      * Swap the latency constants mid-run (core migration: the thread
      * now runs on a core with different load-to-use timings). The
@@ -259,6 +276,7 @@ class MemoryHierarchy
     Tlb l2tlb_;
 
     std::vector<Device *> devices_;          //!< index = ppn - DevicePhysBase/PageSize
+    TouchLog *touchLog_ = nullptr;           //!< see attachTouchLog()
     uint64_t flushEpoch_ = 0;                //!< bumped by flushAll()
 };
 

@@ -9,6 +9,12 @@
  * journal that makes a snapshot restore cheap. Cache and Tlb derive
  * from it and add only what differs: the key and set index, and their
  * fill and invalidation verbs. Nothing here is virtual.
+ *
+ * The guest-call memo (cpu::CallMemo) attaches a TouchLog: while a
+ * call records, every stamp logs its way, and a lookup miss spoils the
+ * log, since a replay reproduces only hits. Fills, evictions and random-replacement draws
+ * all follow a miss; invalidations other than a TLB entry's move after
+ * an iTLB miss, flushes and resetStats() happen only between calls.
  */
 
 #ifndef PACMAN_MEM_SET_ASSOC_HH
@@ -21,6 +27,7 @@
 #include "base/logging.hh"
 #include "base/random.hh"
 #include "mem/config.hh"
+#include "mem/touch_log.hh"
 
 namespace pacman::mem
 {
@@ -76,6 +83,41 @@ class SetAssocArray
         tick_ += k;
         stamp(way);
         hits_ += k;
+    }
+
+    /** Route this array's touches to @p log under table id
+     *  @p table (nullptr detaches). */
+    void attachTouchLog(TouchLog *log, uint32_t table)
+    {
+        touchLog_ = log;
+        touchTable_ = table;
+    }
+
+    /** The LRU clock: the stamp the next hit or fill will write. */
+    uint64_t lruClock() const { return tick_; }
+
+    /** Way @p index (set-major), read-only. */
+    const Way &wayAt(size_t index) const { return ways_[index]; }
+
+    /**
+     * Replay a recorded call's net effect on way @p index: stamp it
+     * @p offset ticks past the current clock, through the dirty-way
+     * journal like every stamp. Call it for every way the call touched
+     * before replayAdvance() moves the clock.
+     */
+    void replayStamp(size_t index, uint64_t offset)
+    {
+        Way *way = &ways_[index];
+        journalTouch(way);
+        way->lruStamp = tick_ + offset;
+    }
+
+    /** Advance the clock and the hit count by a recorded call's
+     *  @p hits (a call that only hit moved its clock by as many). */
+    void replayHits(uint64_t hits)
+    {
+        tick_ += hits;
+        hits_ += hits;
     }
 
     /** Invalidate everything. */
@@ -202,6 +244,8 @@ class SetAssocArray
         if (way) {
             rehitN(way, 1);
         } else {
+            if (touchLog_)
+                touchLog_->spoil();
             ++tick_;
             ++misses_;
         }
@@ -215,6 +259,8 @@ class SetAssocArray
     /** Mark @p way most recently used at the current tick. */
     void stamp(Way *way)
     {
+        if (touchLog_)
+            touchLog_->touch(touchTable_, size_t(way - ways_.data()));
         journalTouch(way);
         way->lruStamp = tick_;
     }
@@ -300,6 +346,10 @@ class SetAssocArray
     uint64_t tick_ = 0;
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;
+
+    // Host-side: the guest-call memo's log (FastPath::Full only).
+    TouchLog *touchLog_ = nullptr;
+    uint32_t touchTable_ = 0;
 
     // Dirty-way journal (see takeSnapshot). Mutable: arming from the
     // const capture path only redirects how restore copies bytes, it

@@ -201,16 +201,28 @@ readFrame(int fd, double deadline_seconds)
     // The payload shares the frame's deadline: whatever of it the
     // header read left over (never negative — a tiny positive floor
     // keeps an exactly-expired deadline from reading forever).
-    double remaining = 0;
-    if (deadline_seconds > 0) {
-        remaining = deadline_seconds -
-                    std::chrono::duration<double>(Clock::now() - start)
-                        .count();
-        remaining = std::max(remaining, 1e-3);
+    const auto remaining = [&] {
+        if (deadline_seconds <= 0)
+            return 0.0;
+        return std::max(deadline_seconds -
+                            std::chrono::duration<double>(Clock::now() -
+                                                          start)
+                                .count(),
+                        1e-3);
+    };
+    // The header's length is only a claim: the buffer grows by at most
+    // one piece past the bytes that actually arrived, so a peer that
+    // sends a header and stalls pins one piece, not the whole claim.
+    constexpr size_t PieceBytes = 64 * 1024;
+    std::string payload;
+    while (payload.size() < len) {
+        const size_t got = payload.size();
+        payload.resize(got + std::min<size_t>(len - got, PieceBytes));
+        if (!readBytes(fd, payload.data() + got, payload.size() - got,
+                       remaining()))
+            throw WireError(got == 0 ? "wire frame: EOF mid-payload"
+                                     : "wire read: EOF mid-frame");
     }
-    std::string payload(len, '\0');
-    if (len != 0 && !readBytes(fd, payload.data(), len, remaining))
-        throw WireError("wire frame: EOF mid-payload");
     if (Journal::crc32(payload) != crc)
         throw WireError("wire frame: CRC mismatch");
     return payload;

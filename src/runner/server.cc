@@ -7,6 +7,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <array>
 #include <atomic>
 #include <cctype>
 #include <cerrno>
@@ -171,6 +172,10 @@ struct OracleServer::Impl
     std::atomic<uint64_t> sbInvalidations{0};
     std::atomic<uint64_t> sbFallbackExits{0};
     std::atomic<uint64_t> sbChainedDispatches{0};
+    std::atomic<uint64_t> callsRecorded{0};
+    std::atomic<uint64_t> callsReplayed{0};
+    std::atomic<uint64_t> instsReplayed{0};
+    std::array<std::atomic<uint64_t>, cpu::NumCallGuards> replayMisses{};
     std::atomic<uint64_t> decodeHits{0};
     std::atomic<uint64_t> decodeMisses{0};
     /** One tenant's lifetime request count and its latest latencies
@@ -359,6 +364,12 @@ OracleServer::Impl::accountWorker(CachedWorker &cw, uint64_t items)
     sbChainedDispatches.fetch_add(sb.chainedDispatches -
                                   cw.lastSb.chainedDispatches);
     decodeHits.fetch_add(sb.decodeHits - cw.lastSb.decodeHits);
+    callsRecorded.fetch_add(sb.callsRecorded - cw.lastSb.callsRecorded);
+    callsReplayed.fetch_add(sb.callsReplayed - cw.lastSb.callsReplayed);
+    instsReplayed.fetch_add(sb.instsReplayed - cw.lastSb.instsReplayed);
+    for (size_t g = 0; g < cpu::NumCallGuards; ++g)
+        replayMisses[g].fetch_add(sb.replayMisses[g] -
+                                  cw.lastSb.replayMisses[g]);
     decodeMisses.fetch_add(sb.decodeMisses - cw.lastSb.decodeMisses);
     cw.lastSb = sb;
 }
@@ -368,12 +379,16 @@ OracleServer::Impl::executeJob(ReplicaCache &cache, Job &job)
 {
     const uint64_t id = job.msg.id;
     const std::string &verb = job.msg.verb;
+    // The response, sent only once the request is accounted below: a
+    // client holding its answer then finds it counted in METRICS.
+    const char *reply_verb = "OK";
+    std::string reply_args, reply_body;
+    bool crash = false;
     try {
         if (verb == "SLEEP") {
             unsigned long ms = std::strtoul(job.msg.args.c_str(),
                                             nullptr, 10);
             std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-            reply(job.conn, id, "OK");
         } else if (verb == "QUERY" || verb == "TRUTH") {
             std::istringstream in(job.msg.args);
             uint64_t candidate = 0, stream = 0;
@@ -415,8 +430,7 @@ OracleServer::Impl::executeJob(ReplicaCache &cache, Job &job)
                     throw std::runtime_error("query quarantined: " +
                                              oc.detail);
                 queriesServed.fetch_add(1);
-                reply(job.conn, id, "OK",
-                      strprintf("%d %.17g", int(hot), misses));
+                reply_args = strprintf("%d %.17g", int(hot), misses);
             } else {
                 uint16_t truth = 0;
                 const WorkOutcome oc = cw.worker->run(
@@ -436,7 +450,7 @@ OracleServer::Impl::executeJob(ReplicaCache &cache, Job &job)
                     throw std::runtime_error("truth quarantined: " +
                                              oc.detail);
                 truthsServed.fetch_add(1);
-                reply(job.conn, id, "OK", strprintf("%04x", truth));
+                reply_args = strprintf("%04x", truth);
             }
         } else if (verb == "CHUNK") {
             std::optional<ChunkRequest> req =
@@ -462,31 +476,38 @@ OracleServer::Impl::executeJob(ReplicaCache &cache, Job &job)
             }
             accountWorker(cw, items);
             const uint64_t served = chunksServed.fetch_add(1) + 1;
-            reply(job.conn, id, "OK", {}, payload);
-            if (cfg.crashAfterChunks != 0 &&
-                served >= cfg.crashAfterChunks) {
-                // Chaos harness: die right after the response frame,
-                // as a SIGKILL'd server would — the client must
-                // resume from its journal (bench/chaos_recovery).
-                std::_Exit(137);
-            }
+            reply_body = std::move(payload);
+            crash = cfg.crashAfterChunks != 0 &&
+                    served >= cfg.crashAfterChunks;
         } else {
             throw std::runtime_error("unqueueable verb");
         }
     } catch (const std::exception &e) {
         requestErrors.fetch_add(1);
-        reply(job.conn, id, "ERR", e.what());
+        reply_verb = "ERR";
+        reply_args = e.what();
+        reply_body.clear();
     }
     const double us = std::chrono::duration<double, std::micro>(
                           Clock::now() - job.enqueued)
                           .count();
-    std::lock_guard<std::mutex> lock(tenantMu);
-    TenantLatency &t = tenantLatency[job.tenant];
-    if (t.recentUs.size() < TenantLatencyWindow)
-        t.recentUs.push_back(us);
-    else
-        t.recentUs[t.requests % TenantLatencyWindow] = us;
-    ++t.requests;
+    {
+        std::lock_guard<std::mutex> lock(tenantMu);
+        TenantLatency &t = tenantLatency[job.tenant];
+        if (t.recentUs.size() < TenantLatencyWindow)
+            t.recentUs.push_back(us);
+        else
+            t.recentUs[t.requests % TenantLatencyWindow] = us;
+        ++t.requests;
+    }
+    reply(job.conn, id, reply_verb, std::move(reply_args),
+          std::move(reply_body));
+    if (crash) {
+        // Chaos harness: die right after the response frame, as a
+        // SIGKILL'd server would — the client must resume from its
+        // journal (bench/chaos_recovery).
+        std::_Exit(137);
+    }
 }
 
 void
@@ -614,6 +635,16 @@ OracleServer::Impl::metricsJson() const
     if (sbBuilt + sbHits > 0)
         add("superblock_hit_rate", sbHits / (sbBuilt + sbHits),
             "higher");
+    // Guest-call replay: calls served from a recording, and the
+    // first guard the most recently used recording at the pc failed.
+    add("call_memo_recorded", double(callsRecorded.load()), "lower");
+    add("call_memo_replayed", double(callsReplayed.load()), "higher");
+    add("call_memo_insts_replayed", double(instsReplayed.load()),
+        "higher");
+    for (size_t g = 0; g < cpu::NumCallGuards; ++g)
+        add(strprintf("call_memo_miss_%s",
+                      cpu::callGuardName(cpu::CallGuard(g))),
+            double(replayMisses[g].load()), "lower");
     const double dh = double(decodeHits.load());
     const double dm = double(decodeMisses.load());
     if (dh + dm > 0)

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "kernel/layout.hh"
 #include "runner/campaign.hh"
 #include "sim/faults.hh"
+#include "state_dump.hh"
 
 namespace pacman
 {
@@ -156,6 +158,95 @@ TEST(FastpathEquiv, ContextSwitchFlushBitIdentical)
     EXPECT_EQ(fast_inj.stats().contextSwitches,
               ref_inj.stats().contextSwitches);
     EXPECT_GT(fast.core().superblockStats().blockInsts, 0u);
+}
+
+// --- Full-state equivalence -----------------------------------------
+//
+// The tests above compare counters, cycles and oracle answers. These
+// compare the whole modelled state (tests/state_dump.hh): every
+// register and its scoreboard entry, every predictor counter and BTB
+// entry, every cache/TLB way with its LRU stamp, and every page's
+// write generation — state a fast path could get wrong while every
+// counter still agrees.
+
+using testing_support::fullStateDump;
+using testing_support::sameState;
+
+/** 24 Figure-8 queries with the paper's 64 training calls each;
+ *  @return the per-query miss counts. */
+std::vector<unsigned>
+runFig8Queries(Machine &machine, GadgetKind kind)
+{
+    AttackerProcess proc(machine);
+    OracleConfig ocfg;
+    ocfg.kind = kind;
+    ocfg.trainIters = 64;
+    PacOracle oracle(proc, ocfg);
+    isa::Addr target = kind == GadgetKind::Data
+                           ? BenignDataBase + 37 * isa::PageSize
+                           : TrampolineBase + 37 * isa::PageSize;
+    while (!oracle.isTargetUsable(target))
+        target += isa::PageSize;
+    oracle.setTarget(target, 0x6D0D);
+    std::vector<unsigned> counts;
+    for (unsigned g = 0; g < 24; ++g)
+        counts.push_back(oracle.probeMisses(uint16_t(g * 2731)));
+    return counts;
+}
+
+/** Run the Figure-8 queries on a Reference and a Full machine built
+ *  from @p cfg and expect identical answers and identical state. */
+void
+expectFullStateIdentical(MachineConfig cfg, GadgetKind kind,
+                         const FaultPlan *plan = nullptr)
+{
+    cfg.core.fastPath = FastPath::Reference;
+    Machine ref(cfg);
+    cfg.core.fastPath = Fast;
+    Machine fast(cfg);
+    std::vector<unsigned> counts[2];
+    Machine *machines[2] = {&ref, &fast};
+    for (int i = 0; i < 2; ++i) {
+        std::unique_ptr<sim::FaultInjector> inj;
+        if (plan) {
+            inj = std::make_unique<sim::FaultInjector>(
+                *machines[i], *plan, Random::deriveSeed(99, 1));
+            inj->attach();
+        }
+        counts[i] = runFig8Queries(*machines[i], kind);
+    }
+    EXPECT_EQ(counts[1], counts[0]);
+    EXPECT_TRUE(sameState(fullStateDump(fast), fullStateDump(ref)));
+    EXPECT_GT(fast.core().superblockStats().blockInsts, 0u);
+}
+
+TEST(FastpathEquiv, Fig8SubsetFullStateIdentical)
+{
+    expectFullStateIdentical(defaultMachineConfig(), GadgetKind::Data);
+}
+
+TEST(FastpathEquiv, InstructionGadgetFullStateIdentical)
+{
+    // BLR/RET through the BTB, and kernel iTLB pressure from the
+    // trampoline fetches.
+    expectFullStateIdentical(defaultMachineConfig(),
+                             GadgetKind::Instruction);
+}
+
+TEST(FastpathEquiv, HeavyNoiseDataGadgetFullStateIdentical)
+{
+    MachineConfig cfg = defaultMachineConfig();
+    cfg.noiseProbability = 1.0;
+    cfg.noisePages = 64;
+    expectFullStateIdentical(cfg, GadgetKind::Data);
+}
+
+TEST(FastpathEquiv, ContextSwitchFlushFullStateIdentical)
+{
+    FaultPlan plan;
+    plan.contextSwitchRate = 1.0;
+    expectFullStateIdentical(defaultMachineConfig(), GadgetKind::Data,
+                             &plan);
 }
 
 /** Brute-force campaign over a small window with the truth inside. */

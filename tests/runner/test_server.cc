@@ -559,6 +559,43 @@ TEST(Server, DistinctConfigsDoNotGrowReplicaCache)
               double(ReplicaCacheEntries + More + 1));
 }
 
+TEST(Server, StalledFrameHeadersDoNotCommitMemory)
+{
+    // A frame header states its payload length before any payload
+    // byte arrives. A reader that allocates that length up front lets
+    // a client that sends only headers pin MaxFrameBytes (64 MiB) per
+    // connection for as long as it keeps the connection open.
+    TestServer ts(/*threads=*/1);
+    {
+        OracleClient warm(ts.endpoint());
+        warm.ping();
+    }
+    const auto ep = parseEndpoint(ts.endpoint());
+    ASSERT_TRUE(ep.has_value());
+    const uint64_t rss_kb = settledRssKb();
+    // "PAC1", little-endian length MaxFrameBytes, CRC 0: a valid
+    // header whose payload never comes.
+    char header[FrameHeaderBytes] = {'P', 'A', 'C', '1'};
+    for (int b = 0; b < 4; ++b)
+        header[4 + b] = char((MaxFrameBytes >> (8 * b)) & 0xff);
+    std::vector<int> fds;
+    for (int i = 0; i < 8; ++i) {
+        const int fd = connectEndpoint(*ep);
+        ASSERT_EQ(::write(fd, header, sizeof(header)),
+                  ssize_t(sizeof(header)));
+        fds.push_back(fd);
+    }
+    // Give every reader time to take its header and block on the
+    // payload.
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    // Eight committed 64 MiB payloads would add about 512 MiB.
+    EXPECT_LT(settledRssKb(), rss_kb + 32 * 1024);
+    for (const int fd : fds)
+        ::close(fd);
+    OracleClient c(ts.endpoint());
+    c.ping();
+}
+
 TEST(Server, DrainFinishesQueuedWorkAndRejectsNew)
 {
     TestServer ts(/*threads=*/1);

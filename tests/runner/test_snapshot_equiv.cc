@@ -23,6 +23,7 @@
 #include "kernel/layout.hh"
 #include "runner/campaign.hh"
 #include "sim/snapshot.hh"
+#include "state_dump.hh"
 
 namespace pacman
 {
@@ -111,6 +112,36 @@ TEST(Snapshot, MachineRestoreReplaysBitIdentically)
     // Vacuity guard: the run must actually have dirtied pages, so the
     // restore had real rewinding to do.
     EXPECT_GT(ckpt.stats().pagesCopied, 0u);
+}
+
+TEST(SnapshotEquiv, RestoreFullStateIdentical)
+{
+    // A restore must rewind the whole modelled state, not just the
+    // counters: every LRU stamp, scoreboard entry and predictor
+    // counter. The dumps bracket the snapshot and the restore (never
+    // between them: a dump re-arms the dirty-way journals, which would
+    // hide a way dirtied without its journal entry). After the
+    // restore both settings run on and must still dump identically.
+    using testing_support::fullStateDump;
+    using testing_support::sameState;
+    std::string after[2];
+    for (const FastPath fp : FastPaths) {
+        MachineConfig cfg = defaultMachineConfig();
+        cfg.core.fastPath = fp;
+        Stack stack(cfg);
+        std::vector<unsigned> counts;
+        stack.runQueries(&counts); // warm every structure and memo
+        const std::string before = fullStateDump(stack.machine);
+        const Machine::Snapshot snap = stack.machine.takeSnapshot();
+        stack.runQueries(&counts);
+        stack.machine.restore(snap);
+        EXPECT_TRUE(sameState(fullStateDump(stack.machine), before))
+            << "fastPath " << int(fp);
+        stack.runQueries(&counts);
+        after[int(fp)] = fullStateDump(stack.machine);
+    }
+    EXPECT_TRUE(sameState(after[int(FastPath::Full)],
+                          after[int(FastPath::Reference)]));
 }
 
 TEST(Snapshot, SuperblockCacheSurvivesRestore)
