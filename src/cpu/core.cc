@@ -423,135 +423,297 @@ Core::archFault(mem::Fault fault, Addr addr, const char *what)
     return status;
 }
 
-void
-Core::execAlu(const Inst &inst, bool reads_rn, bool reads_rm,
-              bool reads_rd)
+/**
+ * The committed state view: regs_/ready_/flags_ read against cycle_.
+ * Its poison and taint are always false, so no memory op is blocked; a
+ * fault ends the run with *status; stores write memory; results
+ * advance lastCompletion_; a fence drains the pipeline.
+ */
+struct Core::Committed
 {
-    uint64_t src_ready = cycle_ + 1;
-    if (reads_rn)
-        src_ready = std::max(src_ready, ready_[inst.rn]);
-    if (reads_rm)
-        src_ready = std::max(src_ready, ready_[inst.rm]);
-    if (reads_rd)
-        src_ready = std::max(src_ready, ready_[inst.rd]);
-    const AluOut out = aluExec(inst, !reads_rm, regs_[inst.rd],
-                               regs_[inst.rn], regs_[inst.rm]);
-    const uint64_t lat =
-        inst.op == Opcode::MUL ? cfg_.mulLat : cfg_.aluLat;
-    const uint64_t done = src_ready + lat;
-    if (out.writes) {
-        regs_[inst.rd] = out.value;
-        ready_[inst.rd] = done;
-    }
-    if (out.setsFlags) {
-        flags_ = out.flags;
-        flagsReady_ = done;
-    }
-    lastCompletion_ = std::max(lastCompletion_, done);
-}
+    Core &c;
+    ExitStatus *status = nullptr;
 
-bool
-Core::execMem(const Inst &inst, ExitStatus *status)
-{
-    const bool is_load = isa::instClass(inst.op) == InstClass::Load;
-    uint64_t issue = cycle_ + 1;
-    issue = std::max(issue, ready_[inst.rn]);
-    if (regOffset(inst.op))
-        issue = std::max(issue, ready_[inst.rm]);
-    if (!is_load)
-        issue = std::max(issue, ready_[inst.rd]);
-    const Addr va = regs_[inst.rn] +
-                    (regOffset(inst.op) ? regs_[inst.rm]
-                                        : uint64_t(inst.imm));
-    const auto res = mem_->access(
-        is_load ? mem::AccessKind::Load : mem::AccessKind::Store,
-        va, el_, false);
-    if (res.fault != mem::Fault::None) {
-        *status = archFault(res.fault, va,
-                            is_load ? "data abort on load"
-                                    : "data abort on store");
+    uint64_t now() const { return c.cycle_; }
+    Addr pc() const { return c.pc_; }
+    uint64_t reg(unsigned r) const { return c.regs_[r]; }
+    const Pstate &flags() const { return c.flags_; }
+    Ready ready(unsigned r) const { return {c.ready_[r]}; }
+    Ready flagsReady() const { return {c.flagsReady_}; }
+    void poison(unsigned) {}
+    bool blocked(const Ready &) const { return false; }
+
+    void write(unsigned r, uint64_t value, const Ready &when)
+    {
+        c.regs_[r] = value;
+        c.ready_[r] = when.cycle;
+    }
+    void writeFlags(const Pstate &f, const Ready &when)
+    {
+        c.flags_ = f;
+        c.flagsReady_ = when.cycle;
+    }
+    void complete(uint64_t done)
+    {
+        c.lastCompletion_ = std::max(c.lastCompletion_, done);
+    }
+    mem::AccessResult access(mem::AccessKind kind, Addr va)
+    {
+        return c.mem_->access(kind, va, c.el_, false);
+    }
+    void store(const mem::AccessResult &res, Addr va, uint64_t value,
+               unsigned size)
+    {
+        c.mem_->storeValue(res, va, value, size);
+    }
+    bool fault(mem::Fault f, Addr addr, const char *what)
+    {
+        *status = c.archFault(f, addr, what);
         return false;
     }
-    const unsigned size = memSize(inst.op);
-    const uint64_t done = issue + res.latency;
-    if (is_load) {
-        regs_[inst.rd] = mem_->loadValue(res, va, size);
-        ready_[inst.rd] = done;
-    } else {
-        mem_->storeValue(res, va, regs_[inst.rd], size);
+    bool undefinedMrs(const Inst &inst)
+    {
+        *status = c.sysregFault("undefined MRS", inst.sysreg);
+        return false;
     }
-    lastCompletion_ = std::max(lastCompletion_, done);
+    bool fence(uint64_t drain)
+    {
+        c.serialize(drain);
+        return true;
+    }
+};
+
+/**
+ * The wrong-path state view: a SpecContext read against the fetch time
+ * t of the instruction at `at`. Results inherit their sources' poison
+ * and taint (DESIGN.md §4k lists the executors' exceptions). A memory
+ * op issues only with speculativeMemIssue on, no poisoned or tainted
+ * operand and an issue time before the deadline; it counts as a
+ * wrong-path memory op, and a store writes nothing. Faults are counted
+ * and suppressed (an undefined MRS only poisons), nothing advances
+ * lastCompletion_, and where the committed path would serialize the
+ * wrong path stops.
+ */
+struct Core::WrongPath
+{
+    Core &c;
+    SpecContext &ctx;
+    uint64_t deadline;
+    uint64_t t;
+    Addr at;
+
+    uint64_t now() const { return t; }
+    Addr pc() const { return at; }
+    uint64_t reg(unsigned r) const { return ctx.regs[r]; }
+    const Pstate &flags() const { return ctx.flags; }
+    Ready ready(unsigned r) const { return ctx.ready[r]; }
+    Ready flagsReady() const { return ctx.flagsReady; }
+    void poison(unsigned r) { ctx.ready[r].poison = true; }
+    void complete(uint64_t) {}
+    void store(const mem::AccessResult &, Addr, uint64_t, unsigned) {}
+    bool undefinedMrs(const Inst &) { return true; }
+    bool fence(uint64_t) { return false; }
+
+    bool blocked(const Ready &when) const
+    {
+        return !c.cfg_.speculativeMemIssue || when.poison || when.taint ||
+               when.cycle >= deadline;
+    }
+    void write(unsigned r, uint64_t value, const Ready &when)
+    {
+        ctx.regs[r] = value;
+        ctx.ready[r] = when;
+    }
+    void writeFlags(const Pstate &f, const Ready &when)
+    {
+        ctx.flags = f;
+        ctx.flagsReady = when;
+    }
+    mem::AccessResult access(mem::AccessKind kind, Addr va)
+    {
+        ++c.stats_.wrongPathMemOps;
+        return c.mem_->access(kind, va, c.el_, true);
+    }
+    bool fault(mem::Fault, Addr, const char *)
+    {
+        ++c.stats_.specFaultsSuppressed;
+        return true;
+    }
+};
+
+template <class V>
+void
+Core::execAlu(V &v, const Inst &inst, bool reads_rn, bool reads_rm,
+              bool reads_rd)
+{
+    Ready when{v.now() + 1};
+    if (reads_rn)
+        when.join(v.ready(inst.rn));
+    if (reads_rm)
+        when.join(v.ready(inst.rm));
+    if (reads_rd)
+        when.join(v.ready(inst.rd));
+    const AluOut out = aluExec(inst, !reads_rm, v.reg(inst.rd),
+                               v.reg(inst.rn), v.reg(inst.rm));
+    when.cycle += inst.op == Opcode::MUL ? cfg_.mulLat : cfg_.aluLat;
+    if (out.writes)
+        v.write(inst.rd, out.value, when);
+    if (out.setsFlags)
+        v.writeFlags(out.flags, when);
+    v.complete(when.cycle);
+}
+
+template <class V>
+bool
+Core::execMem(V &v, const Inst &inst)
+{
+    const bool is_load = isa::instClass(inst.op) == InstClass::Load;
+    const bool reg_off = regOffset(inst.op);
+    Ready when{v.now() + 1};
+    when.join(v.ready(inst.rn));
+    if (reg_off)
+        when.join(v.ready(inst.rm));
+    if (is_load)
+        v.poison(inst.rd); // no value until the load delivers one
+    else
+        when.join(v.ready(inst.rd), false);
+    if (v.blocked(when))
+        return true;
+    const Addr va = v.reg(inst.rn) +
+                    (reg_off ? v.reg(inst.rm) : uint64_t(inst.imm));
+    const auto res = v.access(
+        is_load ? mem::AccessKind::Load : mem::AccessKind::Store, va);
+    if (res.fault != mem::Fault::None)
+        return v.fault(res.fault, va,
+                       is_load ? "data abort on load"
+                               : "data abort on store");
+    const unsigned size = memSize(inst.op);
+    const uint64_t done = when.cycle + res.latency;
+    if (is_load)
+        v.write(inst.rd, mem_->loadValue(res, va, size), Ready{done});
+    else
+        v.store(res, va, v.reg(inst.rd), size);
+    v.complete(done);
     return true;
 }
 
+template <class V>
 bool
-Core::execPac(const Inst &inst, ExitStatus *status)
+Core::execPac(V &v, const Inst &inst)
 {
-    const uint64_t ptr = regs_[inst.rd];
-    uint64_t issue = std::max(cycle_ + 1, ready_[inst.rd]);
+    const bool auth = isa::isPacAuth(inst.op);
+    const uint64_t ptr = v.reg(inst.rd);
+    Ready when{v.now() + 1};
+    when.join(v.ready(inst.rd));
     uint64_t value;
     if (inst.op == Opcode::XPAC) {
         value = isa::stripPac(ptr);
     } else {
-        issue = std::max(issue, ready_[inst.rn]);
+        when.join(v.ready(inst.rn));
         const auto key = pacKey(isa::pacKeyOf(inst.op));
-        const uint64_t mod = regs_[inst.rn];
-        value = isa::isPacSign(inst.op)
-                    ? isa::signPointer(ptr, mod, key)
-                    : isa::authPointer(ptr, mod, key);
+        value = auth ? isa::authPointer(ptr, v.reg(inst.rn), key)
+                     : isa::signPointer(ptr, v.reg(inst.rn), key);
     }
-    // ARMv8.6 FPAC: authentication failure faults at the aut
-    // itself rather than poisoning the pointer.
-    if (cfg_.fpac && isa::isPacAuth(inst.op) &&
-        !isa::isCanonical(value)) {
-        *status = archFault(mem::Fault::Permission, ptr,
-                            "FPAC authentication failure");
-        return false;
+    // ARMv8.6 FPAC: authentication failure faults at the aut itself
+    // rather than poisoning the pointer. On the wrong path the fault is
+    // suppressed and the result never becomes available, so dependents
+    // (the transmission op) cannot issue — the same signal the
+    // poisoned-pointer path produces.
+    if (cfg_.fpac && auth && !isa::isCanonical(value)) {
+        if (!v.fault(mem::Fault::Permission, ptr,
+                     "FPAC authentication failure"))
+            return false;
+        when.poison = true;
     }
-    const uint64_t done = issue + cfg_.pacLat;
-    regs_[inst.rd] = value;
-    ready_[inst.rd] = done;
-    lastCompletion_ = std::max(lastCompletion_, done);
-    if (cfg_.autFence && isa::isPacAuth(inst.op)) {
-        // PAC-agnostic execution: implicit ISB after aut.
-        serialize(cfg_.isbDrain);
-    }
-    return true;
+    when.cycle += cfg_.pacLat;
+    // STT-style mitigation: PA outputs are tainted and may not
+    // speculatively form addresses.
+    when.taint = cfg_.pacTaint;
+    v.write(inst.rd, value, when);
+    v.complete(when.cycle);
+    // PAC-agnostic execution: implicit ISB after aut.
+    return !(cfg_.autFence && auth) || v.fence(cfg_.isbDrain);
 }
 
-Addr
-Core::execBranchDirect(const Inst &inst)
-{
-    ++stats_.branches;
-    if (inst.op == Opcode::BL) {
-        regs_[isa::LR] = pc_ + isa::InstBytes;
-        ready_[isa::LR] = cycle_ + 1;
-    }
-    return pc_ + uint64_t(inst.imm);
-}
-
+template <class V>
 bool
-Core::execMrs(const Inst &inst, ExitStatus *status)
+Core::execMrs(V &v, const Inst &inst)
 {
     if (touchLog_)
         touchLog_->spoil(); // counters read the cycle and retired count
-    const uint64_t issue = cycle_ + 1;
+    const uint64_t issue = v.now() + 1;
     bool undef = false;
     const uint64_t value = sysregRead(inst.sysreg, issue, &undef);
     if (undef) {
-        status->kind =
-            el_ == 0 ? ExitKind::CrashEl0 : ExitKind::KernelPanic;
-        status->pc = pc_;
-        status->reason = strprintf(
-            "undefined MRS of %s at EL%u (pc=0x%llx)",
-            isa::sysRegName(inst.sysreg).c_str(), el_,
-            (unsigned long long)pc_);
-        return false;
+        v.poison(inst.rd);
+        return v.undefinedMrs(inst);
     }
-    regs_[inst.rd] = value;
-    ready_[inst.rd] = issue + cfg_.mrsLat;
-    lastCompletion_ = std::max(lastCompletion_, ready_[inst.rd]);
+    v.write(inst.rd, value, Ready{issue + cfg_.mrsLat});
+    v.complete(issue + cfg_.mrsLat);
     return true;
+}
+
+template <class V>
+bool
+Core::condTaken(const V &v, const Inst &inst, Ready *resolve) const
+{
+    const bool bcond = inst.op == Opcode::BCOND;
+    if (resolve) {
+        resolve->join(bcond ? v.flagsReady() : v.ready(inst.rd));
+        resolve->cycle = std::max(v.now() + 1, resolve->cycle) +
+                         cfg_.branchResolveLat;
+    }
+    if (bcond)
+        return isa::condHolds(inst.cond, v.flags());
+    return (v.reg(inst.rd) == 0) == (inst.op == Opcode::CBZ);
+}
+
+template <class V>
+bool
+Core::branchTarget(V &v, const Inst &inst, Addr *target, Ready *resolve)
+{
+    Addr to = v.pc() + uint64_t(inst.imm);
+    if (isa::isIndirectBranch(inst.op)) {
+        resolve->join(v.ready(inst.rn));
+        to = v.reg(inst.rn);
+        // Combined authenticate-and-branch: the target is the
+        // authenticated pointer and resolves a QARMA latency later. A
+        // failed authentication leaves a non-canonical target (or
+        // faults right here under FPAC); the branch to it then faults
+        // at its fetch.
+        if (isa::isAuthBranch(inst.op)) {
+            resolve->join(v.ready(inst.rm));
+            const uint64_t ptr = to;
+            to = isa::authPointer(ptr, v.reg(inst.rm),
+                                  pacKey(isa::pacKeyOf(inst.op)));
+            resolve->cycle += cfg_.pacLat;
+            resolve->taint |= cfg_.pacTaint; // a PA output
+            if (cfg_.fpac && !isa::isCanonical(to)) {
+                if (!v.fault(mem::Fault::Permission, ptr,
+                             "FPAC authentication failure"))
+                    return false;
+                resolve->poison = true;
+            }
+        }
+        resolve->cycle = std::max(v.now() + 1, resolve->cycle) +
+                         cfg_.branchResolveLat;
+    }
+    if (isa::writesRd(inst)) // BL, BLR, BLRAA
+        v.write(isa::LR, v.pc() + isa::InstBytes, Ready{v.now() + 1});
+    *target = to;
+    return true;
+}
+
+ExitStatus
+Core::sysregFault(const char *what, SysReg reg) const
+{
+    ExitStatus status;
+    status.kind = el_ == 0 ? ExitKind::CrashEl0 : ExitKind::KernelPanic;
+    status.pc = pc_;
+    status.reason = strprintf("%s of %s at EL%u (pc=0x%llx)", what,
+                              isa::sysRegName(reg).c_str(), el_,
+                              (unsigned long long)pc_);
+    return status;
 }
 
 bool
@@ -560,13 +722,7 @@ Core::execMsr(const Inst &inst, ExitStatus *status)
     if (touchLog_)
         touchLog_->spoil();
     if (!sysregWrite(inst.sysreg, regs_[inst.rd])) {
-        status->kind =
-            el_ == 0 ? ExitKind::CrashEl0 : ExitKind::KernelPanic;
-        status->pc = pc_;
-        status->reason = strprintf(
-            "illegal MSR of %s at EL%u (pc=0x%llx)",
-            isa::sysRegName(inst.sysreg).c_str(), el_,
-            (unsigned long long)pc_);
+        *status = sysregFault("illegal MSR", inst.sysreg);
         return false;
     }
     serialize(cfg_.mrsLat); // MSR is self-synchronizing here
@@ -622,15 +778,6 @@ Core::stopStatus(const Inst &inst) const
     return status;
 }
 
-bool
-Core::condTaken(const Inst &inst) const
-{
-    if (inst.op == Opcode::BCOND)
-        return isa::condHolds(inst.cond, flags_);
-    const bool zero = regs_[inst.rd] == 0;
-    return inst.op == Opcode::CBZ ? zero : !zero;
-}
-
 void
 Core::mispredict(Addr wrong_pc, uint64_t resolve)
 {
@@ -639,12 +786,10 @@ Core::mispredict(Addr wrong_pc, uint64_t resolve)
         touchLog_->spoil(); // the wrong path is not recorded
     SpecContext &ctx = specCtx_[0];
     ctx.regs = regs_;
-    ctx.ready = ready_;
-    ctx.poison.fill(false);
-    ctx.taint.fill(false);
+    for (unsigned r = 0; r < isa::NumRegs; ++r)
+        ctx.ready[r] = Ready{ready_[r]};
     ctx.flags = flags_;
-    ctx.flagsReady = flagsReady_;
-    ctx.flagsPoison = false;
+    ctx.flagsReady = Ready{flagsReady_};
     unsigned rob = cfg_.robSize;
     speculate(wrong_pc, cycle_ + 1, resolve, ctx, rob, 0);
     cycle_ = resolve + cfg_.redirectPenalty;
@@ -668,6 +813,9 @@ Core::run(uint64_t max_insts)
 ExitStatus
 Core::execute(uint64_t max_insts)
 {
+    // Filled by whichever exit ends the run.
+    ExitStatus status;
+    Committed arch{*this, &status};
     uint64_t n = 0;
     while (n < max_insts) {
         // Fetch-group pacing: fetchWidth instructions per cycle.
@@ -682,7 +830,6 @@ Core::execute(uint64_t max_insts)
                 // The word mapped and fetched fine but fails decode:
                 // an undefined-instruction exception, not a
                 // translation fault.
-                ExitStatus status;
                 status.kind = ExitKind::UndefinedInst;
                 status.code = f.word;
                 status.pc = pc_;
@@ -708,7 +855,6 @@ Core::execute(uint64_t max_insts)
         // fall through to the interpreter below.
         SbOpKind kind0;
         if (f.hasPa && !traceHook_ && sbKindFor(inst.op, &kind0)) {
-            ExitStatus status;
             bool exited = false;
             const uint64_t executed = dispatchBlocks(
                 f.pa, f.pageGen, max_insts - n, &status, &exited);
@@ -730,115 +876,75 @@ Core::execute(uint64_t max_insts)
 
         switch (isa::instClass(inst.op)) {
           case InstClass::Alu:
-            execAlu(inst, isa::readsRn(inst), isa::readsRm(inst),
+            execAlu(arch, inst, isa::readsRn(inst), isa::readsRm(inst),
                     isa::readsRdAsSource(inst));
             break;
 
           case InstClass::Load:
-          case InstClass::Store: {
-            ExitStatus status;
-            if (!execMem(inst, &status))
+          case InstClass::Store:
+            if (!execMem(arch, inst))
                 return status;
             break;
-          }
 
           case InstClass::BranchCond: {
             ++stats_.branches;
             const Addr taken_target = pc_ + uint64_t(inst.imm);
-            const bool actual = condTaken(inst);
-            const uint64_t op_ready = inst.op == Opcode::BCOND
-                                          ? flagsReady_
-                                          : ready_[inst.rd];
+            Ready resolve;
+            const bool actual = condTaken(arch, inst, &resolve);
             const bool predicted = predictor_.predict(pc_);
-            const uint64_t resolve =
-                std::max(cycle_ + 1, op_ready) + cfg_.branchResolveLat;
             predictor_.update(pc_, actual);
             if (predicted != actual)
-                mispredict(predicted ? taken_target : next_pc, resolve);
+                mispredict(predicted ? taken_target : next_pc,
+                           resolve.cycle);
             if (actual)
                 next_pc = taken_target;
             break;
           }
 
           case InstClass::BranchDirect:
-            next_pc = execBranchDirect(inst);
-            break;
-
           case InstClass::BranchIndirect: {
             ++stats_.branches;
-            uint64_t target = regs_[inst.rn];
-            uint64_t target_ready = ready_[inst.rn];
-            // Combined authenticate-and-branch: the target is the
-            // authenticated pointer and resolves a QARMA latency
-            // later. A failed authentication poisons the target (or
-            // faults right here under FPAC); the branch to a poisoned
-            // target then faults at its fetch.
-            if (isa::isAuthBranch(inst.op)) {
-                const auto key = pacKey(isa::pacKeyOf(inst.op));
-                target = isa::authPointer(target, regs_[inst.rm], key);
-                target_ready = std::max(target_ready, ready_[inst.rm]) +
-                               cfg_.pacLat;
-                if (cfg_.fpac && !isa::isCanonical(target)) {
-                    return archFault(mem::Fault::Permission,
-                                     regs_[inst.rn],
-                                     "FPAC authentication failure");
-                }
-            }
+            Ready resolve;
+            if (!branchTarget(arch, inst, &next_pc, &resolve))
+                return status;
+            if (!isa::isIndirectBranch(inst.op))
+                break;
             const auto predicted = btb_.lookup(pc_);
-            const uint64_t resolve =
-                std::max(cycle_ + 1, target_ready) +
-                cfg_.branchResolveLat;
-            btb_.update(pc_, target);
-            if (inst.op == Opcode::BLR ||
-                inst.op == Opcode::BLRAA) {
-                regs_[isa::LR] = pc_ + isa::InstBytes;
-                ready_[isa::LR] = cycle_ + 1;
-            }
-            if (predicted && *predicted != target) {
-                mispredict(*predicted, resolve);
+            btb_.update(pc_, next_pc);
+            if (predicted && *predicted != next_pc) {
+                mispredict(*predicted, resolve.cycle);
             } else if (!predicted) {
                 // BTB miss: the front end waits for the target.
-                cycle_ = resolve;
+                cycle_ = resolve.cycle;
                 fetchGroup_ = 0;
             }
-            next_pc = target;
             break;
           }
 
           case InstClass::PacSign:
-          case InstClass::PacAuth: {
-            ExitStatus status;
-            if (!execPac(inst, &status))
+          case InstClass::PacAuth:
+            if (!execPac(arch, inst))
                 return status;
             break;
-          }
 
-          case InstClass::System: {
+          case InstClass::System:
             switch (inst.op) {
-              case Opcode::MRS: {
-                ExitStatus status;
-                if (!execMrs(inst, &status))
+              case Opcode::MRS:
+                if (!execMrs(arch, inst))
                     return status;
                 break;
-              }
-              case Opcode::MSR: {
-                ExitStatus status;
+              case Opcode::MSR:
                 if (!execMsr(inst, &status))
                     return status;
                 break;
-              }
-              case Opcode::SVC: {
-                ExitStatus status;
+              case Opcode::SVC:
                 if (!execSvc(inst, &status, &next_pc))
                     return status;
                 break;
-              }
-              case Opcode::ERET: {
-                ExitStatus status;
+              case Opcode::ERET:
                 if (!execEret(&status, &next_pc))
                     return status;
                 break;
-              }
               case Opcode::HLT:
               case Opcode::BRK:
                 return stopStatus(inst);
@@ -847,7 +953,6 @@ Core::execute(uint64_t max_insts)
                       isa::opcodeName(inst.op).c_str());
             }
             break;
-          }
 
           case InstClass::Barrier:
             serialize(cfg_.isbDrain);
@@ -857,7 +962,6 @@ Core::execute(uint64_t max_insts)
         pc_ = next_pc;
     }
 
-    ExitStatus status;
     status.kind = ExitKind::MaxInsts;
     status.pc = pc_;
     status.reason = "instruction budget exhausted";
@@ -952,7 +1056,8 @@ Core::chainTo(mem::Tlb::Way **way_out, mem::Cache::Line **line_out)
     // mispredict needs the interpreter's speculation machinery).
     const SuperblockOp &entry = sb->ops.front();
     if (entry.kind == SbOpKind::BranchCond &&
-        predictor_.predict(pc_) != condTaken(entry.inst))
+        predictor_.predict(pc_) !=
+            condTaken(Committed{*this}, entry.inst))
         return nullptr;
 
     // Accepted: replay the interpreter's fetch of the entry op —
@@ -999,6 +1104,7 @@ Core::runSuperblock(Superblock &sb, mem::Tlb::Way *way,
     uint64_t cur_line = sb.pa >> line_shift;
     const SuperblockOp *op = sb.ops.data();
     const SuperblockOp *const end = op + sb.ops.size();
+    Committed arch{*this, status};
     uint64_t executed = 0;
     *how = SbExit::Interpret;
 
@@ -1009,94 +1115,78 @@ Core::runSuperblock(Superblock &sb, mem::Tlb::Way *way,
     // Stores re-check the page's write generation so self-modifying
     // code into the running block falls back before a stale decoded
     // op can execute. Conditional branches peek their outcome against
-    // the predictor first — with no side effect at all — and bail to
-    // the interpreter on a mispredict, which owns the speculation
+    // the predictor first — with no side effect at all — and leave a
+    // mispredict to the interpreter, which owns the speculation
     // machinery.
     static const void *const kDispatch[] = {
-        &&sb_alu, &&sb_load, &&sb_store, &&sb_pac, &&sb_branch,
+        &&sb_alu, &&sb_mem, &&sb_mem, &&sb_pac, &&sb_branch,
         &&sb_branch_cond, &&sb_mrs, &&sb_msr, &&sb_barrier,
         &&sb_svc, &&sb_eret, &&sb_stop};
+    const auto mispredicted = [&] {
+        return op->kind == SbOpKind::BranchCond &&
+               predictor_.predict(pc_) != condTaken(arch, op->inst);
+    };
+
+    // Later branches are peeked in sb_next before their fetch is
+    // replayed, and a chained block's entry in chainTo(). The entry
+    // op's fetch came from the interpreter loop, which re-uses it on
+    // the fall-through, so leaving it costs no duplicate fetch effect.
+    if (mispredicted())
+        goto sb_fallback;
 
   sb_dispatch:
+    ++stats_.instsRetired;
+    ++executed;
     goto *kDispatch[size_t(op->kind)];
 
   sb_alu:
-    ++stats_.instsRetired;
-    ++executed;
-    execAlu(op->inst, op->readsRn, op->readsRm, op->readsRd);
+    execAlu(arch, op->inst, op->readsRn, op->readsRm, op->readsRd);
     pc_ += isa::InstBytes;
     goto sb_next;
 
-  sb_load:
-    ++stats_.instsRetired;
-    ++executed;
-    if (!execMem(op->inst, status))
+  sb_mem:
+    if (!execMem(arch, op->inst))
         goto sb_return;
-    pc_ += isa::InstBytes;
-    goto sb_next;
-
-  sb_store:
-    ++stats_.instsRetired;
-    ++executed;
-    if (!execMem(op->inst, status))
-        goto sb_return;
-    if (mem_->phys().pageGen(sb.pa) != sb.gen)
+    if (op->kind == SbOpKind::Store &&
+        mem_->phys().pageGen(sb.pa) != sb.gen)
         goto sb_smc;
     pc_ += isa::InstBytes;
     goto sb_next;
 
   sb_pac:
-    ++stats_.instsRetired;
-    ++executed;
-    if (!execPac(op->inst, status))
+    if (!execPac(arch, op->inst))
         goto sb_return;
     pc_ += isa::InstBytes;
     goto sb_next;
 
   sb_branch:
-    ++stats_.instsRetired;
-    ++executed;
-    pc_ = execBranchDirect(op->inst);
+    ++stats_.branches;
+    branchTarget(arch, op->inst, &pc_, nullptr);
     goto sb_next;
 
   sb_mrs:
-    ++stats_.instsRetired;
-    ++executed;
-    if (!execMrs(op->inst, status))
+    if (!execMrs(arch, op->inst))
         goto sb_return;
     pc_ += isa::InstBytes;
     goto sb_next;
 
   sb_msr:
-    ++stats_.instsRetired;
-    ++executed;
     if (!execMsr(op->inst, status))
         goto sb_return;
     pc_ += isa::InstBytes;
     goto sb_next;
 
   sb_barrier:
-    ++stats_.instsRetired;
-    ++executed;
     serialize(cfg_.isbDrain);
     pc_ += isa::InstBytes;
     goto sb_next;
 
   sb_branch_cond: {
+    // Predicted right (see mispredicted above): the interpreter's
+    // exact effect is the branch count and the predictor update — no
+    // cycle penalty in either direction.
     const isa::Inst &bi = op->inst;
-    const bool actual = condTaken(bi);
-    // Only the entry op can still mispredict here: later branches are
-    // peeked in sb_next before their fetch is replayed, and a chained
-    // block's entry in chainTo(). The entry op's fetch came from the
-    // interpreter loop, which re-uses it on the fall-through, so
-    // bailing costs no duplicate fetch effect.
-    if (predictor_.predict(pc_) != actual)
-        goto sb_bail;
-    // Correctly predicted: the interpreter's exact effect is the
-    // retire bookkeeping, the branch count, and the predictor
-    // update — no cycle penalty in either direction.
-    ++stats_.instsRetired;
-    ++executed;
+    const bool actual = condTaken(arch, bi);
     ++stats_.branches;
     predictor_.update(pc_, actual);
     pc_ = actual ? pc_ + uint64_t(bi.imm) : pc_ + isa::InstBytes;
@@ -1105,8 +1195,6 @@ Core::runSuperblock(Superblock &sb, mem::Tlb::Way *way,
 
   // Terminators: always a block's last op, so sb_next ends the block.
   sb_svc: {
-    ++stats_.instsRetired;
-    ++executed;
     Addr target = 0;
     if (!execSvc(op->inst, status, &target))
         goto sb_return;
@@ -1115,8 +1203,6 @@ Core::runSuperblock(Superblock &sb, mem::Tlb::Way *way,
   }
 
   sb_eret: {
-    ++stats_.instsRetired;
-    ++executed;
     Addr target = 0;
     if (!execEret(status, &target))
         goto sb_return;
@@ -1125,8 +1211,6 @@ Core::runSuperblock(Superblock &sb, mem::Tlb::Way *way,
   }
 
   sb_stop:
-    ++stats_.instsRetired;
-    ++executed;
     *status = stopStatus(op->inst);
     goto sb_return;
 
@@ -1151,11 +1235,8 @@ Core::runSuperblock(Superblock &sb, mem::Tlb::Way *way,
     // Peeking before the replay keeps the fetch side effects —
     // l1i/iTLB touches and fetch-group pacing — bit-identical to the
     // slow path, which fetches a mispredicted branch only once.
-    if (op->kind == SbOpKind::BranchCond &&
-        predictor_.predict(pc_) != condTaken(op->inst)) {
-        ++sbStats_.fallbackExits;
-        goto sb_exit;
-    }
+    if (mispredicted())
+        goto sb_fallback;
     // Replay the architectural fetch of the next op: fetch-group
     // pacing, the iTLB hit, the L1I touch (or a real fill + front-end
     // stall on a line crossing) — the exact side-effect sequence the
@@ -1180,12 +1261,10 @@ Core::runSuperblock(Superblock &sb, mem::Tlb::Way *way,
 
   sb_smc:
     pc_ += isa::InstBytes;
-    ++sbStats_.fallbackExits;
-    goto sb_exit;
-
-  sb_bail:
-    // pc_ still points at the mispredicted branch; the interpreter
-    // re-executes it from scratch (no effect has happened yet).
+  sb_fallback:
+    // The interpreter fetches the op at pc_ afresh: a store rewrote
+    // this block's page, or it is a mispredicted branch, which has had
+    // no effect yet.
     ++sbStats_.fallbackExits;
     goto sb_exit;
 
@@ -1204,15 +1283,15 @@ Core::speculate(Addr pc, uint64_t start, uint64_t deadline,
     if (depth > MaxSpecDepth)
         return;
 
-    uint64_t fetch_t = start;
+    WrongPath v{*this, ctx, deadline, start, pc};
     unsigned group = 0;
     const uint64_t l1_lat = mem_->config().lat.l1Hit;
 
     while (true) {
-        if (fetch_t >= deadline || rob_budget == 0)
+        if (v.t >= deadline || rob_budget == 0)
             return;
 
-        const FetchedInst f = fetch(pc, true);
+        const FetchedInst f = fetch(v.at, true);
         if (!f.ok) {
             // Speculative fetch fault (e.g. fetching through a
             // poisoned authenticated pointer): no architectural
@@ -1221,308 +1300,129 @@ Core::speculate(Addr pc, uint64_t start, uint64_t deadline,
             return;
         }
         if (f.fetchLatency > l1_lat)
-            fetch_t += f.fetchLatency - l1_lat;
-        if (fetch_t >= deadline)
+            v.t += f.fetchLatency - l1_lat;
+        if (v.t >= deadline)
             return;
 
         --rob_budget;
         ++stats_.wrongPathInsts;
         if (++group >= cfg_.fetchWidth) {
             group = 0;
-            ++fetch_t;
+            ++v.t;
         }
 
         const Inst &inst = f.inst;
         if (traceHook_)
-            traceHook_(TraceRecord{pc, inst, el_, true, fetch_t});
-        Addr next_pc = pc + isa::InstBytes;
+            traceHook_(TraceRecord{v.at, inst, el_, true, v.t});
+        Addr next_pc = v.at + isa::InstBytes;
+        // A branch whose operands resolve before the outer squash
+        // (resolve) can mispredict here too, sending fetch to *nested,
+        // or stall fetch until then on a BTB miss (redirect).
+        Ready resolve;
+        std::optional<Addr> nested;
+        bool redirect = false;
 
         switch (isa::instClass(inst.op)) {
-          case InstClass::Alu: {
-            uint64_t issue = fetch_t + 1;
-            bool poison = false;
-            bool taint = false;
-            auto use = [&](isa::RegIndex r) {
-                issue = std::max(issue, ctx.ready[r]);
-                poison |= ctx.poison[r];
-                taint |= ctx.taint[r];
-            };
-            const bool reads_rm = isa::readsRm(inst);
-            if (isa::readsRn(inst))
-                use(inst.rn);
-            if (reads_rm)
-                use(inst.rm);
-            if (isa::readsRdAsSource(inst))
-                use(inst.rd);
-            const uint64_t lat =
-                inst.op == Opcode::MUL ? cfg_.mulLat : cfg_.aluLat;
-            const AluOut out = aluExec(inst, !reads_rm, ctx.regs[inst.rd],
-                                       ctx.regs[inst.rn],
-                                       ctx.regs[inst.rm]);
-            if (out.writes) {
-                ctx.regs[inst.rd] = out.value;
-                ctx.ready[inst.rd] = issue + lat;
-                ctx.poison[inst.rd] = poison;
-                ctx.taint[inst.rd] = taint;
-            }
-            if (out.setsFlags) {
-                ctx.flags = out.flags;
-                ctx.flagsReady = issue + lat;
-                ctx.flagsPoison = poison;
-            }
+          case InstClass::Alu:
+            execAlu(v, inst, isa::readsRn(inst), isa::readsRm(inst),
+                    isa::readsRdAsSource(inst));
             break;
-          }
 
           case InstClass::Load:
-          case InstClass::Store: {
-            const bool is_load =
-                isa::instClass(inst.op) == InstClass::Load;
-            uint64_t issue = fetch_t + 1;
-            bool poison = ctx.poison[inst.rn];
-            bool taint = ctx.taint[inst.rn];
-            issue = std::max(issue, ctx.ready[inst.rn]);
-            if (regOffset(inst.op)) {
-                issue = std::max(issue, ctx.ready[inst.rm]);
-                poison |= ctx.poison[inst.rm];
-                taint |= ctx.taint[inst.rm];
-            }
-            if (!is_load) {
-                issue = std::max(issue, ctx.ready[inst.rd]);
-                poison |= ctx.poison[inst.rd];
-            }
-            if (is_load)
-                ctx.poison[inst.rd] = true; // until proven delivered
-
-            const bool blocked =
-                !cfg_.speculativeMemIssue || poison ||
-                (cfg_.pacTaint && taint) || issue >= deadline;
-            if (!blocked) {
-                const Addr va =
-                    ctx.regs[inst.rn] +
-                    (regOffset(inst.op) ? ctx.regs[inst.rm]
-                                        : uint64_t(inst.imm));
-                const auto res = mem_->access(
-                    is_load ? mem::AccessKind::Load
-                            : mem::AccessKind::Store,
-                    va, el_, true);
-                ++stats_.wrongPathMemOps;
-                if (res.fault != mem::Fault::None) {
-                    ++stats_.specFaultsSuppressed;
-                } else if (is_load) {
-                    // Speculative loads read committed memory; stores
-                    // modulate the hierarchy but never write data.
-                    ctx.regs[inst.rd] =
-                        mem_->loadValue(res, va, memSize(inst.op));
-                    ctx.ready[inst.rd] = issue + res.latency;
-                    ctx.poison[inst.rd] = false;
-                    ctx.taint[inst.rd] = false;
-                }
-            }
+          case InstClass::Store:
+            execMem(v, inst);
             break;
-          }
-
-          case InstClass::BranchCond: {
-            const Addr taken_target = pc + uint64_t(inst.imm);
-            const bool predicted = predictor_.predict(pc);
-            const Addr pred_target =
-                predicted ? taken_target : next_pc;
-            bool actual;
-            bool op_poison;
-            uint64_t op_ready;
-            if (inst.op == Opcode::BCOND) {
-                actual = isa::condHolds(inst.cond, ctx.flags);
-                op_poison = ctx.flagsPoison;
-                op_ready = ctx.flagsReady;
-            } else {
-                const bool zero = ctx.regs[inst.rd] == 0;
-                actual = inst.op == Opcode::CBZ ? zero : !zero;
-                op_poison = ctx.poison[inst.rd];
-                op_ready = ctx.ready[inst.rd];
-            }
-            const uint64_t resolve =
-                std::max(fetch_t + 1, op_ready) + cfg_.branchResolveLat;
-            if (op_poison || resolve >= deadline) {
-                // Resolves after the outer squash (or never):
-                // prediction carries the wrong path to its end.
-                next_pc = pred_target;
-                break;
-            }
-            const Addr actual_target = actual ? taken_target : next_pc;
-            if (predicted == actual) {
-                next_pc = actual_target;
-                break;
-            }
-            // Nested misprediction inside the wrong path. The child
-            // runs on its own pool slot seeded with a copy of this
-            // context, leaving ours untouched across the call.
-            SpecContext &nested = specCtx_[depth + 1];
-            nested = ctx;
-            if (cfg_.eagerNestedSquash) {
-                speculate(pred_target, fetch_t + 1, resolve, nested,
-                          rob_budget, depth + 1);
-                fetch_t = resolve + cfg_.redirectPenalty;
-                group = 0;
-                next_pc = actual_target;
-                break;
-            }
-            // Lazy squash: the inner branch never becomes oldest, so
-            // its wrong path runs until the outer branch resolves and
-            // its computed target is never fetched.
-            speculate(pred_target, fetch_t + 1, deadline, nested,
-                      rob_budget, depth + 1);
-            return;
-          }
-
-          case InstClass::BranchDirect: {
-            if (inst.op == Opcode::BL) {
-                ctx.regs[isa::LR] = pc + isa::InstBytes;
-                ctx.ready[isa::LR] = fetch_t + 1;
-                ctx.poison[isa::LR] = false;
-                ctx.taint[isa::LR] = false;
-            }
-            next_pc = pc + uint64_t(inst.imm);
-            break;
-          }
-
-          case InstClass::BranchIndirect: {
-            const auto predicted = btb_.lookup(pc);
-            uint64_t target = ctx.regs[inst.rn];
-            bool tgt_poison = ctx.poison[inst.rn];
-            bool tgt_taint = cfg_.pacTaint && ctx.taint[inst.rn];
-            uint64_t target_ready = ctx.ready[inst.rn];
-            if (isa::isAuthBranch(inst.op)) {
-                const auto key = pacKey(isa::pacKeyOf(inst.op));
-                target = isa::authPointer(target, ctx.regs[inst.rm],
-                                          key);
-                tgt_poison |= ctx.poison[inst.rm];
-                target_ready = std::max(target_ready,
-                                        ctx.ready[inst.rm]) +
-                               cfg_.pacLat;
-                // Under FPAC the speculative auth failure is a
-                // suppressed fault: the target never materializes.
-                if (cfg_.fpac && !isa::isCanonical(target)) {
-                    ++stats_.specFaultsSuppressed;
-                    tgt_poison = true;
-                }
-                // STT-style taint applies to the internal auth
-                // output as well.
-                tgt_taint |= cfg_.pacTaint;
-            }
-            const uint64_t resolve =
-                std::max(fetch_t + 1, target_ready) +
-                cfg_.branchResolveLat;
-            if (inst.op == Opcode::BLR ||
-                inst.op == Opcode::BLRAA) {
-                ctx.regs[isa::LR] = pc + isa::InstBytes;
-                ctx.ready[isa::LR] = fetch_t + 1;
-                ctx.poison[isa::LR] = false;
-                ctx.taint[isa::LR] = false;
-            }
-            if (predicted) {
-                if (tgt_poison || tgt_taint || resolve >= deadline) {
-                    // Target unavailable before the outer squash:
-                    // the BTB prediction carries the wrong path.
-                    next_pc = *predicted;
-                    break;
-                }
-                if (*predicted == target) {
-                    next_pc = target;
-                    break;
-                }
-                SpecContext &nested = specCtx_[depth + 1];
-                nested = ctx;
-                if (cfg_.eagerNestedSquash) {
-                    // This is the instruction-PACMAN moment: execute
-                    // down the stale BTB target until the aut output
-                    // resolves, then squash eagerly and refetch from
-                    // the verified pointer while still speculative.
-                    speculate(*predicted, fetch_t + 1, resolve, nested,
-                              rob_budget, depth + 1);
-                    fetch_t = resolve + cfg_.redirectPenalty;
-                    group = 0;
-                    next_pc = target;
-                    break;
-                }
-                speculate(*predicted, fetch_t + 1, deadline, nested,
-                          rob_budget, depth + 1);
-                return;
-            }
-            // No BTB entry: fetch stalls until the target computes.
-            if (tgt_poison || tgt_taint || resolve >= deadline)
-                return;
-            fetch_t = resolve + cfg_.redirectPenalty;
-            group = 0;
-            next_pc = target;
-            break;
-          }
 
           case InstClass::PacSign:
-          case InstClass::PacAuth: {
-            uint64_t issue = std::max(fetch_t + 1, ctx.ready[inst.rd]);
-            bool poison = ctx.poison[inst.rd];
-            uint64_t value;
-            if (inst.op == Opcode::XPAC) {
-                value = isa::stripPac(ctx.regs[inst.rd]);
-            } else {
-                issue = std::max(issue, ctx.ready[inst.rn]);
-                poison |= ctx.poison[inst.rn];
-                const auto key = pacKey(isa::pacKeyOf(inst.op));
-                const uint64_t mod = ctx.regs[inst.rn];
-                value = isa::isPacSign(inst.op)
-                            ? isa::signPointer(ctx.regs[inst.rd], mod,
-                                               key)
-                            : isa::authPointer(ctx.regs[inst.rd], mod,
-                                               key);
-            }
-            // Under FPAC a speculative authentication failure is a
-            // suppressed fault: the result never becomes available,
-            // so dependents (the transmission op) cannot issue — the
-            // same signal the poisoned-pointer path produces.
-            if (cfg_.fpac && isa::isPacAuth(inst.op) &&
-                !isa::isCanonical(value)) {
-                ++stats_.specFaultsSuppressed;
-                poison = true;
-            }
-            ctx.regs[inst.rd] = value;
-            ctx.ready[inst.rd] = issue + cfg_.pacLat;
-            ctx.poison[inst.rd] = poison;
-            // STT-style mitigation: PA outputs are tainted and may
-            // not speculatively form addresses.
-            ctx.taint[inst.rd] = cfg_.pacTaint;
-            if (cfg_.autFence && isa::isPacAuth(inst.op)) {
-                // Fence after aut: nothing younger executes under
-                // speculation.
-                return;
-            }
+          case InstClass::PacAuth:
+            if (!execPac(v, inst))
+                return; // aut fence
             break;
-          }
 
           case InstClass::System:
-            if (inst.op == Opcode::MRS) {
-                // Counter reads are harmless to execute speculatively.
-                bool undef = false;
-                const uint64_t issue = fetch_t + 1;
-                const uint64_t value =
-                    sysregRead(inst.sysreg, issue, &undef);
-                if (undef) {
-                    ctx.poison[inst.rd] = true;
-                } else {
-                    ctx.regs[inst.rd] = value;
-                    ctx.ready[inst.rd] = issue + cfg_.mrsLat;
-                    ctx.poison[inst.rd] = false;
-                    ctx.taint[inst.rd] = false;
-                }
-                break;
-            }
+            // Counter reads are harmless to execute speculatively;
             // MSR/SVC/ERET/HLT/BRK do not execute speculatively.
-            return;
+            if (inst.op != Opcode::MRS)
+                return;
+            execMrs(v, inst);
+            break;
 
           case InstClass::Barrier:
             // ISB/DSB serialize: younger wrong-path work never issues.
             return;
+
+          case InstClass::BranchDirect:
+            branchTarget(v, inst, &next_pc, &resolve);
+            break;
+
+          case InstClass::BranchCond: {
+            const bool actual = condTaken(v, inst, &resolve);
+            const bool predicted = predictor_.predict(v.at);
+            const Addr taken_target = v.at + uint64_t(inst.imm);
+            const Addr pred_target = predicted ? taken_target : next_pc;
+            // A poisoned operand, or one that resolves after the outer
+            // squash: prediction carries the wrong path to its end.
+            if (predicted != actual && !resolve.poison &&
+                resolve.cycle < deadline) {
+                nested = pred_target;
+                next_pc = actual ? taken_target : next_pc;
+            } else {
+                next_pc = pred_target;
+            }
+            break;
+          }
+
+          case InstClass::BranchIndirect: {
+            Addr target = 0;
+            branchTarget(v, inst, &target, &resolve);
+            const auto predicted = btb_.lookup(v.at);
+            // A target that is poisoned, tainted or ready only after
+            // the outer squash never redirects fetch.
+            const bool resolves = !resolve.poison && !resolve.taint &&
+                                  resolve.cycle < deadline;
+            if (!predicted) {
+                // No BTB entry: fetch stalls until the target computes.
+                if (!resolves)
+                    return;
+                redirect = true;
+                next_pc = target;
+            } else if (resolves && *predicted != target) {
+                nested = *predicted;
+                next_pc = target;
+            } else {
+                next_pc = *predicted; // the BTB carries the wrong path
+            }
+            break;
+          }
         }
 
-        pc = next_pc;
+        if (nested) {
+            // Nested misprediction inside the wrong path. The child
+            // runs on its own pool slot seeded with a copy of this
+            // context, leaving ours untouched across the call.
+            SpecContext &child = specCtx_[depth + 1];
+            child = ctx;
+            if (!cfg_.eagerNestedSquash) {
+                // Lazy squash: the inner branch never becomes oldest,
+                // so its wrong path runs until the outer branch
+                // resolves and its computed target is never fetched.
+                speculate(*nested, v.t + 1, deadline, child, rob_budget,
+                          depth + 1);
+                return;
+            }
+            // Eager squash — for an auth-branch this is the
+            // instruction-PACMAN moment: execute down the stale target
+            // until the branch resolves, then squash and refetch from
+            // its computed target while still speculative.
+            speculate(*nested, v.t + 1, resolve.cycle, child, rob_budget,
+                      depth + 1);
+            redirect = true;
+        }
+        if (redirect) {
+            v.t = resolve.cycle + cfg_.redirectPenalty;
+            group = 0;
+        }
+        v.at = next_pc;
     }
 }
 

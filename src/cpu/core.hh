@@ -11,7 +11,8 @@
  *    when its predecessors finish).
  *  - On a mispredicted branch, the wrong path is *actually executed*
  *    against a speculative register context until the branch's
- *    resolution time (bounded by the ROB size). Memory operations and
+ *    resolution time (bounded by the ROB size), by the same per-op
+ *    executors as architectural execution. Memory operations and
  *    instruction fetches issued on the wrong path modulate the cache
  *    and TLB hierarchy; their faults are recorded and suppressed.
  *    Architectural state is untouched — exactly the asymmetry every
@@ -31,6 +32,7 @@
 #ifndef PACMAN_CPU_CORE_HH
 #define PACMAN_CPU_CORE_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
@@ -211,16 +213,37 @@ class Core
   private:
     friend class CallMemo;
 
-    /** Speculative (wrong-path) execution context. */
+    /**
+     * When a value is available: the cycle it is ready and, on the
+     * wrong path, whether it never will be (poison: a suppressed fault
+     * or undefined MRS upstream) or is a PA output under pacTaint
+     * (taint; never set with that mitigation off).
+     */
+    struct Ready
+    {
+        uint64_t cycle = 0;
+        bool poison = false;
+        bool taint = false;
+
+        /** Wait for @p src too; a store's data lends no taint. */
+        void
+        join(const Ready &src, bool taints = true)
+        {
+            cycle = std::max(cycle, src.cycle);
+            poison |= src.poison;
+            taint |= taints && src.taint;
+        }
+    };
+
+    /** Speculative (wrong-path) execution context: the register state
+     *  a WrongPath view reads and writes, each Ready with its poison
+     *  and taint. */
     struct SpecContext
     {
         std::array<uint64_t, isa::NumRegs> regs;
-        std::array<uint64_t, isa::NumRegs> ready;
-        std::array<bool, isa::NumRegs> poison; //!< no value (faulted)
-        std::array<bool, isa::NumRegs> taint;  //!< PA-output taint
+        std::array<Ready, isa::NumRegs> ready;
         isa::Pstate flags;
-        uint64_t flagsReady = 0;
-        bool flagsPoison = false;
+        Ready flagsReady;
     };
 
     /** Either a fault or the instruction + its sequencing times. */
@@ -250,24 +273,47 @@ class Core
     uint64_t ccsidrValue() const;
     void serialize(uint64_t extra);
 
-    // Committed-path executors, shared verbatim between the
-    // interpreter switch in run() and the superblock dispatch loop.
-    // pc_ must hold the instruction's own pc on entry (fault
-    // reporting and link-register writes read it); the caller
-    // advances it afterwards.
+    /** The run's exit status for an undefined MRS or illegal MSR. */
+    ExitStatus sysregFault(const char *what, isa::SysReg reg) const;
+
+    // One executor per op class, shared by the interpreter switch in
+    // execute(), the superblock labels in runSuperblock() and the
+    // wrong path in speculate(). Each is a template over a state view
+    // (core.cc): Committed reads regs_/ready_ against cycle_, WrongPath
+    // a SpecContext against the wrong path's fetch time, and every
+    // difference between the two paths is a view method (DESIGN.md
+    // §4k). An executor that returns false ends its path at the op: a
+    // committed fault (the view's *status is filled) or a wrong-path
+    // stop. On the committed path pc_ is the op's own pc.
+    struct Committed;
+    struct WrongPath;
+
     /** @p reads_rn / @p reads_rm / @p reads_rd: the operand fields
      *  the op reads (isa::readsRn and siblings; superblocks pass the
      *  values discovery computed once). */
-    void execAlu(const isa::Inst &inst, bool reads_rn, bool reads_rm,
-                 bool reads_rd);
-    /** @return false when the access faulted; *status is filled. */
-    bool execMem(const isa::Inst &inst, ExitStatus *status);
-    /** @return false on an FPAC fault; *status is filled. */
-    bool execPac(const isa::Inst &inst, ExitStatus *status);
-    /** @return the branch target (next pc). */
-    isa::Addr execBranchDirect(const isa::Inst &inst);
-    /** @return false on an undefined read; *status is filled. */
-    bool execMrs(const isa::Inst &inst, ExitStatus *status);
+    template <class V>
+    void execAlu(V &v, const isa::Inst &inst, bool reads_rn,
+                 bool reads_rm, bool reads_rd);
+    /** Loads and stores: readiness, address, access and value. */
+    template <class V> bool execMem(V &v, const isa::Inst &inst);
+    /** pac*, aut* and xpac, with FPAC and the aut fence. */
+    template <class V> bool execPac(V &v, const isa::Inst &inst);
+    template <class V> bool execMrs(V &v, const isa::Inst &inst);
+    /** A conditional branch's direction. With @p resolve, also when
+     *  it resolves: its operand (the flags, or rd for CBZ/CBNZ) joined
+     *  plus the resolve latency. */
+    template <class V>
+    bool condTaken(const V &v, const isa::Inst &inst,
+                   Ready *resolve = nullptr) const;
+    /** A direct or indirect branch's target (authenticated for BRAA/
+     *  BLRAA/RETAA, with FPAC), the link write of BL/BLR/BLRAA and,
+     *  for an indirect branch, when it resolves (*resolve; a direct
+     *  branch may pass nullptr). */
+    template <class V>
+    bool branchTarget(V &v, const isa::Inst &inst, isa::Addr *target,
+                      Ready *resolve);
+
+    // Committed-only executors (the wrong path stops at these ops).
     /** @return false on an illegal write; *status is filled. */
     bool execMsr(const isa::Inst &inst, ExitStatus *status);
     /** Enter EL1 at VBAR_EL1 (*next_pc). @return false on a nested
@@ -279,9 +325,6 @@ class Core
     bool execEret(ExitStatus *status, isa::Addr *next_pc);
     /** The run's exit status for a HLT or BRK. */
     ExitStatus stopStatus(const isa::Inst &inst) const;
-    /** Resolved direction of a conditional branch against the
-     *  architectural flags/registers (no side effect). */
-    bool condTaken(const isa::Inst &inst) const;
 
     /** How a runSuperblock() dispatch ended. */
     enum class SbExit : uint8_t
@@ -341,6 +384,10 @@ class Core
      * Execute the wrong path from @p pc until @p deadline (the
      * resolution time of the oldest mispredicted branch), consuming
      * @p rob_budget. @p depth caps recursion into nested wrong paths.
+     * Each op runs through the same executor as on the committed
+     * path, on a WrongPath view; this loop keeps only the wrong
+     * path's own fetch timing, where it stops, and its branch policy
+     * (nested mispredictions, eager or lazy squash, BTB-miss stall).
      *
      * @p ctx is the callee's private working context — slot
      * specCtx_[depth] of the per-core pool, seeded by the caller (a

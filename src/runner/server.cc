@@ -44,6 +44,10 @@ using Clock = std::chrono::steady_clock;
  *  and the cost of METRICS flat (DESIGN.md §4h). */
 constexpr size_t TenantLatencyWindow = 1024;
 
+/** The tenant-table entry that counts every tenant past MaxTenants.
+ *  HELLO names cannot contain a space, so no tenant is called this. */
+const char *const OverflowTenant = "(other tenants)";
+
 /** One accepted connection; jobs hold it alive past reader exit. */
 struct Connection
 {
@@ -244,10 +248,13 @@ OracleServer::Impl::readerLoop(std::shared_ptr<Connection> conn)
                 std::string name, secret_word;
                 unsigned long long secret = 0;
                 if (!(in >> name >> secret_word) ||
+                    name.size() > MaxTenantNameBytes ||
                     sscanf(secret_word.c_str(), "%llx", &secret) != 1) {
                     requestErrors.fetch_add(1);
                     reply(conn, msg->id, "ERR",
-                          "usage: HELLO <name> <secret-hex>");
+                          strprintf("usage: HELLO <name of at most %zu "
+                                    "bytes> <secret-hex>",
+                                    MaxTenantNameBytes));
                     continue;
                 }
                 // The tenant key seeds Machine::rekey() for every
@@ -493,7 +500,10 @@ OracleServer::Impl::executeJob(ReplicaCache &cache, Job &job)
                           .count();
     {
         std::lock_guard<std::mutex> lock(tenantMu);
-        TenantLatency &t = tenantLatency[job.tenant];
+        const bool known = tenantLatency.size() < MaxTenants ||
+                           tenantLatency.count(job.tenant) != 0;
+        TenantLatency &t =
+            tenantLatency[known ? job.tenant : OverflowTenant];
         if (t.recentUs.size() < TenantLatencyWindow)
             t.recentUs.push_back(us);
         else

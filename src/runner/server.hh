@@ -9,6 +9,7 @@
  * port. Request verbs:
  *
  *   HELLO <name> <secret-hex>  bind the connection to a tenant
+ *                              (name at most MaxTenantNameBytes)
  *   QUERY <pac-hex> <stream>   one PAC-oracle query (body: replica
  *                              wire config); OK <verdict> <misses>
  *   TRUTH                      ground-truth PAC for the configured
@@ -54,6 +55,15 @@ namespace pacman::runner
  *  configs its clients send; an evicted config re-provisions on its
  *  next request and answers as before (DESIGN.md §4h). */
 constexpr size_t ReplicaCacheEntries = 4;
+
+/** Longest tenant name HELLO accepts; a longer one is answered ERR. */
+constexpr size_t MaxTenantNameBytes = 64;
+
+/** Distinct tenants METRICS keeps a latency window for. Requests from
+ *  tenants first seen after the table is full are counted under one
+ *  shared overflow entry, so the daemon's memory and the cost of
+ *  METRICS stay flat however many names its clients invent. */
+constexpr size_t MaxTenants = 64;
 
 /** Deployment knobs for one pacman-oracled instance. */
 struct ServerConfig

@@ -486,5 +486,256 @@ TEST_F(SpecTest, MispredictStatsCount)
     EXPECT_GT(c.stats().branchMispredicts, 0u);
 }
 
+TEST_F(SpecTest, WrongPathMrsDeliversValue)
+{
+    // A counter read on the wrong path delivers a value, so a load
+    // whose address depends on it issues (the value itself is masked
+    // to zero).
+    Core &c = makeCore();
+    const ExitStatus status = runVictim(c, true, [](Assembler &a) {
+        a.mrs(X2, SysReg::CNTPCT_EL0);
+        a.andi(X2, X2, 0);
+        a.mov64(X3, ProbePage);
+        a.add(X3, X3, X2);
+        a.ldr(X4, X3, 0);
+    });
+    EXPECT_EQ(status.kind, ExitKind::Halted);
+    EXPECT_TRUE(probeFilled());
+}
+
+TEST_F(SpecTest, UndefinedWrongPathMrsPoisonsDestination)
+{
+    // PMC0 is readable at EL0 while training runs the body for real;
+    // once PMCR0 revokes that, the wrong path's read is undefined and
+    // leaves no value, so the dependent load never issues.
+    Core &c = makeCore();
+    c.setSysreg(SysReg::PMCR0, PMCR0_EL0_ACCESS);
+    const ExitStatus status = runVictim(
+        c, true,
+        [](Assembler &a) {
+            a.mrs(X2, SysReg::PMC0);
+            a.andi(X2, X2, 0);
+            a.mov64(X3, ProbePage);
+            a.add(X3, X3, X2);
+            a.ldr(X4, X3, 0);
+        },
+        [&] { c.setSysreg(SysReg::PMCR0, 0); });
+    EXPECT_EQ(status.kind, ExitKind::Halted);
+    EXPECT_FALSE(probeFilled());
+}
+
+TEST_F(SpecTest, FpacWrongPathAutPoisonsOrTransmits)
+{
+    // Under FPAC a wrong-path aut with a wrong PAC counts a suppressed
+    // fault and poisons its result: the transmission load never
+    // issues. With the right PAC the load issues and fills the dTLB.
+    for (const bool right_pac : {false, true}) {
+        CoreConfig cfg;
+        cfg.fpac = true;
+        Core &c = makeCore(cfg);
+        hier.flushAll();
+        c.setSysreg(SysReg::APDAKEY_LO, 0x42);
+        const crypto::PacKey key = c.pacKey(crypto::PacKeySelect::DA);
+        hier.writeVirt64(DataBase,
+                         signPointer(DataBase + 0x80, CondPage, key));
+        CoreStats trained;
+        const ExitStatus status = runVictim(
+            c, true,
+            [](Assembler &a) {
+                a.mov64(X8, DataBase);
+                a.ldr(X2, X8, 0);
+                a.autda(X2, X9);
+                a.ldr(X3, X2, 0);
+            },
+            [&] {
+                hier.writeVirt64(DataBase,
+                                 right_pac
+                                     ? signPointer(ProbePage, CondPage, key)
+                                     : withExt(ProbePage, 0x1111));
+                trained = c.stats();
+            },
+            {DataBase});
+        EXPECT_EQ(status.kind, ExitKind::Halted);
+        EXPECT_EQ(probeFilled(), right_pac) << "right_pac=" << right_pac;
+        EXPECT_EQ(c.stats().specFaultsSuppressed -
+                      trained.specFaultsSuppressed,
+                  right_pac ? 0u : 1u);
+        // The pointer load always issues; the transmission only after
+        // a successful aut.
+        EXPECT_EQ(c.stats().wrongPathMemOps - trained.wrongPathMemOps,
+                  right_pac ? 2u : 1u);
+    }
+}
+
+TEST_F(SpecTest, WrongPathBtbMissWaitsForTarget)
+{
+    // With the BTB cleared after training, the wrong path's blr has no
+    // prediction: fetch waits for the target register, then fetches
+    // the target. When the target's load faulted (poisoned), the wrong
+    // path stops there and fetches nothing, not even the stale value
+    // the register still holds from training.
+    const Addr stub_a = CodeBase + 8 * PageSize;
+    const Addr stub_b = CodeBase + 9 * PageSize;
+    const Addr slot = DataBase + 0x100;
+    for (const bool poisoned : {false, true}) {
+        Core &c = makeCore();
+        hier.flushAll();
+        Assembler sa(stub_a);
+        sa.ret();
+        loadProgram(sa.finalize());
+        Assembler sb(stub_b);
+        sb.ret();
+        loadProgram(sb.finalize());
+        hier.writeVirt64(DataBase, slot);
+        hier.writeVirt64(slot, stub_a);
+        const ExitStatus status = runVictim(
+            c, true,
+            [](Assembler &a) {
+                a.mov64(X8, DataBase);
+                a.ldr(X7, X8, 0);
+                a.ldr(X2, X7, 0);
+                a.blr(X2);
+            },
+            [&] {
+                c.btb().reset();
+                hier.itlb(0).flushAll();
+                hier.writeVirt64(slot, stub_b);
+                if (poisoned)
+                    hier.writeVirt64(DataBase, slot | (0x0003ull << 48));
+            },
+            {DataBase, slot});
+        EXPECT_EQ(status.kind, ExitKind::Halted);
+        EXPECT_EQ(hier.itlb(0).contains(pageNumber(vaPart(stub_b)),
+                                        mem::Asid::User),
+                  !poisoned)
+            << "poisoned=" << poisoned;
+        EXPECT_FALSE(hier.itlb(0).contains(pageNumber(vaPart(stub_a)),
+                                           mem::Asid::User))
+            << "poisoned=" << poisoned;
+    }
+}
+
+TEST_F(SpecTest, PoisonedAuthBranchModifierStopsBtbMissFetch)
+{
+    // A blraa's target is only as available as its modifier. With the
+    // BTB cleared after training, a wrong-path blraa waits for its
+    // target and fetches it — unless the modifier's load faulted. The
+    // modifier register still holds the right value from training, so
+    // only the poison keeps the fetch from happening.
+    constexpr uint64_t Mod = 0x77;
+    const Addr stub = CodeBase + 8 * PageSize;
+    const Addr slot = DataBase + 0x100;
+    for (const bool poisoned : {false, true}) {
+        Core &c = makeCore();
+        hier.flushAll();
+        c.setSysreg(SysReg::APIAKEY_LO, 0x7777);
+        const crypto::PacKey key = c.pacKey(crypto::PacKeySelect::IA);
+        Assembler s(stub);
+        s.ret();
+        loadProgram(s.finalize());
+        hier.writeVirt64(DataBase, signPointer(stub, Mod, key));
+        hier.writeVirt64(DataBase + 8, slot);
+        hier.writeVirt64(slot, Mod);
+        const ExitStatus status = runVictim(
+            c, true,
+            [](Assembler &a) {
+                a.mov64(X8, DataBase);
+                a.ldr(X2, X8, 0);
+                a.ldr(X7, X8, 8);
+                a.ldr(X3, X7, 0); // the modifier
+                a.blraa(X2, X3);
+            },
+            [&] {
+                c.btb().reset();
+                hier.itlb(0).flushAll();
+                if (poisoned)
+                    hier.writeVirt64(DataBase + 8,
+                                     slot | (0x0003ull << 48));
+            },
+            {DataBase, slot});
+        EXPECT_EQ(status.kind, ExitKind::Halted);
+        EXPECT_EQ(hier.itlb(0).contains(pageNumber(vaPart(stub)),
+                                        mem::Asid::User),
+                  !poisoned)
+            << "poisoned=" << poisoned;
+    }
+}
+
+TEST_F(SpecTest, AuthBranchBtbMissWaitsForItsModifier)
+{
+    // The committed side of the same readiness: a blraa that misses in
+    // the BTB stalls fetch until its authenticated target resolves,
+    // so a modifier whose load misses the dTLB delays the branch.
+    Core &c = makeCore();
+    c.setSysreg(SysReg::APIAKEY_LO, 0x7777);
+    const crypto::PacKey key = c.pacKey(crypto::PacKeySelect::IA);
+    const Addr stub = CodeBase + 8 * PageSize;
+    Assembler s(stub);
+    s.ret();
+    loadProgram(s.finalize());
+    hier.writeVirt64(DataBase, 0x77);
+    Assembler a(CodeBase);
+    a.mov64(X8, DataBase);
+    a.ldr(X3, X8, 0);
+    a.mov64(X2, signPointer(stub, 0x77, key));
+    a.blraa(X2, X3);
+    a.hlt(0);
+    loadProgram(a.finalize());
+
+    auto cycles = [&](bool cold_modifier) {
+        c.btb().reset();
+        if (cold_modifier) {
+            hier.dtlb().flushAll();
+            hier.l2tlb().flushAll();
+        }
+        c.setPc(CodeBase);
+        const uint64_t before = c.cycle();
+        EXPECT_EQ(c.run(100).kind, ExitKind::Halted);
+        return c.cycle() - before;
+    };
+    cycles(false); // warm the code
+    const uint64_t warm = cycles(false);
+    EXPECT_GT(cycles(true), warm);
+}
+
+TEST_F(SpecTest, PacTaintBlocksCorrectPacIndirectTargetFetch)
+{
+    // CorrectPacIndirectTargetFetchFills under the STT-style taint:
+    // the verified target is a PA output, so the wrong path may not
+    // redirect fetch to it.
+    CoreConfig cfg;
+    cfg.pacTaint = true;
+    Core &c = makeCore(cfg);
+    c.setSysreg(SysReg::APIAKEY_LO, 0x7777);
+    const crypto::PacKey key = c.pacKey(crypto::PacKeySelect::IA);
+
+    const Addr stub_a = CodeBase + 8 * PageSize;
+    const Addr victim_page = CodeBase + 10 * PageSize;
+    Assembler sa(stub_a);
+    sa.ret();
+    loadProgram(sa.finalize());
+    Assembler sv(victim_page);
+    sv.ret();
+    loadProgram(sv.finalize());
+
+    hier.writeVirt64(DataBase, signPointer(stub_a, CondPage, key));
+    const ExitStatus status = runVictim(
+        c, true,
+        [](Assembler &a) {
+            a.mov64(X8, DataBase);
+            a.ldr(X2, X8, 0);
+            a.autia(X2, X9);
+            a.blr(X2);
+        },
+        [&] {
+            hier.writeVirt64(DataBase,
+                             signPointer(victim_page, CondPage, key));
+        },
+        {DataBase});
+    EXPECT_EQ(status.kind, ExitKind::Halted);
+    EXPECT_FALSE(hier.itlb(0).contains(
+        pageNumber(vaPart(victim_page)), mem::Asid::User));
+}
+
 } // namespace
 } // namespace pacman::cpu

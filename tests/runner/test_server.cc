@@ -428,6 +428,32 @@ TEST(Server, TenantLatencyWindowIsBounded)
     EXPECT_LT(p99, SlowUs);
 }
 
+TEST(Server, TenantTableIsBounded)
+{
+    // Tenant names cost the daemon memory for its whole life, so both
+    // their length and their number are capped: an over-long name is
+    // refused, and tenants beyond MaxTenants share one METRICS entry.
+    TestServer ts(/*threads=*/1);
+    OracleClient c(ts.endpoint());
+    const std::string huge(1u << 20, 'n');
+    EXPECT_EQ(c.call("HELLO", huge + " 1").verb, "ERR");
+    EXPECT_EQ(metricValue(c.metricsJson(), "request_errors"), 1);
+
+    for (size_t i = 0; i < 2 * MaxTenants; ++i) {
+        c.hello("t" + std::to_string(i), 0x5EED);
+        ASSERT_EQ(c.call("SLEEP", "0").verb, "OK");
+    }
+    const std::string metrics = c.metricsJson();
+    const std::string p50 = "_latency_p50_us\"";
+    size_t listed = 0;
+    for (size_t at = metrics.find(p50); at != std::string::npos;
+         at = metrics.find(p50, at + 1))
+        ++listed;
+    EXPECT_LE(listed, MaxTenants + 1);
+    EXPECT_EQ(metricValue(metrics, "tenant__other_tenants__requests"),
+              double(MaxTenants));
+}
+
 /** Threads in this process (entries of /proc/self/task). */
 size_t
 threadCount()
