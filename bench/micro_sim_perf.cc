@@ -1,35 +1,31 @@
 /**
  * @file
- * google-benchmark microbenchmarks of the simulator's own building
- * blocks: QARMA throughput, hierarchy access cost, guest instruction
- * rate, and oracle query cost. These gauge how long the paper-scale
- * experiments (20000 Figure 8 trials, full 16-bit sweeps) take.
+ * Same-binary A/Bs of two simulator layers, as google-benchmark
+ * microbenchmarks. Each pair runs the same work both ways in one
+ * process, so the ratio does not depend on the host's speed in the
+ * window it ran in:
  *
- * The end-to-end benchmarks double as the perf-regression harness's
- * data source: tools/perf_smoke.py runs this binary with
- * --benchmark_format=json and distils the result into BENCH_PR13.json
- * (guest MIPS, oracle queries/sec, Figure-8-subset wall clock), which
- * tools/perf_compare.py diffs across commits.
+ *  - BM_Fig8TrainingLoop/1 vs /0: the Figure-8 training loop on
+ *    cpu::FastPath::Full (decode cache, superblocks and guest-call
+ *    replay, the shipped default) vs FastPath::Reference (the plain
+ *    interpreter of a PACMAN_DISABLE_FASTPATH build). Both run a
+ *    pinned iteration count so they measure the identical query
+ *    sequence (time-budgeted runs gave the slow path far fewer
+ *    iterations, letting per-run fixed costs skew the ratio).
+ *  - BM_AccuracyCampaign/1 vs /0: an accuracy campaign on checkpointed
+ *    replicas (restore per item) vs fresh provisioning per item.
  *
- * The Figure-8 training-loop benchmark is registered once per
- * cpu::FastPath value: arg 1 is FastPath::Full (decode cache +
- * superblocks, the shipped default) and arg 0 FastPath::Reference
- * (the plain interpreter, as in a PACMAN_DISABLE_FASTPATH build), so
- * the fast path's end-to-end speedup is measurable from one binary.
- * Both run a pinned iteration count so the speedup ratio compares
- * identical workloads (time-budgeted runs gave the slow path far
- * fewer iterations, letting per-run fixed costs skew the ratio).
+ * End-to-end speed and the other layers (QARMA, hierarchy walk,
+ * syscall, oracle query, provisioning, restore) are measured by the
+ * repository benchmark, perfbench/ (tools/ab.py compares two trees on
+ * it).
  */
 
 #include <benchmark/benchmark.h>
 
 #include "attack/oracle.hh"
-#include "base/random.hh"
-#include "crypto/pac.hh"
-#include "crypto/qarma64.hh"
 #include "kernel/layout.hh"
 #include "runner/campaign.hh"
-#include "sim/snapshot.hh"
 
 using namespace pacman;
 using namespace pacman::kernel;
@@ -54,65 +50,6 @@ fig8OracleConfig()
     cfg.trainIters = 64;
     return cfg;
 }
-
-void
-BM_QarmaEncrypt(benchmark::State &state)
-{
-    const crypto::Qarma64 cipher(0x84be85ce9804e94bull,
-                                 0xec2802d4e0a488e9ull, 7);
-    uint64_t x = 0xfb623599da6e8127ull;
-    for (auto _ : state) {
-        x = cipher.encrypt(x, 0x477d469dec0b8762ull);
-        benchmark::DoNotOptimize(x);
-    }
-}
-BENCHMARK(BM_QarmaEncrypt);
-
-void
-BM_HierarchyLoad(benchmark::State &state)
-{
-    Random rng(1);
-    mem::MemoryHierarchy hier(mem::m1PCoreConfig(), &rng);
-    hier.mapRange(0x4000'0000, 64 * isa::PageSize,
-                  mem::PageFlags{.user = true, .writable = true,
-                                 .executable = false, .device = false});
-    uint64_t i = 0;
-    for (auto _ : state) {
-        const auto res = hier.access(
-            mem::AccessKind::Load,
-            0x4000'0000 + (i++ % 64) * isa::PageSize, 0, false);
-        benchmark::DoNotOptimize(res.latency);
-    }
-}
-BENCHMARK(BM_HierarchyLoad);
-
-void
-BM_GuestSyscall(benchmark::State &state)
-{
-    Machine machine;
-    attack::AttackerProcess proc(machine);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(proc.syscall(SYS_NOP));
-    state.counters["guest_insts"] = benchmark::Counter(
-        double(machine.core().stats().instsRetired),
-        benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_GuestSyscall);
-
-void
-BM_OracleQuery(benchmark::State &state)
-{
-    Machine machine;
-    attack::AttackerProcess proc(machine);
-    attack::PacOracle oracle(proc, attack::OracleConfig{});
-    oracle.setTarget(BenignDataBase + 37 * isa::PageSize, 0x42);
-    uint16_t guess = 0;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(oracle.probeMisses(guess++));
-    state.counters["queries_per_sec"] = benchmark::Counter(
-        double(state.iterations()), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_OracleQuery);
 
 /**
  * The Figure-8 training-loop workload with the paper's 64 training
@@ -187,113 +124,11 @@ BENCHMARK(BM_Fig8TrainingLoop)
     ->Iterations(1024);
 
 /**
- * End-to-end wall clock of a Figure-8 subset: per benchmark
- * iteration, 16 coin-flip correct/incorrect oracle queries — a
- * 1/1250-scale replica of the 20000-trial experiment, from which
- * tools/perf_smoke.py extrapolates full-campaign wall clock.
- */
-void
-BM_Fig8Subset(benchmark::State &state)
-{
-    constexpr unsigned TrialsPerIter = 16;
-
-    Machine machine;
-    attack::AttackerProcess proc(machine);
-    attack::PacOracle oracle(proc, fig8OracleConfig());
-    const isa::Addr target = BenignDataBase + 37 * isa::PageSize;
-    const uint64_t modifier = 0x6D0D;
-    oracle.setTarget(target, modifier);
-    const uint16_t correct = machine.kernel().truePac(
-        target, modifier, crypto::PacKeySelect::DA);
-    Random coin(machine.config().seed ^ 0xC01Cull);
-
-    // Exercise the structure-level reset + hit-rate accessors: drop
-    // the construction/boot warm-up from the reported rates.
-    benchmark::DoNotOptimize(oracle.probeMisses(correct));
-    machine.mem().dtlb().resetStats();
-    machine.mem().l1d().resetStats();
-
-    for (auto _ : state) {
-        for (unsigned t = 0; t < TrialsPerIter; ++t) {
-            uint16_t pac = correct;
-            if (coin.chance(0.5)) {
-                do {
-                    pac = uint16_t(coin.next(0x10000));
-                } while (pac == correct);
-            }
-            benchmark::DoNotOptimize(oracle.probeMisses(pac));
-        }
-    }
-
-    state.counters["trials_per_sec"] = benchmark::Counter(
-        double(state.iterations()) * TrialsPerIter,
-        benchmark::Counter::kIsRate);
-    state.counters["dtlb_hit_rate"] = machine.mem().dtlb().hitRate();
-    state.counters["l1d_hit_rate"] = machine.mem().l1d().hitRate();
-}
-BENCHMARK(BM_Fig8Subset);
-
-/**
- * Full replica provisioning — what a campaign worker pays before its
- * first work item, and what fresh-provision mode pays PER item: boot
- * (keys, kernel image, page tables), guest program assembly, eviction
- * set construction, target binding and threshold calibration. The
- * per-iteration time is the provision_ms baseline metric; the
- * checkpoint restore below is the price the snapshot path pays
- * instead.
- */
-void
-BM_ReplicaProvision(benchmark::State &state)
-{
-    attack::OracleConfig ocfg;
-    ocfg.autoCalibrate = true;
-    for (auto _ : state) {
-        Machine machine;
-        attack::AttackerProcess proc(machine);
-        attack::PacOracle oracle(proc, ocfg);
-        oracle.setTarget(BenignDataBase + 37 * isa::PageSize, 0x6D0D);
-        benchmark::DoNotOptimize(oracle.queries());
-    }
-}
-BENCHMARK(BM_ReplicaProvision)->Unit(benchmark::kMillisecond);
-
-/**
- * Checkpoint restore of a dirtied replica — the per-item cost of the
- * snapshot path. Each iteration first dirties machine state with one
- * oracle query (outside the timed region), then rewinds: the restore
- * therefore pays the realistic COW page count, not the no-op
- * clean-restore fast case.
- */
-void
-BM_SnapshotRestore(benchmark::State &state)
-{
-    Machine machine;
-    attack::AttackerProcess proc(machine);
-    attack::PacOracle oracle(proc, attack::OracleConfig{});
-    oracle.setTarget(BenignDataBase + 37 * isa::PageSize, 0x6D0D);
-    sim::ReplicaCheckpoint ckpt(machine, oracle);
-
-    uint16_t guess = 0;
-    for (auto _ : state) {
-        state.PauseTiming();
-        benchmark::DoNotOptimize(oracle.probeMisses(guess++));
-        state.ResumeTiming();
-        ckpt.restore();
-    }
-    state.counters["pages_copied_per_restore"] =
-        ckpt.stats().restores
-            ? double(ckpt.stats().pagesCopied) / ckpt.stats().restores
-            : 0.0;
-}
-BENCHMARK(BM_SnapshotRestore)->Unit(benchmark::kMicrosecond);
-
-/**
  * End-to-end accuracy campaign, small enough to iterate: 6 trials,
  * each re-keying and sweeping an 8-candidate window. Arg 1 runs the
  * provision-once/restore-per-item path, arg 0 the fresh-provision
- * reference — the pair is the accuracy_snapshot_speedup metric, the
- * headline number of the checkpointing work (the two modes produce
- * bit-identical fingerprints; tests/runner/test_snapshot_equiv.cc
+ * reference; their ratio is what checkpointing saves (the two modes
+ * produce bit-identical fingerprints; tests/runner/test_snapshot_equiv.cc
  * asserts that, this measures the wall-clock gap).
  */
 void

@@ -17,13 +17,7 @@
  *     floor of one oracle probe round-trip, server-side replica
  *     restore included.
  *
- * Emits one BENCH JSON line per measurement, e.g.:
- *
- *   BENCH {"bench":"server_campaign","scenario":"bruteforce",
- *          "fault_rate":0.2,"jobs":4,"wall_local_s":0.21,
- *          "wall_remote_s":0.26,"identical":true}
- *   BENCH {"bench":"server_campaign","scenario":"query_throughput",
- *          "queries":200,"queries_per_sec":1234.5}
+ * Each campaign line gives the local and remote wall clock.
  *
  * Flags: --items N (default 192), --chunk N (default 16), --jobs LIST
  * (default "1,4,16"), --train N (default 4), --trials N (accuracy
@@ -234,17 +228,11 @@ bruteForceEquivalence(const Options &opt, const std::string &endpoint)
             const bool identical = remote.fingerprint() == local_fp;
             check(identical,
                   "remote brute-force fingerprint diverged");
-            std::printf("bruteforce f=%.1f jobs=%-2u  %s\n",
+            std::printf("bruteforce f=%.1f jobs=%-2u  %s  (local %.3fs, "
+                        "remote %.3fs)\n",
                         fault_rate, jobs,
-                        identical ? "identical" : "DIVERGED");
-            std::printf(
-                "BENCH {\"bench\":\"server_campaign\","
-                "\"scenario\":\"bruteforce\",\"fault_rate\":%.2f,"
-                "\"jobs\":%u,\"items\":%u,"
-                "\"wall_local_s\":%.4f,\"wall_remote_s\":%.4f,"
-                "\"identical\":%s}\n",
-                fault_rate, jobs, opt.items, seconds(l0, l1),
-                seconds(r0, r1), identical ? "true" : "false");
+                        identical ? "identical" : "DIVERGED",
+                        seconds(l0, l1), seconds(r0, r1));
         }
     }
 }
@@ -277,16 +265,10 @@ accuracyEquivalence(const Options &opt, const std::string &endpoint)
         const auto r1 = std::chrono::steady_clock::now();
         const bool identical = remote.fingerprint() == local_fp;
         check(identical, "remote accuracy fingerprint diverged");
-        std::printf("accuracy jobs=%-2u  %s\n", jobs,
-                    identical ? "identical" : "DIVERGED");
-        std::printf("BENCH {\"bench\":\"server_campaign\","
-                    "\"scenario\":\"accuracy\",\"jobs\":%u,"
-                    "\"trials\":%llu,"
-                    "\"wall_local_s\":%.4f,\"wall_remote_s\":%.4f,"
-                    "\"identical\":%s}\n",
-                    jobs, (unsigned long long)cfg.trials,
-                    seconds(l0, l1), seconds(r0, r1),
-                    identical ? "true" : "false");
+        std::printf("accuracy jobs=%-2u  %s  (local %.3fs, remote "
+                    "%.3fs)\n",
+                    jobs, identical ? "identical" : "DIVERGED",
+                    seconds(l0, l1), seconds(r0, r1));
     }
 }
 
@@ -315,11 +297,6 @@ queryThroughput(const Options &opt, const std::string &endpoint)
 
     std::printf("query throughput: %u queries (%u hot) in %.3fs "
                 "= %.1f queries/sec\n",
-                opt.queries, hot, wall, qps);
-    std::printf("BENCH {\"bench\":\"server_campaign\","
-                "\"scenario\":\"query_throughput\",\"queries\":%u,"
-                "\"hot\":%u,\"wall_s\":%.4f,"
-                "\"queries_per_sec\":%.1f}\n",
                 opt.queries, hot, wall, qps);
 }
 

@@ -1,5 +1,7 @@
 #include "superblock.hh"
 
+#include <string>
+
 #include "isa/encoding.hh"
 #include "mem/physmem.hh"
 
@@ -103,6 +105,19 @@ callGuardName(CallGuard guard)
         "entry", "budget", "registers", "sysregs", "scoreboard",
         "latency", "ways", "predictor", "pages"};
     return size_t(guard) < NumCallGuards ? names[size_t(guard)] : "none";
+}
+
+std::string_view
+replayMissMetric(CallGuard guard)
+{
+    static const auto metrics = [] {
+        std::array<std::string, NumCallGuards> m;
+        for (size_t g = 0; g < NumCallGuards; ++g)
+            m[g] = std::string("call_memo_miss_") +
+                   callGuardName(CallGuard(g));
+        return m;
+    }();
+    return metrics.at(size_t(guard));
 }
 
 } // namespace pacman::cpu

@@ -2,9 +2,9 @@
  * @file
  * Superblock cache for the committed fast path.
  *
- * The decode cache (cpu/decode_cache.hh) made decode free; BENCH_PR5
- * shows per-instruction fetch/dispatch bookkeeping is now the wall
- * (~20 guest MIPS, decode hit rate 0.9999996). A *superblock* is the
+ * The decode cache (cpu/decode_cache.hh) made decode free, which left
+ * per-instruction fetch/dispatch bookkeeping as the wall (~20 guest
+ * MIPS at a decode hit rate of 0.9999996). A *superblock* is the
  * next rung: a straight-line run of already-decoded instructions,
  * discovered at a committed fetch, cached keyed by physical address,
  * and executed by a threaded dispatch loop (Core::runSuperblock) that
@@ -76,6 +76,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "cpu/pa_memo.hh"
@@ -166,6 +167,10 @@ constexpr size_t NumCallGuards = size_t(CallGuard::NumGuards);
 /** Short name of @p guard ("entry", "budget", ...) for reports. */
 const char *callGuardName(CallGuard guard);
 
+/** "call_memo_miss_<guard name>": the metric name of @p guard's
+ *  SuperblockStats::replayMisses slot. */
+std::string_view replayMissMetric(CallGuard guard);
+
 /**
  * Monotonic fast-path telemetry. Deliberately outside CoreStats and
  * Core::Snapshot: CoreStats rewinds with every per-item replica
@@ -202,6 +207,36 @@ struct SuperblockStats
     /** Calls with a recording at their entry pc that none matched,
      *  by the first guard the most recently used of them failed. */
     std::array<uint64_t, NumCallGuards> replayMisses{};
+
+    /**
+     * The field list: calls f(metric, better, counter...) once per
+     * counter, in report order, passing that counter of each of
+     * @p stats. Machine::statsReport's rows, pacman-oracled's
+     * per-replica deltas and its METRICS rows all come from here, so
+     * a new counter is one line. @p better is "higher" or "lower", or
+     * nullptr for the decode-cache counts, which METRICS shows only
+     * as their ratio (decode_hit_rate).
+     */
+    template <typename F, typename... Stats>
+    static void
+    forEachField(F &&f, Stats &...stats)
+    {
+        f("superblock_blocks_built", "lower", stats.blocksBuilt...);
+        f("superblock_block_hits", "higher", stats.blockHits...);
+        f("superblock_block_insts", "higher", stats.blockInsts...);
+        f("superblock_invalidations", "lower", stats.invalidations...);
+        f("superblock_fallback_exits", "lower", stats.fallbackExits...);
+        f("superblock_chained_dispatches", "higher",
+          stats.chainedDispatches...);
+        f("decode_hits", nullptr, stats.decodeHits...);
+        f("decode_misses", nullptr, stats.decodeMisses...);
+        f("call_memo_recorded", "lower", stats.callsRecorded...);
+        f("call_memo_replayed", "higher", stats.callsReplayed...);
+        f("call_memo_insts_replayed", "higher", stats.instsReplayed...);
+        for (size_t g = 0; g < NumCallGuards; ++g)
+            f(replayMissMetric(CallGuard(g)), "lower",
+              stats.replayMisses[g]...);
+    }
 };
 
 /**

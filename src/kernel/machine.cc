@@ -1,6 +1,7 @@
 #include "machine.hh"
 
 #include <algorithm>
+#include <string_view>
 #include <vector>
 
 #include "base/logging.hh"
@@ -66,8 +67,9 @@ Machine::statsReport()
     const cpu::CoreStats &cs = core_.stats();
     TextTable table;
     table.header({"Statistic", "Value"});
-    auto row = [&](const char *name, uint64_t value) {
-        table.row({name, strprintf("%llu", (unsigned long long)value)});
+    auto row = [&](std::string_view name, uint64_t value) {
+        table.row({std::string(name),
+                   strprintf("%llu", (unsigned long long)value)});
     };
     row("cycles", core_.cycle());
     row("instructions retired", cs.instsRetired);
@@ -79,28 +81,12 @@ Machine::statsReport()
     row("speculative faults suppressed", cs.specFaultsSuppressed);
     // Fast-path telemetry (host-side, not architectural state, and
     // monotonic — unlike CoreStats these never rewind on snapshot
-    // restore; see cpu/superblock.hh): how well the decoded-
-    // instruction cache absorbs front-end decode work, and how much
-    // guest code the superblock engine runs.
-    const cpu::SuperblockStats &sbs = core_.superblockStats();
-    row("decode-cache hits", sbs.decodeHits);
-    row("decode-cache misses", sbs.decodeMisses);
-    row("superblocks built", sbs.blocksBuilt);
-    row("superblock hits", sbs.blockHits);
-    row("superblock instructions", sbs.blockInsts);
-    row("superblock invalidations", sbs.invalidations);
-    row("superblock fallback exits", sbs.fallbackExits);
-    row("superblock chained dispatches", sbs.chainedDispatches);
-    // Guest-call replay (cpu/call_memo.hh): calls served from a
-    // recording instead of executed, and why the others were not.
-    row("guest calls recorded", sbs.callsRecorded);
-    row("guest calls replayed", sbs.callsReplayed);
-    row("instructions replayed", sbs.instsReplayed);
-    for (size_t g = 0; g < cpu::NumCallGuards; ++g)
-        row(strprintf("replay misses: %s",
-                      cpu::callGuardName(cpu::CallGuard(g)))
-                .c_str(),
-            sbs.replayMisses[g]);
+    // restore; see cpu/superblock.hh), under its metric names.
+    cpu::SuperblockStats::forEachField(
+        [&](std::string_view name, const char *, uint64_t value) {
+            row(name, value);
+        },
+        core_.superblockStats());
 
     auto structure = [&](const char *name, uint64_t hits,
                          uint64_t misses) {

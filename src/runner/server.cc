@@ -7,7 +7,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <array>
 #include <atomic>
 #include <cctype>
 #include <cerrno>
@@ -102,10 +101,10 @@ struct CachedWorker
     bool snapshot = true;
     uint64_t lastProvisions = 0;
     uint64_t lastRekeys = 0;
-    // Last-seen superblock/decode-cache counters, for delta
-    // accounting into the server-wide metrics: the core's counters
-    // are monotonic per machine, the server sums deltas across all
-    // cached workers of all service threads.
+    // Last-seen fast-path counters of the replica's machine, for delta
+    // accounting into the server total: the core's counters are
+    // monotonic per machine, the server sums deltas across all cached
+    // workers of all service threads.
     cpu::SuperblockStats lastSb;
 };
 
@@ -113,6 +112,15 @@ struct CachedWorker
  *  QUERY/TRUTH body or a CHUNK's config prefix), most recently used
  *  first and at most ReplicaCacheEntries long. */
 using ReplicaCache = std::list<std::pair<std::string, CachedWorker>>;
+
+/** Block until @p fd has a byte to read, or its peer hung up. */
+void
+waitReadable(int fd)
+{
+    pollfd pfd{fd, POLLIN, 0};
+    while (::poll(&pfd, 1, -1) < 0 && errno == EINTR) {
+    }
+}
 
 std::string
 sanitizeMetricName(const std::string &name)
@@ -167,21 +175,10 @@ struct OracleServer::Impl
     std::atomic<uint64_t> replicaProvisions{0};
     std::atomic<uint64_t> pacRekeys{0};
     std::atomic<uint64_t> queuePeak{0};
-    // Committed-fast-path telemetry, summed across every worker
-    // replica this server has driven (satellite of the superblock
-    // engine; same counters the per-machine stats report prints).
-    std::atomic<uint64_t> sbBlocksBuilt{0};
-    std::atomic<uint64_t> sbBlockHits{0};
-    std::atomic<uint64_t> sbBlockInsts{0};
-    std::atomic<uint64_t> sbInvalidations{0};
-    std::atomic<uint64_t> sbFallbackExits{0};
-    std::atomic<uint64_t> sbChainedDispatches{0};
-    std::atomic<uint64_t> callsRecorded{0};
-    std::atomic<uint64_t> callsReplayed{0};
-    std::atomic<uint64_t> instsReplayed{0};
-    std::array<std::atomic<uint64_t>, cpu::NumCallGuards> replayMisses{};
-    std::atomic<uint64_t> decodeHits{0};
-    std::atomic<uint64_t> decodeMisses{0};
+    // Fast-path telemetry summed across every worker replica this
+    // server has driven (the counters Machine::statsReport prints).
+    mutable std::mutex sbMu;
+    cpu::SuperblockStats sbTotal; //!< guarded by sbMu
     /** One tenant's lifetime request count and its latest latencies
      *  (a ring of TenantLatencyWindow samples). */
     struct TenantLatency
@@ -229,8 +226,16 @@ void
 OracleServer::Impl::readerLoop(std::shared_ptr<Connection> conn)
 {
     try {
-        while (std::optional<std::string> payload =
-                   readFrame(conn->fd)) {
+        for (;;) {
+            // A connection may idle between frames for as long as it
+            // likes, but once a frame starts the rest must follow
+            // within PartialFrameSeconds; a WireTimeout drops the
+            // connection.
+            waitReadable(conn->fd);
+            const std::optional<std::string> payload =
+                readFrame(conn->fd, PartialFrameSeconds);
+            if (!payload)
+                break;
             std::optional<WireMessage> msg = unpackMessage(*payload);
             if (!msg) {
                 requestErrors.fetch_add(1);
@@ -355,30 +360,21 @@ OracleServer::Impl::accountWorker(CachedWorker &cw, uint64_t items)
         itemsRestored.fetch_add(items);
     const uint64_t prov = cw.worker->provisions();
     replicaProvisions.fetch_add(prov - cw.lastProvisions);
+    // A provision builds a new machine, whose counters start from zero.
+    if (prov != cw.lastProvisions)
+        cw.lastSb = {};
     cw.lastProvisions = prov;
     const uint64_t rk = cw.worker->machine().rekeys();
     pacRekeys.fetch_add(rk - cw.lastRekeys);
     cw.lastRekeys = rk;
-    const cpu::SuperblockStats &sb =
-        cw.worker->machine().core().superblockStats();
-    sbBlocksBuilt.fetch_add(sb.blocksBuilt - cw.lastSb.blocksBuilt);
-    sbBlockHits.fetch_add(sb.blockHits - cw.lastSb.blockHits);
-    sbBlockInsts.fetch_add(sb.blockInsts - cw.lastSb.blockInsts);
-    sbInvalidations.fetch_add(sb.invalidations -
-                              cw.lastSb.invalidations);
-    sbFallbackExits.fetch_add(sb.fallbackExits -
-                              cw.lastSb.fallbackExits);
-    sbChainedDispatches.fetch_add(sb.chainedDispatches -
-                                  cw.lastSb.chainedDispatches);
-    decodeHits.fetch_add(sb.decodeHits - cw.lastSb.decodeHits);
-    callsRecorded.fetch_add(sb.callsRecorded - cw.lastSb.callsRecorded);
-    callsReplayed.fetch_add(sb.callsReplayed - cw.lastSb.callsReplayed);
-    instsReplayed.fetch_add(sb.instsReplayed - cw.lastSb.instsReplayed);
-    for (size_t g = 0; g < cpu::NumCallGuards; ++g)
-        replayMisses[g].fetch_add(sb.replayMisses[g] -
-                                  cw.lastSb.replayMisses[g]);
-    decodeMisses.fetch_add(sb.decodeMisses - cw.lastSb.decodeMisses);
-    cw.lastSb = sb;
+    std::lock_guard<std::mutex> lock(sbMu);
+    cpu::SuperblockStats::forEachField(
+        [](std::string_view, const char *, uint64_t &total, uint64_t now,
+           uint64_t &last) {
+            total += now - last;
+            last = now;
+        },
+        sbTotal, cw.worker->machine().core().superblockStats(), cw.lastSb);
 }
 
 void
@@ -627,36 +623,24 @@ OracleServer::Impl::metricsJson() const
     add("replica_provisions", double(replicaProvisions.load()),
         "lower");
     add("pac_rekeys", double(pacRekeys.load()), "higher");
-    // Committed-fast-path telemetry: how much guest work the cached
-    // superblock engine absorbed across all worker replicas, and how
-    // often content/epoch validation had to drop cached state.
-    const double sbBuilt = double(sbBlocksBuilt.load());
-    const double sbHits = double(sbBlockHits.load());
-    add("superblock_blocks_built", sbBuilt, "lower");
-    add("superblock_block_hits", sbHits, "higher");
-    add("superblock_block_insts", double(sbBlockInsts.load()),
-        "higher");
-    add("superblock_invalidations", double(sbInvalidations.load()),
-        "lower");
-    add("superblock_fallback_exits", double(sbFallbackExits.load()),
-        "lower");
-    add("superblock_chained_dispatches",
-        double(sbChainedDispatches.load()), "higher");
+    cpu::SuperblockStats sb;
+    {
+        std::lock_guard<std::mutex> lock(sbMu);
+        sb = sbTotal;
+    }
+    cpu::SuperblockStats::forEachField(
+        [&](std::string_view name, const char *better, uint64_t value) {
+            if (better)
+                add(std::string(name), double(value), better);
+        },
+        sb);
+    const double sbBuilt = double(sb.blocksBuilt);
+    const double sbHits = double(sb.blockHits);
     if (sbBuilt + sbHits > 0)
         add("superblock_hit_rate", sbHits / (sbBuilt + sbHits),
             "higher");
-    // Guest-call replay: calls served from a recording, and the
-    // first guard the most recently used recording at the pc failed.
-    add("call_memo_recorded", double(callsRecorded.load()), "lower");
-    add("call_memo_replayed", double(callsReplayed.load()), "higher");
-    add("call_memo_insts_replayed", double(instsReplayed.load()),
-        "higher");
-    for (size_t g = 0; g < cpu::NumCallGuards; ++g)
-        add(strprintf("call_memo_miss_%s",
-                      cpu::callGuardName(cpu::CallGuard(g))),
-            double(replayMisses[g].load()), "lower");
-    const double dh = double(decodeHits.load());
-    const double dm = double(decodeMisses.load());
+    const double dh = double(sb.decodeHits);
+    const double dm = double(sb.decodeMisses);
     if (dh + dm > 0)
         add("decode_hit_rate", dh / (dh + dm), "higher");
     std::map<std::string, TenantLatency> tenants;

@@ -65,6 +65,13 @@ constexpr size_t MaxTenantNameBytes = 64;
  *  METRICS stay flat however many names its clients invent. */
 constexpr size_t MaxTenants = 64;
 
+/** Seconds the rest of a request frame may take once its first byte
+ *  has arrived. A connection that stalls mid-frame is dropped, so it
+ *  cannot hold a reader thread for as long as its client keeps it
+ *  open. A connection idle between frames stays open: EndpointPool
+ *  keeps pooled connections idle between chunks. */
+constexpr double PartialFrameSeconds = 2.0;
+
 /** Deployment knobs for one pacman-oracled instance. */
 struct ServerConfig
 {

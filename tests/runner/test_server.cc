@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -8,6 +9,7 @@
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -454,6 +456,56 @@ TEST(Server, TenantTableIsBounded)
               double(MaxTenants));
 }
 
+/** Every metric name in a METRICS document. */
+std::set<std::string>
+metricNames(const std::string &metrics)
+{
+    std::set<std::string> names;
+    const std::string tail = "\":{\"value\":";
+    for (size_t at = metrics.find(tail); at != std::string::npos;
+         at = metrics.find(tail, at + 1)) {
+        const size_t open = metrics.rfind('"', at - 1);
+        names.insert(metrics.substr(open + 1, at - open - 1));
+    }
+    return names;
+}
+
+TEST(Server, MetricsKeySetAfterQueryAndChunk)
+{
+    // Dashboards and perfbench's serving workload read METRICS by key
+    // (superblock_block_hits among them), so a QUERY and a CHUNK, which
+    // between them touch every counter family, must leave exactly this
+    // key set behind.
+    TestServer ts(/*threads=*/1);
+    OracleClient c(ts.endpoint());
+    c.query(0x1234, Random::deriveSeed(7, 0), testReplica());
+    c.chunkPayload(encodeBfChunkRequest(smallCampaign(nullptr),
+                                        Chunk{0, 0, 15}));
+    std::set<std::string> expected = {
+        "queue_depth", "queue_peak", "busy_rejections",
+        "connections_accepted", "queries_served", "truths_served",
+        "chunks_served", "request_errors", "checkpoint_restores",
+        "replica_provisions", "pac_rekeys", "superblock_blocks_built",
+        "superblock_block_hits", "superblock_block_insts",
+        "superblock_invalidations", "superblock_fallback_exits",
+        "superblock_chained_dispatches", "call_memo_recorded",
+        "call_memo_replayed", "call_memo_insts_replayed",
+        "call_memo_miss_entry", "call_memo_miss_budget",
+        "call_memo_miss_registers", "call_memo_miss_sysregs",
+        "call_memo_miss_scoreboard", "call_memo_miss_latency",
+        "call_memo_miss_ways", "call_memo_miss_predictor",
+        "call_memo_miss_pages", "tenant___requests",
+        "tenant___latency_p50_us", "tenant___latency_p99_us"};
+    // The two ratios appear once a replica has used the fast path.
+    if (defaultMachineConfig().core.fastPath == cpu::FastPath::Full)
+        expected.insert({"superblock_hit_rate", "decode_hit_rate"});
+    const std::string metrics = c.metricsJson();
+    EXPECT_EQ(metricNames(metrics), expected);
+    EXPECT_EQ(metricValue(metrics, "queries_served"), 1);
+    EXPECT_EQ(metricValue(metrics, "chunks_served"), 1);
+    EXPECT_EQ(metricValue(metrics, "tenant___requests"), 2);
+}
+
 /** Threads in this process (entries of /proc/self/task). */
 size_t
 threadCount()
@@ -585,6 +637,30 @@ TEST(Server, DistinctConfigsDoNotGrowReplicaCache)
               double(ReplicaCacheEntries + More + 1));
 }
 
+TEST(Server, FreshProvisionTelemetryCountsEveryReplica)
+{
+    // METRICS adds up each replica's monotonic fast-path counters as
+    // deltas since the replica was last accounted. A fresh-provision
+    // replica (snapshot off) is a new machine on every request, whose
+    // counters start again from zero, so each request must be counted
+    // from zero as well.
+    if (defaultMachineConfig().core.fastPath != cpu::FastPath::Full)
+        GTEST_SKIP() << "FastPath::Reference keeps no fast-path counters";
+    TestServer ts(/*threads=*/1);
+    OracleClient c(ts.endpoint());
+    ReplicaConfig replica = testReplica();
+    replica.snapshot = false;
+    const uint64_t stream = Random::deriveSeed(7, 0);
+    c.query(0x1234, stream, replica);
+    const double once =
+        metricValue(c.metricsJson(), "superblock_block_insts");
+    c.query(0x1234, stream, replica);
+    c.query(0x1234, stream, replica);
+    EXPECT_GT(once, 0);
+    EXPECT_EQ(metricValue(c.metricsJson(), "superblock_block_insts"),
+              3 * once);
+}
+
 TEST(Server, StalledFrameHeadersDoNotCommitMemory)
 {
     // A frame header states its payload length before any payload
@@ -620,6 +696,45 @@ TEST(Server, StalledFrameHeadersDoNotCommitMemory)
         ::close(fd);
     OracleClient c(ts.endpoint());
     c.ping();
+}
+
+TEST(Server, StalledPartialFramesAreDropped)
+{
+    // Once a frame's first byte has arrived, the rest must follow
+    // within PartialFrameSeconds. Otherwise a client that sends part
+    // of a frame and stops holds a reader thread for as long as it
+    // keeps the connection open.
+    TestServer ts(/*threads=*/1);
+    const size_t threads = threadCount();
+    const auto ep = parseEndpoint(ts.endpoint());
+    ASSERT_TRUE(ep.has_value());
+    constexpr size_t Stalled = 4;
+    std::vector<int> fds;
+    for (size_t i = 0; i < Stalled; ++i) {
+        const int fd = connectEndpoint(*ep);
+        ASSERT_EQ(::write(fd, "PAC1", 4), 4); // a third of a header
+        fds.push_back(fd);
+    }
+    const auto settle = [](auto done) {
+        const auto give_up = std::chrono::steady_clock::now() +
+                             std::chrono::duration<double>(
+                                 PartialFrameSeconds + 5);
+        while (!done() && std::chrono::steady_clock::now() < give_up)
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    };
+    // Each stalled connection holds a reader...
+    settle([&] { return threadCount() >= threads + Stalled; });
+    EXPECT_EQ(threadCount(), threads + Stalled);
+    // ...until the deadline drops it.
+    settle([&] { return threadCount() <= threads; });
+    EXPECT_EQ(threadCount(), threads);
+    for (const int fd : fds) {
+        char byte = 0;
+        EXPECT_EQ(::recv(fd, &byte, 1, MSG_DONTWAIT), 0); // EOF
+        ::close(fd);
+    }
+    OracleClient c(ts.endpoint());
+    EXPECT_TRUE(c.ping());
 }
 
 TEST(Server, DrainFinishesQueuedWorkAndRejectsNew)
