@@ -647,8 +647,8 @@ endpointFailoverScenario(const Options &opt, ScenarioTally &tally)
         // chunks and dies, so A's workers still find chunks queued
         // and must fail over. Unheld, a CPU-starved A could watch B
         // drain the whole queue first and leave no fault to recover
-        // from. B's reader answers the PING only after it has queued
-        // both SLEEPs, so they run before any chunk B receives.
+        // from. B answers the PING only after it has queued both
+        // SLEEPs, so they run before any chunk B receives.
         OracleClient hold(dcfg.endpoints[1]);
         if (jobs > 1) {
             hold.sendRequest("SLEEP", "1000");

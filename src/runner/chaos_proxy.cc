@@ -153,23 +153,14 @@ struct ChaosProxy::Impl
     {
         uint64_t frame = 0;
         try {
-            for (;;) {
-                char header[FrameHeaderBytes];
-                if (!readBytes(from, header, sizeof(header)))
-                    break; // upstream closed cleanly
-                const uint32_t len = parseFrameHeader(header);
-                std::string payload(len, '\0');
-                if (len > 0 &&
-                    !readBytes(from, payload.data(), len))
-                    break;
-
+            while (std::optional<std::string> payload = readFrame(from)) {
                 if (cfg.blackhole) {
                     // Swallow the response: the client can only
                     // escape via its read deadline.
                     record(conn, frame++, "blackhole");
                     continue;
                 }
-                if (!applyFault(to, conn, frame++, header, payload))
+                if (!applyFault(to, conn, frame++, encodeFrame(*payload)))
                     break; // connection-terminating fault
             }
         } catch (const WireError &) {
@@ -188,12 +179,11 @@ struct ChaosProxy::Impl
      * independent of thread scheduling and of the other connections.
      */
     bool
-    applyFault(int to, uint64_t conn, uint64_t frame,
-               char header[FrameHeaderBytes], std::string &payload)
+    applyFault(int to, uint64_t conn, uint64_t frame, std::string bytes)
     {
         Random rng(
             Random::deriveSeed(cfg.seed, (conn << 20) | frame));
-        const uint32_t len = uint32_t(payload.size());
+        const uint32_t len = uint32_t(bytes.size() - FrameHeaderBytes);
 
         if (rng.chance(cfg.dropRate)) {
             record(conn, frame, "drop");
@@ -203,10 +193,10 @@ struct ChaosProxy::Impl
         if (len > 0 && rng.chance(cfg.corruptRate)) {
             // Flip one payload byte under the ORIGINAL header CRC:
             // the client must catch the mismatch, not the proxy.
-            payload[size_t(rng.next(len))] ^= 0x01;
+            bytes[FrameHeaderBytes + size_t(rng.next(len))] ^= 0x01;
             record(conn, frame, "corrupt");
             bump(&Counters::corruptions);
-            forward(to, header, payload);
+            forward(to, bytes);
             return true;
         }
         if (len > 0 && rng.chance(cfg.truncateRate)) {
@@ -215,9 +205,7 @@ struct ChaosProxy::Impl
             const size_t keep = size_t(rng.next(len));
             record(conn, frame, "truncate");
             bump(&Counters::truncations);
-            writeBytes(to, header, FrameHeaderBytes);
-            if (keep > 0)
-                writeBytes(to, payload.data(), keep);
+            writeBytes(to, bytes.data(), FrameHeaderBytes + keep);
             return false;
         }
         if (rng.chance(cfg.delayRate)) {
@@ -225,27 +213,24 @@ struct ChaosProxy::Impl
             bump(&Counters::delays);
             std::this_thread::sleep_for(
                 std::chrono::duration<double>(cfg.delaySeconds));
-            forward(to, header, payload);
+            forward(to, bytes);
             return true;
         }
         if (rng.chance(cfg.duplicateRate)) {
             record(conn, frame, "duplicate");
             bump(&Counters::duplicates);
-            forward(to, header, payload);
-            forward(to, header, payload);
+            forward(to, bytes);
+            forward(to, bytes);
             return true;
         }
-        forward(to, header, payload);
+        forward(to, bytes);
         return true;
     }
 
     void
-    forward(int to, const char header[FrameHeaderBytes],
-            const std::string &payload)
+    forward(int to, const std::string &bytes)
     {
-        writeBytes(to, header, FrameHeaderBytes);
-        if (!payload.empty())
-            writeBytes(to, payload.data(), payload.size());
+        writeBytes(to, bytes.data(), bytes.size());
         std::lock_guard<std::mutex> lock(mu);
         ++counters.framesForwarded;
     }

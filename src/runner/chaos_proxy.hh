@@ -8,8 +8,8 @@
  *  - client→server bytes pass through untouched (requests must stay
  *    intact — a corrupted request would change what work the server
  *    performs, which is not the failure mode under test);
- *  - server→client traffic is re-framed (parseFrameHeader + exact
- *    reads), and each response frame rolls one fault decision.
+ *  - server→client traffic is re-framed (readFrame, encodeFrame),
+ *    and each response frame rolls one fault decision.
  *
  * Injected faults: payload byte corruption under the original header
  * CRC (the client must detect the mismatch), frame truncation

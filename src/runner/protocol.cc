@@ -22,7 +22,6 @@ namespace
 {
 
 constexpr char FrameMagic[4] = {'P', 'A', 'C', '1'};
-constexpr size_t HeaderBytes = FrameHeaderBytes;
 
 void
 putU32(char *p, uint32_t v)
@@ -156,36 +155,68 @@ readBytes(int fd, char *data, size_t len, double deadline_seconds)
     return true;
 }
 
-uint32_t
-parseFrameHeader(const char header[FrameHeaderBytes])
+std::string
+encodeFrame(std::string_view payload)
 {
-    if (std::memcmp(header, FrameMagic, 4) != 0)
-        throw WireError("wire frame: bad magic");
-    const uint32_t len = getU32(header + 4);
-    if (len > MaxFrameBytes)
-        throw WireError(
-            strprintf("wire frame: oversize payload (%u bytes)", len));
-    return len;
+    if (payload.size() > MaxFrameBytes)
+        throw WireError(strprintf("frame payload too large (%zu bytes)",
+                                  payload.size()));
+    std::string frame(FrameHeaderBytes, '\0');
+    std::memcpy(frame.data(), FrameMagic, 4);
+    putU32(frame.data() + 4, uint32_t(payload.size()));
+    putU32(frame.data() + 8, Journal::crc32(payload));
+    return frame.append(payload);
 }
 
 void
 writeFrame(int fd, std::string_view payload)
 {
-    if (payload.size() > MaxFrameBytes)
-        throw WireError(strprintf("frame payload too large (%zu bytes)",
-                                  payload.size()));
-    char header[HeaderBytes];
-    std::memcpy(header, FrameMagic, 4);
-    putU32(header + 4, uint32_t(payload.size()));
-    putU32(header + 8, Journal::crc32(payload));
     // Header and payload in one buffered write: one frame, one
     // write(2) where it fits, so concurrent writers interleave at
     // frame granularity under the caller's per-connection lock.
-    std::string frame;
-    frame.reserve(HeaderBytes + payload.size());
-    frame.append(header, HeaderBytes);
-    frame.append(payload);
+    const std::string frame = encodeFrame(payload);
     writeBytes(fd, frame.data(), frame.size());
+}
+
+void
+FrameSplitter::append(const char *data, size_t len)
+{
+    // Drop the frames next() took once per append, not once per frame,
+    // so a read that brings many small frames costs linear time.
+    buf_.erase(0, start_);
+    start_ = 0;
+    buf_.append(data, len);
+}
+
+std::optional<std::string>
+FrameSplitter::next()
+{
+    const size_t have = buf_.size() - start_;
+    if (frameBytes_ == 0) {
+        if (have < FrameHeaderBytes)
+            return std::nullopt;
+        const char *header = buf_.data() + start_;
+        if (std::memcmp(header, FrameMagic, 4) != 0)
+            throw WireError("wire frame: bad magic");
+        const uint32_t len = getU32(header + 4);
+        if (len > MaxFrameBytes)
+            throw WireError(
+                strprintf("wire frame: oversize payload (%u bytes)", len));
+        frameBytes_ = FrameHeaderBytes + len;
+    }
+    if (have < frameBytes_)
+        return std::nullopt;
+    std::string payload =
+        buf_.substr(start_ + FrameHeaderBytes, frameBytes_ - FrameHeaderBytes);
+    if (Journal::crc32(payload) != getU32(buf_.data() + start_ + 8))
+        throw WireError("wire frame: CRC mismatch");
+    start_ += frameBytes_;
+    frameBytes_ = 0;
+    if (!midFrame()) { // an idle stream keeps no buffer
+        std::string().swap(buf_);
+        start_ = 0;
+    }
+    return payload;
 }
 
 std::optional<std::string>
@@ -193,39 +224,27 @@ readFrame(int fd, double deadline_seconds)
 {
     using Clock = std::chrono::steady_clock;
     const Clock::time_point start = Clock::now();
-    char header[HeaderBytes];
-    if (!readBytes(fd, header, HeaderBytes, deadline_seconds))
-        return std::nullopt;
-    const uint32_t len = parseFrameHeader(header);
-    const uint32_t crc = getU32(header + 8);
-    // The payload shares the frame's deadline: whatever of it the
-    // header read left over (never negative — a tiny positive floor
-    // keeps an exactly-expired deadline from reading forever).
-    const auto remaining = [&] {
-        if (deadline_seconds <= 0)
-            return 0.0;
-        return std::max(deadline_seconds -
-                            std::chrono::duration<double>(Clock::now() -
-                                                          start)
-                                .count(),
-                        1e-3);
-    };
-    // The header's length is only a claim: the buffer grows by at most
-    // one piece past the bytes that actually arrived, so a peer that
-    // sends a header and stalls pins one piece, not the whole claim.
-    constexpr size_t PieceBytes = 64 * 1024;
-    std::string payload;
-    while (payload.size() < len) {
-        const size_t got = payload.size();
-        payload.resize(got + std::min<size_t>(len - got, PieceBytes));
-        if (!readBytes(fd, payload.data() + got, payload.size() - got,
-                       remaining()))
-            throw WireError(got == 0 ? "wire frame: EOF mid-payload"
-                                     : "wire read: EOF mid-frame");
+    FrameSplitter frames;
+    std::string piece;
+    for (;;) {
+        if (std::optional<std::string> payload = frames.next())
+            return payload;
+        // No byte past this frame, and at most 64 KiB at a time: a
+        // header's length is only a claim, so a stalled peer pins one
+        // piece. Each read gets what is left of the frame's deadline (a
+        // tiny floor keeps an expired one from reading forever).
+        piece.resize(std::min<size_t>(frames.missing(), 64 * 1024));
+        const double left =
+            deadline_seconds -
+            std::chrono::duration<double>(Clock::now() - start).count();
+        if (!readBytes(fd, piece.data(), piece.size(),
+                       deadline_seconds > 0 ? std::max(left, 1e-3) : 0)) {
+            if (!frames.midFrame())
+                return std::nullopt;
+            throw WireError("wire read: EOF mid-frame");
+        }
+        frames.append(piece.data(), piece.size());
     }
-    if (Journal::crc32(payload) != crc)
-        throw WireError("wire frame: CRC mismatch");
-    return payload;
 }
 
 std::string

@@ -86,12 +86,39 @@ void writeBytes(int fd, const char *data, size_t len);
 bool readBytes(int fd, char *data, size_t len,
                double deadline_seconds = 0);
 
-/**
- * Validate a raw frame header (magic, length bound) and return the
- * payload length it announces. Throws WireError on bad magic or an
- * oversize length. Used by relays that forward frames verbatim.
- */
-uint32_t parseFrameHeader(const char header[FrameHeaderBytes]);
+/** The bytes writeFrame sends for @p payload: header, then payload.
+ *  Throws WireError on an oversize payload. */
+std::string encodeFrame(std::string_view payload);
+
+/** Cuts a byte stream into frames: the one place a frame's magic,
+ *  length bound and CRC are checked. readFrame reads through one;
+ *  pacman-oracled keeps one per connection. */
+class FrameSplitter
+{
+  public:
+    /** Buffer the next @p len bytes of the stream. */
+    void append(const char *data, size_t len);
+
+    /** The next whole frame's payload, or nullopt until one is
+     *  buffered. Throws WireError on bad magic or an oversize length
+     *  as soon as the header is in, and on a CRC mismatch. */
+    std::optional<std::string> next();
+
+    /** Bytes the next frame lacks, once next() returned nullopt. */
+    size_t missing() const
+    {
+        return (frameBytes_ ? frameBytes_ : FrameHeaderBytes) -
+               (buf_.size() - start_);
+    }
+
+    /** True while part of a frame is buffered. */
+    bool midFrame() const { return start_ < buf_.size(); }
+
+  private:
+    std::string buf_;
+    size_t start_ = 0;      //!< where the next frame begins in buf_
+    size_t frameBytes_ = 0; //!< its size, once next() checked its header
+};
 
 /**
  * Write one frame to @p fd (blocking, EINTR-retried, whole frame).
@@ -100,10 +127,10 @@ uint32_t parseFrameHeader(const char header[FrameHeaderBytes]);
 void writeFrame(int fd, std::string_view payload);
 
 /**
- * Read one frame from @p fd. Returns nullopt on a clean EOF at a
- * frame boundary (peer closed); throws WireError on mid-frame EOF,
- * bad magic, oversize length, or CRC mismatch. With
- * @p deadline_seconds > 0 the whole frame must arrive within the
+ * Read one frame from @p fd through a FrameSplitter. Returns nullopt
+ * on a clean EOF at a frame boundary (peer closed); throws WireError
+ * on mid-frame EOF and on whatever FrameSplitter::next() rejects.
+ * With @p deadline_seconds > 0 the whole frame must arrive within the
  * deadline or WireTimeout is thrown (see WireTimeout on recovery).
  */
 std::optional<std::string> readFrame(int fd,

@@ -4,6 +4,7 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -47,39 +48,29 @@ constexpr size_t TenantLatencyWindow = 1024;
  *  HELLO names cannot contain a space, so no tenant is called this. */
 const char *const OverflowTenant = "(other tenants)";
 
-/** One accepted connection; jobs hold it alive past reader exit. */
+/** One accepted connection; jobs hold it alive after the I/O thread
+ *  has dropped it. */
 struct Connection
 {
     int fd = -1;
 
     /** Serializes response frames: service threads complete jobs out
-     *  of order and interleave with reader-thread replies. */
+     *  of order and interleave with the I/O thread's replies. */
     std::mutex writeMu;
 
-    /** Tenant binding (set by HELLO, read by service threads). */
-    std::mutex metaMu;
-    std::string tenant = "-";
+    /** Set once a reply failed and shut the socket down. */
+    std::atomic<bool> broken{false};
+
+    // The I/O thread's alone.
+    FrameSplitter in;
+    Clock::time_point frameStart; //!< when the unfinished frame began
+    std::string tenant = "-";     //!< bound by HELLO
     std::optional<uint64_t> tenantKey;
 
     ~Connection()
     {
         if (fd >= 0)
             ::close(fd);
-    }
-
-    void
-    setTenant(const std::string &name, uint64_t key)
-    {
-        std::lock_guard<std::mutex> lock(metaMu);
-        tenant = name;
-        tenantKey = key;
-    }
-
-    std::pair<std::string, std::optional<uint64_t>>
-    tenantBinding()
-    {
-        std::lock_guard<std::mutex> lock(metaMu);
-        return {tenant, tenantKey};
     }
 };
 
@@ -113,15 +104,6 @@ struct CachedWorker
  *  first and at most ReplicaCacheEntries long. */
 using ReplicaCache = std::list<std::pair<std::string, CachedWorker>>;
 
-/** Block until @p fd has a byte to read, or its peer hung up. */
-void
-waitReadable(int fd)
-{
-    pollfd pfd{fd, POLLIN, 0};
-    while (::poll(&pfd, 1, -1) < 0 && errno == EINTR) {
-    }
-}
-
 std::string
 sanitizeMetricName(const std::string &name)
 {
@@ -131,6 +113,25 @@ sanitizeMetricName(const std::string &name)
                    ? ch
                    : '_';
     return out.empty() ? std::string("_") : out;
+}
+
+/** A socket listening on @p addr. Non-blocking, so a client that
+ *  vanishes between poll and accept cannot block the I/O thread.
+ *  Throws std::runtime_error naming @p what. */
+int
+listenOn(const sockaddr *addr, socklen_t len, const std::string &what)
+{
+    const int fd = ::socket(addr->sa_family, SOCK_STREAM | SOCK_NONBLOCK, 0);
+    const int one = 1;
+    if (fd < 0 ||
+        ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one)) != 0 ||
+        ::bind(fd, addr, len) != 0 || ::listen(fd, 64) != 0) {
+        const std::string err = std::strerror(errno);
+        if (fd >= 0)
+            ::close(fd);
+        throw std::runtime_error("bind " + what + ": " + err);
+    }
+    return fd;
 }
 
 } // anonymous namespace
@@ -147,18 +148,9 @@ struct OracleServer::Impl
     int tcpFd = -1;
     uint16_t tcpPort = 0;
 
-    /** One connection's reader thread; done once readerLoop returned. */
-    struct Reader
-    {
-        std::thread thread;
-        std::atomic<bool> done{false};
-    };
-
-    std::thread acceptor;
+    std::thread io;
     std::vector<std::thread> service;
-    std::mutex connMu;
-    std::list<Reader> readers;                    //!< guarded by connMu
-    std::vector<std::weak_ptr<Connection>> conns; //!< guarded by connMu
+    std::atomic<bool> stopIo{false}; //!< set once service threads joined
 
     mutable std::mutex qmu;
     std::condition_variable qcv;
@@ -192,10 +184,13 @@ struct OracleServer::Impl
     void reply(const std::shared_ptr<Connection> &conn, uint64_t id,
                const char *verb, std::string args = {},
                std::string body = {});
-    void readerLoop(std::shared_ptr<Connection> conn);
+    void drain();
+    void ioLoop();
+    bool readFrames(const std::shared_ptr<Connection> &conn,
+                    Clock::time_point now);
+    void handleFrame(const std::shared_ptr<Connection> &conn,
+                     const std::string &payload);
     void serviceLoop();
-    void acceptLoop();
-    void reapReaders();
     void executeJob(ReplicaCache &cache, Job &job);
     CachedWorker &getWorker(ReplicaCache &cache,
                             const std::string &config_text);
@@ -208,116 +203,119 @@ OracleServer::Impl::reply(const std::shared_ptr<Connection> &conn,
                           uint64_t id, const char *verb,
                           std::string args, std::string body)
 {
-    WireMessage m;
-    m.id = id;
-    m.verb = verb;
-    m.args = std::move(args);
-    m.body = std::move(body);
+    std::lock_guard<std::mutex> lock(conn->writeMu);
     try {
-        std::lock_guard<std::mutex> lock(conn->writeMu);
-        writeFrame(conn->fd, packMessage(m));
+        writeFrame(conn->fd, packMessage({id, verb, std::move(args),
+                                          std::move(body)}));
     } catch (const WireError &) {
-        // Peer went away between request and response; the reader
-        // loop notices the same EOF and retires the connection.
+        // The peer left or stopped reading for ReplySeconds, maybe
+        // mid-frame: shut down, so the I/O thread drops it.
+        conn->broken.store(true);
+        ::shutdown(conn->fd, SHUT_RDWR);
     }
 }
 
 void
-OracleServer::Impl::readerLoop(std::shared_ptr<Connection> conn)
+OracleServer::Impl::handleFrame(const std::shared_ptr<Connection> &conn,
+                                const std::string &payload)
 {
-    try {
-        for (;;) {
-            // A connection may idle between frames for as long as it
-            // likes, but once a frame starts the rest must follow
-            // within PartialFrameSeconds; a WireTimeout drops the
-            // connection.
-            waitReadable(conn->fd);
-            const std::optional<std::string> payload =
-                readFrame(conn->fd, PartialFrameSeconds);
-            if (!payload)
-                break;
-            std::optional<WireMessage> msg = unpackMessage(*payload);
-            if (!msg) {
-                requestErrors.fetch_add(1);
-                reply(conn, 0, "ERR", "malformed message");
-                continue;
-            }
-            const std::string &verb = msg->verb;
-            if (verb == "PING") {
-                // Health probes read the args: a draining server is
-                // alive but not dispatchable (dispatch.hh breakers).
-                reply(conn, msg->id, "OK",
-                      draining.load() ? "draining" : "ready");
-            } else if (verb == "HELLO") {
-                std::istringstream in(msg->args);
-                std::string name, secret_word;
-                unsigned long long secret = 0;
-                if (!(in >> name >> secret_word) ||
-                    name.size() > MaxTenantNameBytes ||
-                    sscanf(secret_word.c_str(), "%llx", &secret) != 1) {
-                    requestErrors.fetch_add(1);
-                    reply(conn, msg->id, "ERR",
-                          strprintf("usage: HELLO <name of at most %zu "
-                                    "bytes> <secret-hex>",
-                                    MaxTenantNameBytes));
-                    continue;
-                }
-                // The tenant key seeds Machine::rekey() for every
-                // query this connection issues: same name + secret ==
-                // same PAC keys across connections and server
-                // restarts; different tenants never share keys.
-                conn->setTenant(
-                    name, Random::deriveSeed(
-                              secret, Journal::crc32(name)));
-                reply(conn, msg->id, "OK");
-            } else if (verb == "METRICS") {
-                reply(conn, msg->id, "OK", {}, metricsJson());
-            } else if (verb == "DRAIN") {
-                // Flag first: a client that has seen the OK must
-                // observe draining() == true.
-                draining.store(true);
-                qcv.notify_all();
-                reply(conn, msg->id, "OK");
-            } else if (verb == "QUERY" || verb == "TRUTH" ||
-                       verb == "CHUNK" || verb == "SLEEP") {
-                if (draining.load()) {
-                    reply(conn, msg->id, "ERR", "draining");
-                    continue;
-                }
-                Job job;
-                job.conn = conn;
-                job.msg = std::move(*msg);
-                std::tie(job.tenant, job.tenantKey) =
-                    conn->tenantBinding();
-                job.enqueued = Clock::now();
-                bool admitted = false;
-                {
-                    std::lock_guard<std::mutex> lock(qmu);
-                    if (queue.size() < cfg.maxQueue) {
-                        queue.push_back(std::move(job));
-                        uint64_t depth = queue.size(), peak;
-                        while (depth > (peak = queuePeak.load()) &&
-                               !queuePeak.compare_exchange_weak(peak,
-                                                                depth)) {
-                        }
-                        admitted = true;
-                    }
-                }
-                if (admitted) {
-                    qcv.notify_one();
-                } else {
-                    busyRejections.fetch_add(1);
-                    reply(conn, msg->id, "BUSY");
-                }
-            } else {
-                requestErrors.fetch_add(1);
-                reply(conn, msg->id, "ERR",
-                      strprintf("unknown verb '%s'", verb.c_str()));
-            }
-        }
-    } catch (const WireError &) {
-        // Torn connection; nothing to answer.
+    std::optional<WireMessage> msg = unpackMessage(payload);
+    if (!msg) {
+        requestErrors.fetch_add(1);
+        reply(conn, 0, "ERR", "malformed message");
+        return;
     }
+    const std::string &verb = msg->verb;
+    if (verb == "PING") {
+        // Health probes read the args: a draining server is alive but
+        // not dispatchable (dispatch.hh breakers).
+        reply(conn, msg->id, "OK", draining.load() ? "draining" : "ready");
+    } else if (verb == "HELLO") {
+        std::istringstream in(msg->args);
+        std::string name, secret_word;
+        unsigned long long secret = 0;
+        if (!(in >> name >> secret_word) ||
+            name.size() > MaxTenantNameBytes ||
+            sscanf(secret_word.c_str(), "%llx", &secret) != 1) {
+            requestErrors.fetch_add(1);
+            reply(conn, msg->id, "ERR",
+                  strprintf("usage: HELLO <name of at most %zu bytes> "
+                            "<secret-hex>",
+                            MaxTenantNameBytes));
+            return;
+        }
+        // The tenant key seeds Machine::rekey() for every query this
+        // connection issues: same name + secret == same PAC keys across
+        // connections and server restarts; different tenants never
+        // share keys.
+        conn->tenant = name;
+        conn->tenantKey = Random::deriveSeed(secret, Journal::crc32(name));
+        reply(conn, msg->id, "OK");
+    } else if (verb == "METRICS") {
+        reply(conn, msg->id, "OK", {}, metricsJson());
+    } else if (verb == "DRAIN") {
+        // Flag first: a client that has seen the OK must observe
+        // draining() == true.
+        drain();
+        reply(conn, msg->id, "OK");
+    } else if (verb == "QUERY" || verb == "TRUTH" || verb == "CHUNK" ||
+               verb == "SLEEP") {
+        std::unique_lock<std::mutex> lock(qmu);
+        if (draining.load()) {
+            lock.unlock();
+            reply(conn, msg->id, "ERR", "draining");
+        } else if (queue.size() < cfg.maxQueue) {
+            queue.push_back({conn, std::move(*msg), conn->tenant,
+                             conn->tenantKey, Clock::now()});
+            queuePeak.store(std::max<uint64_t>(queuePeak, queue.size()));
+            lock.unlock();
+            qcv.notify_one();
+        } else {
+            lock.unlock();
+            busyRejections.fetch_add(1);
+            reply(conn, msg->id, "BUSY");
+        }
+    } else {
+        requestErrors.fetch_add(1);
+        reply(conn, msg->id, "ERR",
+              strprintf("unknown verb '%s'", verb.c_str()));
+    }
+}
+
+void
+OracleServer::Impl::drain()
+{
+    // Under qmu, where service threads wait and the I/O thread enqueues:
+    // no wake-up is lost, and no job is queued after they have left.
+    {
+        std::lock_guard<std::mutex> lock(qmu);
+        draining.store(true);
+    }
+    qcv.notify_all();
+}
+
+bool
+OracleServer::Impl::readFrames(const std::shared_ptr<Connection> &conn,
+                               Clock::time_point now)
+{
+    char buf[64 * 1024];
+    const ssize_t n = ::read(conn->fd, buf, sizeof(buf));
+    if (n <= 0)
+        return n < 0 && errno == EINTR; // EOF or a torn connection
+    // A frame's clock starts with its first byte: at a frame boundary
+    // before this read, or right after a frame this read completes.
+    if (!conn->in.midFrame())
+        conn->frameStart = now;
+    conn->in.append(buf, size_t(n));
+    try {
+        for (std::optional<std::string> payload;
+             !conn->broken.load() && (payload = conn->in.next());
+             conn->frameStart = now)
+            handleFrame(conn, *payload);
+    } catch (const WireError &) {
+        return false; // bad magic, length or CRC: the stream is lost
+    }
+    return !conn->broken.load();
 }
 
 CachedWorker &
@@ -537,61 +535,55 @@ OracleServer::Impl::serviceLoop()
 }
 
 void
-OracleServer::Impl::reapReaders()
+OracleServer::Impl::ioLoop()
 {
-    // Join finished readers and forget closed connections, so a
-    // long-running daemon holds threads and bookkeeping for its live
-    // clients only, not for every client it ever served.
-    std::lock_guard<std::mutex> lock(connMu);
-    for (auto it = readers.begin(); it != readers.end();) {
-        if (it->done.load()) {
-            it->thread.join();
-            it = readers.erase(it);
-        } else {
-            ++it;
-        }
-    }
-    std::erase_if(conns, [](const std::weak_ptr<Connection> &weak) {
-        return weak.expired();
-    });
-}
-
-void
-OracleServer::Impl::acceptLoop()
-{
-    while (!draining.load()) {
-        reapReaders();
-        pollfd fds[2];
-        nfds_t n = 0;
-        if (unixFd >= 0)
-            fds[n++] = {unixFd, POLLIN, 0};
-        if (tcpFd >= 0)
-            fds[n++] = {tcpFd, POLLIN, 0};
-        const int rc = ::poll(fds, n, 100);
-        if (rc < 0) {
+    std::list<std::shared_ptr<Connection>> conns;
+    std::vector<pollfd> fds;
+    while (!stopIo.load()) {
+        // Draining stops accepting, but the connections stay polled,
+        // so a late request still hears "ERR draining".
+        fds.clear();
+        for (const int fd : {unixFd, tcpFd})
+            if (fd >= 0 && !draining.load())
+                fds.push_back({fd, POLLIN, 0});
+        const size_t listeners = fds.size();
+        for (const std::shared_ptr<Connection> &conn : conns)
+            fds.push_back({conn->fd, POLLIN, 0});
+        // The timeout bounds how late a stalled frame is dropped and
+        // how late the end of a drain is seen.
+        if (::poll(fds.data(), fds.size(), 100) < 0) {
             if (errno == EINTR)
                 continue;
-            warn("pacman-oracled: poll failed: %s",
-                 std::strerror(errno));
+            warn("pacman-oracled: poll failed: %s", std::strerror(errno));
             break;
         }
-        for (nfds_t i = 0; i < n; ++i) {
-            if (!(fds[i].revents & POLLIN))
-                continue;
-            const int cfd = ::accept(fds[i].fd, nullptr, nullptr);
+        const Clock::time_point now = Clock::now();
+        auto conn = conns.begin();
+        for (size_t i = listeners; i < fds.size(); ++i) {
+            // A connection may idle between frames for as long as it
+            // likes, but once a frame starts the rest must follow
+            // within PartialFrameSeconds.
+            const bool live =
+                (fds[i].revents == 0 || readFrames(*conn, now)) &&
+                !((*conn)->in.midFrame() &&
+                  std::chrono::duration<double>(now - (*conn)->frameStart)
+                          .count() > PartialFrameSeconds);
+            conn = live ? std::next(conn) : conns.erase(conn);
+        }
+        for (size_t i = 0; i < listeners; ++i) {
+            const int cfd = (fds[i].revents & POLLIN) != 0
+                                ? ::accept(fds[i].fd, nullptr, nullptr)
+                                : -1;
             if (cfd < 0)
                 continue;
+            // No reply may block the I/O thread for long: a client that
+            // stops reading for ReplySeconds loses its connection.
+            const timeval limit{time_t(ReplySeconds),
+                                suseconds_t(ReplySeconds * 1e6) % 1000000};
+            ::setsockopt(cfd, SOL_SOCKET, SO_SNDTIMEO, &limit,
+                         sizeof(limit));
             connectionsAccepted.fetch_add(1);
-            auto conn = std::make_shared<Connection>();
-            conn->fd = cfd;
-            std::lock_guard<std::mutex> lock(connMu);
-            conns.push_back(conn);
-            Reader &reader = readers.emplace_back();
-            reader.thread = std::thread(
-                [this, &reader, conn = std::move(conn)]() mutable {
-                    readerLoop(std::move(conn));
-                    reader.done.store(true);
-                });
+            conns.emplace_back(std::make_shared<Connection>())->fd = cfd;
         }
     }
 }
@@ -698,42 +690,22 @@ OracleServer::start()
     if (im.cfg.socketPath.size() >= sizeof(addr.sun_path))
         throw std::runtime_error("socket path too long: " +
                                  im.cfg.socketPath);
-    im.unixFd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (im.unixFd < 0)
-        throw std::runtime_error(strprintf("socket: %s",
-                                           std::strerror(errno)));
     addr.sun_family = AF_UNIX;
     std::strncpy(addr.sun_path, im.cfg.socketPath.c_str(),
                  sizeof(addr.sun_path) - 1);
     ::unlink(im.cfg.socketPath.c_str());
-    if (::bind(im.unixFd, reinterpret_cast<sockaddr *>(&addr),
-               sizeof(addr)) != 0 ||
-        ::listen(im.unixFd, 64) != 0) {
-        throw std::runtime_error(strprintf("bind %s: %s",
-                                           im.cfg.socketPath.c_str(),
-                                           std::strerror(errno)));
-    }
+    im.unixFd = listenOn(reinterpret_cast<sockaddr *>(&addr),
+                         sizeof(addr), im.cfg.socketPath);
 
     if (im.cfg.tcpPort != 0) {
-        im.tcpFd = ::socket(AF_INET, SOCK_STREAM, 0);
-        if (im.tcpFd < 0)
-            throw std::runtime_error(strprintf("tcp socket: %s",
-                                               std::strerror(errno)));
-        const int one = 1;
-        ::setsockopt(im.tcpFd, SOL_SOCKET, SO_REUSEADDR, &one,
-                     sizeof(one));
         sockaddr_in tcp{};
         tcp.sin_family = AF_INET;
         tcp.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
         tcp.sin_port =
             htons(im.cfg.tcpPort == 1 ? 0 : im.cfg.tcpPort);
-        if (::bind(im.tcpFd, reinterpret_cast<sockaddr *>(&tcp),
-                   sizeof(tcp)) != 0 ||
-            ::listen(im.tcpFd, 64) != 0) {
-            throw std::runtime_error(strprintf(
-                "tcp bind 127.0.0.1:%u: %s", im.cfg.tcpPort,
-                std::strerror(errno)));
-        }
+        im.tcpFd = listenOn(reinterpret_cast<sockaddr *>(&tcp),
+                            sizeof(tcp),
+                            strprintf("127.0.0.1:%u", im.cfg.tcpPort));
         socklen_t len = sizeof(tcp);
         ::getsockname(im.tcpFd, reinterpret_cast<sockaddr *>(&tcp),
                       &len);
@@ -743,7 +715,7 @@ OracleServer::start()
     im.started.store(true);
     for (unsigned t = 0; t < im.cfg.threads; ++t)
         im.service.emplace_back([&im] { im.serviceLoop(); });
-    im.acceptor = std::thread([&im] { im.acceptLoop(); });
+    im.io = std::thread([&im] { im.ioLoop(); });
 }
 
 uint16_t
@@ -755,8 +727,7 @@ OracleServer::boundTcpPort() const
 void
 OracleServer::requestDrain()
 {
-    impl_->draining.store(true);
-    impl_->qcv.notify_all();
+    impl_->drain();
 }
 
 bool
@@ -771,25 +742,15 @@ OracleServer::waitDrained()
     Impl &im = *impl_;
     PACMAN_ASSERT(im.started.load(), "server never started");
     requestDrain();
-    if (im.acceptor.joinable())
-        im.acceptor.join();
     for (std::thread &t : im.service) {
         if (t.joinable())
             t.join();
     }
-    // All queued work is answered; unblock the readers (their peers
-    // may keep the connection open indefinitely) and retire them.
-    {
-        std::lock_guard<std::mutex> lock(im.connMu);
-        for (const std::weak_ptr<Connection> &weak : im.conns) {
-            if (std::shared_ptr<Connection> conn = weak.lock())
-                ::shutdown(conn->fd, SHUT_RDWR);
-        }
-    }
-    for (Impl::Reader &reader : im.readers) {
-        if (reader.thread.joinable())
-            reader.thread.join();
-    }
+    // All queued work is answered: stop the I/O thread, which closes
+    // every connection its clients still hold open.
+    im.stopIo.store(true);
+    if (im.io.joinable())
+        im.io.join();
     if (im.unixFd >= 0) {
         ::close(im.unixFd);
         im.unixFd = -1;

@@ -29,6 +29,9 @@
  * semantics (the campaign seed dictates keys) and are tenant-scoped
  * only for accounting.
  *
+ * Threads: one I/O thread serves every socket and queues the compute
+ * verbs, so the daemon runs main + I/O + service threads in all.
+ *
  * Admission control: compute requests enter a bounded queue; a full
  * queue answers BUSY immediately (the client retries with backoff —
  * backpressure, not buffering). METRICS/PING/HELLO bypass the queue
@@ -67,10 +70,14 @@ constexpr size_t MaxTenants = 64;
 
 /** Seconds the rest of a request frame may take once its first byte
  *  has arrived. A connection that stalls mid-frame is dropped, so it
- *  cannot hold a reader thread for as long as its client keeps it
+ *  cannot pin a partial frame for as long as its client keeps it
  *  open. A connection idle between frames stays open: EndpointPool
  *  keeps pooled connections idle between chunks. */
 constexpr double PartialFrameSeconds = 2.0;
+
+/** Seconds a reply may wait for its client to read. A client that
+ *  stops reading loses its connection, not everyone else's. */
+constexpr double ReplySeconds = 2.0;
 
 /** Deployment knobs for one pacman-oracled instance. */
 struct ServerConfig
@@ -102,7 +109,7 @@ struct ServerConfig
     uint64_t crashAfterChunks = 0;
 };
 
-/** The server runtime (acceptor + readers + service threads). */
+/** The server runtime (one I/O thread + service threads). */
 class OracleServer
 {
   public:

@@ -507,7 +507,12 @@ TEST(EndpointPoolTest, RemoteCampaignFailsOverFromDeadEndpoint)
 
     TestServer ts;
     DispatchConfig dcfg;
-    dcfg.endpoints = {deadEndpoint(2), ts.endpoint()};
+    // Worker w prefers endpoint w % 5, so with four dead endpoints
+    // listed first every worker at jobs 1 and 4 starts on a dead one.
+    // A worker that preferred the live endpoint could run every chunk
+    // before the others took one, leaving no failover to count.
+    dcfg.endpoints = {deadEndpoint(2), deadEndpoint(3), deadEndpoint(4),
+                      deadEndpoint(5), ts.endpoint()};
     dcfg.breakerThreshold = 1;
     dcfg.probeAfterSeconds = 30;
     dcfg.chunkDeadlineSeconds = 30;

@@ -3,6 +3,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -73,6 +74,140 @@ TEST(Protocol, CorruptFrameThrows)
     ::close(fds[1]);
     ::close(fds2[0]);
     ::close(fds2[1]);
+}
+
+/** What reading a byte stream frame by frame produced. */
+struct SplitOutcome
+{
+    std::vector<std::string> payloads;
+    bool atBoundary = false; //!< stopped cleanly, not on a WireError
+};
+
+/** @p stream through a FrameSplitter, fed in random-sized pieces. EOF
+ *  with part of a frame buffered counts as failing, as in readFrame. */
+SplitOutcome
+splitInPieces(const std::string &stream, Random &rng)
+{
+    SplitOutcome out;
+    FrameSplitter frames;
+    try {
+        for (size_t at = 0; at < stream.size();) {
+            const size_t piece = std::min<size_t>(
+                stream.size() - at,
+                1 + rng.next(rng.chance(0.5) ? 16 : 96 * 1024));
+            frames.append(stream.data() + at, piece);
+            at += piece;
+            while (std::optional<std::string> payload = frames.next())
+                out.payloads.push_back(std::move(*payload));
+        }
+        out.atBoundary = !frames.midFrame();
+    } catch (const WireError &) {
+    }
+    return out;
+}
+
+/** @p stream read with readFrame from a socketpair until it ends. */
+SplitOutcome
+readOverSocket(const std::string &stream)
+{
+    int fds[2];
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    std::thread writer([&] {
+        try {
+            writeBytes(fds[1], stream.data(), stream.size());
+        } catch (const WireError &) {
+            // The reader gave up on a bad frame and closed its end.
+        }
+        ::shutdown(fds[1], SHUT_WR);
+    });
+    SplitOutcome out;
+    try {
+        while (std::optional<std::string> payload = readFrame(fds[0]))
+            out.payloads.push_back(std::move(*payload));
+        out.atBoundary = true;
+    } catch (const WireError &) {
+    }
+    ::close(fds[0]);
+    writer.join();
+    ::close(fds[1]);
+    return out;
+}
+
+TEST(Protocol, FrameSplitterMatchesReadFrame)
+{
+    // pacman-oracled cuts frames out of whatever bytes each read
+    // brought; clients read one frame at a time with readFrame. Both
+    // must agree on any stream: the same payloads, then both failing
+    // or both stopping at a frame boundary. Each stream is valid frames
+    // with one mutation, fed to the splitter in random-sized pieces.
+    enum Mutation { Magic, Length, Crc, PayloadBit, Truncate, Mutations };
+    for (uint64_t seed = 1; seed <= 300; ++seed) {
+        Random rng(seed);
+        std::vector<std::string> sent;
+        std::vector<size_t> starts;
+        std::string stream;
+        const size_t count = 1 + rng.next(8);
+        for (size_t f = 0; f < count; ++f) {
+            // Now and then a frame larger than readFrame's 64 KiB reads.
+            std::string payload(rng.chance(0.05) ? 70'000 + rng.next(8192)
+                                                 : 1 + rng.next(300),
+                                '\0');
+            for (char &ch : payload)
+                ch = char(rng.next(256));
+            starts.push_back(stream.size());
+            stream += encodeFrame(payload);
+            sent.push_back(std::move(payload));
+        }
+        const size_t victim = rng.next(count);
+        const size_t at = starts[victim];
+        const auto mutation = Mutation(rng.next(Mutations));
+        switch (mutation) {
+          case Magic:
+            stream[at + rng.next(4)] ^= char(1 << rng.next(8));
+            break;
+          case Length: {
+            const uint32_t len = MaxFrameBytes + 1 + uint32_t(rng.next(1000));
+            for (int b = 0; b < 4; ++b)
+                stream[at + 4 + b] = char((len >> (8 * b)) & 0xff);
+            break;
+          }
+          case Crc:
+            stream[at + 8 + rng.next(4)] ^= char(1 << rng.next(8));
+            break;
+          case PayloadBit:
+            stream[at + FrameHeaderBytes + rng.next(sent[victim].size())] ^=
+                char(1 << rng.next(8));
+            break;
+          case Truncate:
+            stream.resize(rng.next(stream.size()));
+            break;
+          case Mutations:
+            break;
+        }
+
+        const SplitOutcome split = splitInPieces(stream, rng);
+        const SplitOutcome read = readOverSocket(stream);
+        EXPECT_EQ(split.payloads, read.payloads) << "seed " << seed;
+        EXPECT_EQ(split.atBoundary, read.atBoundary) << "seed " << seed;
+        // Every frame before the mutated one arrives intact. Any
+        // mutation but a cut at a frame boundary is an error.
+        size_t intact = victim;
+        if (mutation == Truncate) {
+            // The cut always falls inside the stream, so the last frame
+            // never survives it.
+            intact = 0;
+            while (starts[intact] + FrameHeaderBytes + sent[intact].size() <=
+                   stream.size())
+                ++intact;
+            EXPECT_EQ(read.atBoundary, stream.size() == starts[intact])
+                << "seed " << seed;
+        } else {
+            EXPECT_FALSE(read.atBoundary) << "seed " << seed;
+        }
+        EXPECT_EQ(read.payloads, std::vector<std::string>(
+                                     sent.begin(), sent.begin() + intact))
+            << "seed " << seed;
+    }
 }
 
 TEST(Protocol, MessageRoundTrip)
@@ -533,10 +668,9 @@ statusKb(const std::string &field)
 
 TEST(Server, ConnectCloseCyclesReapReaders)
 {
-    // Every connection gets a reader thread. A finished reader must be
-    // joined and forgotten while the server runs — an unjoined one
-    // keeps its stack mapped until drain, so a long-running daemon
-    // grew by one stack per client it ever served.
+    // A closed connection must leave nothing behind while the server
+    // runs: anything kept per client served, such as a thread or its
+    // stack, would grow a long-running daemon for its whole life.
     TestServer ts;
     const auto cycles = [&ts](int n) {
         for (int i = 0; i < n; ++i) {
@@ -702,10 +836,11 @@ TEST(Server, StalledPartialFramesAreDropped)
 {
     // Once a frame's first byte has arrived, the rest must follow
     // within PartialFrameSeconds. Otherwise a client that sends part
-    // of a frame and stops holds a reader thread for as long as it
-    // keeps the connection open.
+    // of a frame and stops pins it for as long as it keeps the
+    // connection open. Meanwhile the stall holds no thread.
     TestServer ts(/*threads=*/1);
     const size_t threads = threadCount();
+    size_t most_threads = threads;
     const auto ep = parseEndpoint(ts.endpoint());
     ASSERT_TRUE(ep.has_value());
     constexpr size_t Stalled = 4;
@@ -715,19 +850,33 @@ TEST(Server, StalledPartialFramesAreDropped)
         ASSERT_EQ(::write(fd, "PAC1", 4), 4); // a third of a header
         fds.push_back(fd);
     }
-    const auto settle = [](auto done) {
+    // 0 once the server has closed the connection, -1 while it is open.
+    const auto peek = [](int fd) {
+        char byte = 0;
+        return ::recv(fd, &byte, 1, MSG_DONTWAIT | MSG_PEEK);
+    };
+    const auto settle = [&](auto done) {
         const auto give_up = std::chrono::steady_clock::now() +
                              std::chrono::duration<double>(
                                  PartialFrameSeconds + 5);
-        while (!done() && std::chrono::steady_clock::now() < give_up)
+        while (!done() && std::chrono::steady_clock::now() < give_up) {
+            most_threads = std::max(most_threads, threadCount());
             std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        }
     };
-    // Each stalled connection holds a reader...
-    settle([&] { return threadCount() >= threads + Stalled; });
-    EXPECT_EQ(threadCount(), threads + Stalled);
-    // ...until the deadline drops it.
-    settle([&] { return threadCount() <= threads; });
-    EXPECT_EQ(threadCount(), threads);
+    // The connections are still open well before the deadline, so it
+    // is the deadline that drops them...
+    const auto half_second = std::chrono::steady_clock::now() +
+                             std::chrono::milliseconds(500);
+    settle([&] { return std::chrono::steady_clock::now() >= half_second; });
+    for (const int fd : fds)
+        EXPECT_EQ(peek(fd), -1);
+    // ...once it has passed.
+    settle([&] {
+        return std::all_of(fds.begin(), fds.end(),
+                           [&](int fd) { return peek(fd) == 0; });
+    });
+    EXPECT_EQ(most_threads, threads);
     for (const int fd : fds) {
         char byte = 0;
         EXPECT_EQ(::recv(fd, &byte, 1, MSG_DONTWAIT), 0); // EOF
@@ -735,6 +884,72 @@ TEST(Server, StalledPartialFramesAreDropped)
     }
     OracleClient c(ts.endpoint());
     EXPECT_TRUE(c.ping());
+}
+
+TEST(Server, IdleConnectionsHoldNoThread)
+{
+    // One I/O thread reads every connection, so the daemon runs main +
+    // I/O + service threads however many clients it holds. The idle
+    // connections stay open: EndpointPool pools idle connections.
+    TestServer ts(/*threads=*/1);
+    const size_t threads = threadCount();
+    constexpr size_t Idle = 32;
+    std::vector<std::unique_ptr<OracleClient>> clients;
+    for (size_t i = 0; i < Idle; ++i) {
+        clients.push_back(std::make_unique<OracleClient>(ts.endpoint()));
+        ASSERT_TRUE(clients.back()->ping());
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    EXPECT_EQ(threadCount(), threads);
+    for (const auto &c : clients)
+        EXPECT_TRUE(c->ping());
+    EXPECT_EQ(metricValue(clients.front()->metricsJson(),
+                          "connections_accepted"),
+              double(Idle));
+}
+
+TEST(Server, ClientThatStopsReadingCannotStallOthers)
+{
+    // The I/O thread writes the cheap replies itself, so no reply may
+    // block for good. A client that pipelines requests and never reads
+    // its replies fills its socket; after ReplySeconds the server drops
+    // it, and everyone else is served again.
+    TestServer ts(/*threads=*/1, /*max_queue=*/8);
+    const auto ep = parseEndpoint(ts.endpoint());
+    ASSERT_TRUE(ep.has_value());
+    std::string flood;
+    for (uint64_t id = 1; id <= 20'000; ++id)
+        flood += encodeFrame(packMessage({id, "SLEEP", "0", ""}));
+    const int flood_fd = connectEndpoint(*ep);
+    std::thread flooder([&] {
+        try {
+            writeBytes(flood_fd, flood.data(), flood.size());
+        } catch (const WireError &) {
+            // The server dropped the connection.
+        }
+    });
+
+    const double budget = ReplySeconds + 6;
+    ClientOptions opts;
+    opts.readTimeoutSeconds = budget;
+    OracleClient c(ts.endpoint(), opts);
+    const auto start = std::chrono::steady_clock::now();
+    const auto elapsed = [&] {
+        return std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - start)
+            .count();
+    };
+    std::string verb;
+    while ((verb = c.call("SLEEP", "0").verb) == "BUSY" &&
+           elapsed() < budget)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    EXPECT_EQ(verb, "OK");
+    EXPECT_LT(elapsed(), budget);
+    EXPECT_TRUE(c.ping());
+
+    ::shutdown(flood_fd, SHUT_RDWR); // unblocks a writer still sending
+    flooder.join();
+    ::close(flood_fd);
 }
 
 TEST(Server, DrainFinishesQueuedWorkAndRejectsNew)
