@@ -78,15 +78,13 @@
 #include <chrono>
 #include <thread>
 
-#include "kernel/layout.hh"
-#include "runner/campaign.hh"
+#include "campaign_setup.hh"
 #include "runner/chaos_proxy.hh"
-#include "runner/client.hh"
 #include "runner/dispatch.hh"
-#include "runner/server.hh"
 
 using namespace pacman;
 using namespace pacman::attack;
+using namespace pacman::bench;
 using namespace pacman::kernel;
 using namespace pacman::runner;
 
@@ -115,24 +113,6 @@ struct Options
     }
 };
 
-std::vector<unsigned>
-parseJobsList(const char *arg)
-{
-    std::vector<unsigned> jobs;
-    const std::string s(arg);
-    size_t pos = 0;
-    while (pos < s.size()) {
-        size_t next = s.find(',', pos);
-        if (next == std::string::npos)
-            next = s.size();
-        jobs.push_back(
-            unsigned(std::strtoul(s.substr(pos, next - pos).c_str(),
-                                  nullptr, 0)));
-        pos = next + 1;
-    }
-    return jobs;
-}
-
 void
 usage(const char *argv0)
 {
@@ -155,45 +135,6 @@ usage(const char *argv0)
         "  --quick        CI-sized matrix (fewer kill points/jobs)\n"
         "  --help         this text\n",
         argv0);
-}
-
-/** The shared brute-force workload (mirrors bench/parallel_campaign:
- *  truth at the end of the range so every run does the full sweep). */
-BruteForceCampaignConfig
-makeBruteForceConfig(const Options &opt, double fault_rate)
-{
-    MachineConfig mcfg = defaultMachineConfig();
-    mcfg.seed = 42;
-
-    const isa::Addr target = BenignDataBase + 37 * isa::PageSize;
-    Machine probe(mcfg);
-    uint64_t modifier = 0x1000;
-    uint16_t truth = 0;
-    for (;; ++modifier) {
-        truth = probe.kernel().truePac(target, modifier,
-                                       crypto::PacKeySelect::DA);
-        if (truth >= opt.items - 1)
-            break;
-    }
-
-    BruteForceCampaignConfig cfg;
-    cfg.replica.machine = mcfg;
-    cfg.replica.oracle.trainIters = opt.train;
-    cfg.replica.target = target;
-    cfg.replica.modifier = modifier;
-    cfg.first = uint16_t(truth - (opt.items - 1));
-    cfg.last = truth;
-    cfg.seed = 7;
-    cfg.pool.chunkSize = opt.chunk;
-    if (fault_rate > 0.0) {
-        cfg.replica.faults = FaultPlan::scaled(fault_rate);
-        cfg.replica.oracle.autoCalibrate = true;
-        cfg.replica.oracle.queryRetries = 2;
-        cfg.replica.oracle.busyRetries = 3;
-        cfg.replica.maxSamples = cfg.replica.samples + 4;
-        cfg.replica.candidateRetries = 1;
-    }
-    return cfg;
 }
 
 /**
@@ -243,7 +184,7 @@ killResumeScenario(const Options &opt, ScenarioTally &tally)
     const std::vector<double> fault_rates = {0.0, 0.2};
     for (double fault_rate : fault_rates) {
         BruteForceCampaignConfig cfg =
-            makeBruteForceConfig(opt, fault_rate);
+            truthLastBruteForce(opt.items, opt.train, opt.chunk, fault_rate);
         const uint64_t chunks =
             chunkCount(uint64_t(cfg.last) - cfg.first + 1,
                        cfg.pool.chunkSize);
@@ -330,7 +271,8 @@ killResumeScenario(const Options &opt, ScenarioTally &tally)
 void
 hangQuarantineScenario(const Options &opt, ScenarioTally &tally)
 {
-    BruteForceCampaignConfig cfg = makeBruteForceConfig(opt, 0.0);
+    BruteForceCampaignConfig cfg =
+        truthLastBruteForce(opt.items, opt.train, opt.chunk, 0.0);
     cfg.replica.faults.hangRate = 0.003;
     cfg.supervision.budget.maxGuestCycles = 1ull << 34;
 
@@ -463,54 +405,13 @@ accuracyResumeScenario(const Options &opt, ScenarioTally &tally)
     }
 }
 
-/** Fork a pacman-oracled hosting process. With @p crash_after != 0
- *  the server _Exit(137)s after that many CHUNK replies; otherwise it
- *  serves until a client DRAINs it, then exits 0. */
-pid_t
-forkServer(const std::string &socket, uint64_t crash_after)
-{
-    std::fflush(stdout);
-    const pid_t pid = fork();
-    if (pid == 0) {
-        ServerConfig scfg;
-        scfg.socketPath = socket;
-        scfg.threads = 2;
-        scfg.crashAfterChunks = crash_after;
-        OracleServer server(scfg);
-        server.start();
-        while (!server.draining()) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(20));
-        }
-        server.waitDrained();
-        std::_Exit(0);
-    }
-    return pid;
-}
-
-/** Spin until the forked server accepts connections. */
-bool
-waitForServer(const std::string &endpoint)
-{
-    for (int i = 0; i < 250; ++i) {
-        try {
-            OracleClient probe(endpoint);
-            probe.ping();
-            return true;
-        } catch (const WireError &) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(20));
-        }
-    }
-    return false;
-}
-
 /** Scenario 5: kill the oracle server between chunk replies; resume
  *  against a restarted server reproduces the local fingerprint. */
 void
 serverKillScenario(const Options &opt, ScenarioTally &tally)
 {
-    BruteForceCampaignConfig cfg = makeBruteForceConfig(opt, 0.0);
+    BruteForceCampaignConfig cfg =
+        truthLastBruteForce(opt.items, opt.train, opt.chunk, 0.0);
     const uint64_t chunks = chunkCount(
         uint64_t(cfg.last) - cfg.first + 1, cfg.pool.chunkSize);
 
@@ -529,7 +430,7 @@ serverKillScenario(const Options &opt, ScenarioTally &tally)
     cfg.supervision.journalPath = journal;
 
     // First attempt: the server dies after replying half the chunks.
-    pid_t pid = forkServer(socket, chunks / 2 + 1);
+    pid_t pid = forkServer(socket, 2, chunks / 2 + 1);
     tally.check(waitForServer(endpoint), "armed server never came up");
     bool aborted = false;
     try {
@@ -545,7 +446,7 @@ serverKillScenario(const Options &opt, ScenarioTally &tally)
 
     // Restart the server unarmed and resume: journaled chunks replay
     // locally, only the missing ones go back on the wire.
-    pid = forkServer(socket, 0);
+    pid = forkServer(socket, 2);
     tally.check(waitForServer(endpoint),
                 "restarted server never came up");
     cfg.supervision.resume = true;
@@ -609,7 +510,8 @@ drainServer(const std::string &endpoint, pid_t pid)
 void
 endpointFailoverScenario(const Options &opt, ScenarioTally &tally)
 {
-    BruteForceCampaignConfig cfg = makeBruteForceConfig(opt, 0.0);
+    BruteForceCampaignConfig cfg =
+        truthLastBruteForce(opt.items, opt.train, opt.chunk, 0.0);
     // Quarter-size chunks: the armed endpoint's affine workers must
     // still find work queued when it dies. With a dozen large chunks
     // a CPU-starved endpoint could watch the survivor drain the whole
@@ -636,8 +538,8 @@ endpointFailoverScenario(const Options &opt, ScenarioTally &tally)
         // enough that work definitely remains for its affine workers
         // at any --jobs count — and the campaign must complete
         // anyway, entirely without a journal.
-        const pid_t pidA = forkServer(sockA, 2);
-        const pid_t pidB = forkServer(sockB, 0);
+        const pid_t pidA = forkServer(sockA, 2, 2);
+        const pid_t pidB = forkServer(sockB, 2);
         tally.check(waitForServer(dcfg.endpoints[0]) &&
                         waitForServer(dcfg.endpoints[1]),
                     "failover servers never came up");
@@ -701,8 +603,8 @@ endpointFailoverScenario(const Options &opt, ScenarioTally &tally)
     std::remove(journal.c_str());
     std::remove((journal + ".quarantine").c_str());
 
-    pid_t pidA = forkServer(sockA, chunks / 4 + 1);
-    pid_t pidB = forkServer(sockB, chunks / 4 + 1);
+    pid_t pidA = forkServer(sockA, 2, chunks / 4 + 1);
+    pid_t pidB = forkServer(sockB, 2, chunks / 4 + 1);
     tally.check(waitForServer(dcfg.endpoints[0]) &&
                     waitForServer(dcfg.endpoints[1]),
                 "armed failover servers never came up");
@@ -725,7 +627,7 @@ endpointFailoverScenario(const Options &opt, ScenarioTally &tally)
     tally.check(serverExited(pidA, 137) && serverExited(pidB, 137),
                 "armed endpoints did not die at their chunk replies");
 
-    pidB = forkServer(sockB, 0);
+    pidB = forkServer(sockB, 2);
     tally.check(waitForServer(dcfg.endpoints[1]),
                 "restarted survivor never came up");
     cfg.supervision.resume = true;
@@ -754,13 +656,14 @@ endpointFailoverScenario(const Options &opt, ScenarioTally &tally)
 void
 chaosProxyScenario(const Options &opt, ScenarioTally &tally)
 {
-    BruteForceCampaignConfig cfg = makeBruteForceConfig(opt, 0.0);
+    BruteForceCampaignConfig cfg =
+        truthLastBruteForce(opt.items, opt.train, opt.chunk, 0.0);
     cfg.pool.jobs = 1;
     const std::string ref_fp =
         runBruteForceCampaign(cfg).fingerprint();
 
     const std::string sock = opt.workdir + "/proxy_upstream.sock";
-    const pid_t pid = forkServer(sock, 0);
+    const pid_t pid = forkServer(sock, 2);
     tally.check(waitForServer("unix:" + sock),
                 "proxy upstream server never came up");
 
@@ -827,13 +730,14 @@ chaosProxyScenario(const Options &opt, ScenarioTally &tally)
 void
 wedgedEndpointScenario(const Options &opt, ScenarioTally &tally)
 {
-    BruteForceCampaignConfig cfg = makeBruteForceConfig(opt, 0.0);
+    BruteForceCampaignConfig cfg =
+        truthLastBruteForce(opt.items, opt.train, opt.chunk, 0.0);
     cfg.pool.jobs = 1;
     const std::string ref_fp =
         runBruteForceCampaign(cfg).fingerprint();
 
     const std::string sock = opt.workdir + "/wedged_upstream.sock";
-    const pid_t pid = forkServer(sock, 0);
+    const pid_t pid = forkServer(sock, 2);
     tally.check(waitForServer("unix:" + sock),
                 "wedged upstream server never came up");
 

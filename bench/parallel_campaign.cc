@@ -38,34 +38,16 @@
 #include <thread>
 #include <vector>
 
-#include "kernel/layout.hh"
-#include "runner/campaign.hh"
+#include "campaign_setup.hh"
 
 using namespace pacman;
 using namespace pacman::attack;
+using namespace pacman::bench;
 using namespace pacman::kernel;
 using namespace pacman::runner;
 
 namespace
 {
-
-std::vector<unsigned>
-parseJobsList(const char *arg)
-{
-    std::vector<unsigned> jobs;
-    const std::string s(arg);
-    size_t pos = 0;
-    while (pos < s.size()) {
-        size_t next = s.find(',', pos);
-        if (next == std::string::npos)
-            next = s.size();
-        jobs.push_back(
-            unsigned(std::strtoul(s.substr(pos, next - pos).c_str(),
-                                  nullptr, 0)));
-        pos = next + 1;
-    }
-    return jobs;
-}
 
 struct Options
 {
@@ -125,56 +107,13 @@ journalFor(const Options &opt, const char *part, unsigned jobs)
     return sup;
 }
 
-/** Chaos + self-healing wiring for the faulted determinism check. */
-void
-applyFaults(ReplicaConfig &replica, double fault_rate)
-{
-    if (fault_rate <= 0.0)
-        return;
-    replica.faults = FaultPlan::scaled(fault_rate);
-    replica.oracle.autoCalibrate = true;
-    replica.oracle.queryRetries = 2;
-    replica.oracle.busyRetries = 3;
-    replica.maxSamples = replica.samples + 4;
-    replica.candidateRetries = 1;
-}
-
 int
 bruteForcePart(const Options &opt)
 {
-    // Shared campaign machine config: one boot seed = one set of
-    // per-boot PAC keys that every replica reproduces.
-    MachineConfig mcfg = defaultMachineConfig();
-    mcfg.seed = 42;
-    mcfg.noiseProbability = opt.noise;
-
-    const isa::Addr target = BenignDataBase + 37 * isa::PageSize;
-
-    // Pick a modifier whose true PAC leaves room for `items`
-    // candidates below it, then sweep [truth-items+1, truth]: the hit
-    // lands on the last item, so every thread count does the full
-    // workload and still exercises the found-PAC path.
-    Machine probe(mcfg);
-    uint64_t modifier = 0x1000;
-    uint16_t truth = 0;
-    for (;; ++modifier) {
-        truth = probe.kernel().truePac(target, modifier,
-                                       crypto::PacKeySelect::DA);
-        if (truth >= opt.items - 1)
-            break;
-    }
-
-    BruteForceCampaignConfig cfg;
-    cfg.replica.machine = mcfg;
-    cfg.replica.oracle.trainIters = opt.train;
-    cfg.replica.target = target;
-    cfg.replica.modifier = modifier;
-    cfg.replica.samples = opt.samples;
-    cfg.first = uint16_t(truth - (opt.items - 1));
-    cfg.last = truth;
-    cfg.seed = 7;
-    cfg.pool.chunkSize = opt.chunk;
-    applyFaults(cfg.replica, opt.faultRate);
+    BruteForceCampaignConfig cfg = truthLastBruteForce(
+        opt.items, opt.train, opt.chunk, opt.faultRate, opt.samples);
+    cfg.replica.machine.noiseProbability = opt.noise;
+    const uint16_t truth = cfg.last;
 
     std::printf("== parallel campaign: Section 8.2 brute force ==\n");
     std::printf("range [0x%04x, 0x%04x] (%u candidates), truth 0x%04x, "
@@ -188,12 +127,12 @@ bruteForcePart(const Options &opt)
 
     // Legacy serial reference: one persistent machine, one sweep.
     {
-        Machine machine(mcfg);
+        Machine machine(cfg.replica.machine);
         AttackerProcess proc(machine);
         OracleConfig ocfg;
         ocfg.trainIters = opt.train;
         PacOracle oracle(proc, ocfg);
-        oracle.setTarget(target, modifier);
+        oracle.setTarget(cfg.replica.target, cfg.replica.modifier);
         PacBruteForcer forcer(oracle, opt.samples);
         const auto t0 = std::chrono::steady_clock::now();
         const auto stats = forcer.search(cfg.first, cfg.last);

@@ -37,13 +37,11 @@
 #include <thread>
 #include <vector>
 
-#include "kernel/layout.hh"
-#include "runner/campaign.hh"
-#include "runner/client.hh"
-#include "runner/server.hh"
+#include "campaign_setup.hh"
 
 using namespace pacman;
 using namespace pacman::attack;
+using namespace pacman::bench;
 using namespace pacman::kernel;
 using namespace pacman::runner;
 
@@ -61,24 +59,6 @@ struct Options
     std::string workdir = "server_artifacts";
     bool quick = false;
 };
-
-std::vector<unsigned>
-parseJobsList(const char *arg)
-{
-    std::vector<unsigned> jobs;
-    const std::string s(arg);
-    size_t pos = 0;
-    while (pos < s.size()) {
-        size_t next = s.find(',', pos);
-        if (next == std::string::npos)
-            next = s.size();
-        jobs.push_back(
-            unsigned(std::strtoul(s.substr(pos, next - pos).c_str(),
-                                  nullptr, 0)));
-        pos = next + 1;
-    }
-    return jobs;
-}
 
 void
 usage(const char *argv0)
@@ -113,91 +93,6 @@ check(bool ok, const char *what)
     }
 }
 
-/** Brute-force workload with the truth at the end of the range so
- *  every run sweeps all --items candidates (mirrors chaos_recovery). */
-BruteForceCampaignConfig
-makeBruteForceConfig(const Options &opt, double fault_rate)
-{
-    MachineConfig mcfg = defaultMachineConfig();
-    mcfg.seed = 42;
-
-    const isa::Addr target = BenignDataBase + 37 * isa::PageSize;
-    Machine probe(mcfg);
-    uint64_t modifier = 0x1000;
-    uint16_t truth = 0;
-    for (;; ++modifier) {
-        truth = probe.kernel().truePac(target, modifier,
-                                       crypto::PacKeySelect::DA);
-        if (truth >= opt.items - 1)
-            break;
-    }
-
-    BruteForceCampaignConfig cfg;
-    cfg.replica.machine = mcfg;
-    cfg.replica.oracle.trainIters = opt.train;
-    cfg.replica.target = target;
-    cfg.replica.modifier = modifier;
-    cfg.first = uint16_t(truth - (opt.items - 1));
-    cfg.last = truth;
-    cfg.seed = 7;
-    cfg.pool.chunkSize = opt.chunk;
-    if (fault_rate > 0.0) {
-        cfg.replica.faults = FaultPlan::scaled(fault_rate);
-        cfg.replica.oracle.autoCalibrate = true;
-        cfg.replica.oracle.queryRetries = 2;
-        cfg.replica.oracle.busyRetries = 3;
-        cfg.replica.maxSamples = cfg.replica.samples + 4;
-        cfg.replica.candidateRetries = 1;
-    }
-    return cfg;
-}
-
-pid_t
-forkServer(const std::string &socket, unsigned threads,
-           const std::string &metrics_out)
-{
-    std::fflush(stdout);
-    const pid_t pid = fork();
-    if (pid == 0) {
-        ServerConfig scfg;
-        scfg.socketPath = socket;
-        scfg.threads = threads;
-        OracleServer server(scfg);
-        server.start();
-        while (!server.draining()) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(20));
-        }
-        server.waitDrained();
-        if (!metrics_out.empty()) {
-            if (std::FILE *f = std::fopen(metrics_out.c_str(), "w")) {
-                const std::string json = server.metricsJson();
-                std::fwrite(json.data(), 1, json.size(), f);
-                std::fputc('\n', f);
-                std::fclose(f);
-            }
-        }
-        std::_Exit(0);
-    }
-    return pid;
-}
-
-bool
-waitForServer(const std::string &endpoint)
-{
-    for (int i = 0; i < 250; ++i) {
-        try {
-            OracleClient probe(endpoint);
-            probe.ping();
-            return true;
-        } catch (const WireError &) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(20));
-        }
-    }
-    return false;
-}
-
 double
 seconds(std::chrono::steady_clock::time_point a,
         std::chrono::steady_clock::time_point b)
@@ -211,7 +106,7 @@ bruteForceEquivalence(const Options &opt, const std::string &endpoint)
     const std::vector<double> fault_rates = {0.0, 0.2};
     for (double fault_rate : fault_rates) {
         BruteForceCampaignConfig cfg =
-            makeBruteForceConfig(opt, fault_rate);
+            truthLastBruteForce(opt.items, opt.train, opt.chunk, fault_rate);
 
         cfg.pool.jobs = 1;
         const auto l0 = std::chrono::steady_clock::now();
@@ -276,7 +171,7 @@ void
 queryThroughput(const Options &opt, const std::string &endpoint)
 {
     const BruteForceCampaignConfig cfg =
-        makeBruteForceConfig(opt, 0.0);
+        truthLastBruteForce(opt.items, opt.train, opt.chunk, 0.0);
 
     OracleClient client(endpoint);
     // Warm the server-side replica cache so the measurement sees the
@@ -351,7 +246,7 @@ main(int argc, char **argv)
         max_jobs = std::max(max_jobs, j);
 
     const pid_t pid =
-        forkServer(socket, std::min(max_jobs, 4u), metrics);
+        forkServer(socket, std::min(max_jobs, 4u), 0, metrics);
     if (!waitForServer(endpoint)) {
         std::fprintf(stderr, "server never came up on %s\n",
                      socket.c_str());

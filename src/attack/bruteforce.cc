@@ -11,12 +11,7 @@ namespace pacman::attack
 void
 BruteForceStats::merge(const BruteForceStats &other)
 {
-    guessesTested += other.guessesTested;
-    oracleQueries += other.oracleQueries;
-    cyclesSimulated += other.cyclesSimulated;
-    samplesTaken += other.samplesTaken;
-    escalations += other.escalations;
-    candidateRetries += other.candidateRetries;
+    addFields(*this, other);
     if (other.found)
         found = found ? std::min(*found, *other.found) : *other.found;
 }

@@ -8,10 +8,12 @@
 #ifndef PACMAN_ATTACK_BRUTEFORCE_HH
 #define PACMAN_ATTACK_BRUTEFORCE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 
 #include "attack/oracle.hh"
+#include "base/fields.hh"
 #include "base/stats.hh"
 
 namespace pacman::attack
@@ -68,6 +70,20 @@ struct BruteForceStats
     uint64_t candidateRetries = 0; //!< full candidate re-measurements
     std::optional<uint16_t> found; //!< matching PAC, if any
 
+    /** The field list (base/fields.hh): the counters. merge() and the
+     *  codec handle `found` themselves. */
+    template <typename F, typename... Stats>
+    static constexpr void
+    forEachField(F &&f, Stats &...s)
+    {
+        f("guesses_tested", s.guessesTested...);
+        f("oracle_queries", s.oracleQueries...);
+        f("cycles_simulated", s.cyclesSimulated...);
+        f("samples_taken", s.samplesTaken...);
+        f("escalations", s.escalations...);
+        f("candidate_retries", s.candidateRetries...);
+    }
+
     /**
      * Fold @p other into this. Counters sum; when both runs found a
      * PAC the lowest candidate wins, matching what one serial
@@ -75,6 +91,10 @@ struct BruteForceStats
      */
     void merge(const BruteForceStats &other);
 };
+
+// Every counter before `found` is listed.
+static_assert(fieldCount<BruteForceStats>() * sizeof(uint64_t) ==
+              offsetof(BruteForceStats, found));
 
 /** PAC search driver. */
 class PacBruteForcer

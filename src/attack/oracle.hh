@@ -31,6 +31,7 @@
 
 #include "attack/eviction.hh"
 #include "attack/runtime.hh"
+#include "base/fields.hh"
 
 namespace pacman::attack
 {
@@ -44,6 +45,13 @@ enum class GadgetKind
                  //!< ARMv8.3 instruction (extension)
 };
 
+/** The last GadgetKind (a decoded one must not exceed it). */
+constexpr GadgetKind
+lastOf(GadgetKind)
+{
+    return GadgetKind::Combined;
+}
+
 /**
  * Which micro-architectural structure carries the transmission
  * (Section 4.1: the attack works over many side channels; the paper's
@@ -55,6 +63,13 @@ enum class Channel
     DtlbSet, //!< the paper's shared-L1-dTLB Prime+Probe
     L1dSet,  //!< L1 data-cache set Prime+Probe (data gadget only)
 };
+
+/** The last Channel (a decoded one must not exceed it). */
+constexpr Channel
+lastOf(Channel)
+{
+    return Channel::L1dSet;
+}
 
 /** Oracle tuning parameters. */
 struct OracleConfig
@@ -118,6 +133,23 @@ struct OracleConfig
      * the reset matters.
      */
     bool skipReset = false;
+
+    /** The field list (base/fields.hh): the wire and the fingerprint. */
+    template <typename F, typename... Cfg>
+    static constexpr void
+    forEachField(F &&f, Cfg &...c)
+    {
+        f("kind", c.kind...);
+        f("channel", c.channel...);
+        f("trainIters", c.trainIters...);
+        f("latencyThreshold", c.latencyThreshold...);
+        f("missThreshold", c.missThreshold...);
+        f("autoCalibrate", c.autoCalibrate...);
+        f("calibrationSamples", c.calibrationSamples...);
+        f("queryRetries", c.queryRetries...);
+        f("busyRetries", c.busyRetries...);
+        f("skipReset", c.skipReset...);
+    }
 };
 
 /** Robustness counters for one oracle's lifetime; mergeable. */
@@ -129,16 +161,22 @@ struct OracleStats
     uint64_t calibrations = 0;     //!< threshold (re)calibrations
     uint64_t repairs = 0;          //!< eviction-set rebuilds
 
-    void
-    merge(const OracleStats &other)
+    /** The field list (base/fields.hh). */
+    template <typename F, typename... Stats>
+    static constexpr void
+    forEachField(F &&f, Stats &...s)
     {
-        busyRetries += other.busyRetries;
-        disturbedQueries += other.disturbedQueries;
-        retriedQueries += other.retriedQueries;
-        calibrations += other.calibrations;
-        repairs += other.repairs;
+        f("busy_retries", s.busyRetries...);
+        f("disturbed_queries", s.disturbedQueries...);
+        f("retried_queries", s.retriedQueries...);
+        f("calibrations", s.calibrations...);
+        f("repairs", s.repairs...);
     }
+
+    void merge(const OracleStats &other) { addFields(*this, other); }
 };
+
+static_assert(listsEveryMember<OracleStats>);
 
 /** A configured PAC oracle bound to one target pointer. */
 class PacOracle

@@ -37,6 +37,8 @@
 #include <cstdint>
 #include <string>
 
+#include "base/fields.hh"
+
 namespace pacman
 {
 
@@ -87,6 +89,35 @@ struct FaultPlan
      */
     double hangRate = 0.0;
     uint64_t hangCycles = 1ull << 40; //!< simulated-cycle burn
+
+    /** The field list (base/fields.hh): all of it travels the wire. */
+    template <typename F, typename... Plan>
+    static constexpr void
+    forEachField(F &&f, Plan &...p)
+    {
+        f("contextSwitchRate", p.contextSwitchRate...);
+        f("fullFlushFraction", p.fullFlushFraction...);
+        f("flushSets", p.flushSets...);
+        f("pollutePages", p.pollutePages...);
+        f("preemptRate", p.preemptRate...);
+        f("preemptMinCycles", p.preemptMinCycles...);
+        f("preemptMaxCycles", p.preemptMaxCycles...);
+        f("preemptPollutePages", p.preemptPollutePages...);
+        f("timerRate", p.timerRate...);
+        f("stallMinCycles", p.stallMinCycles...);
+        f("stallMaxCycles", p.stallMaxCycles...);
+        f("skewPermilleMin", p.skewPermilleMin...);
+        f("skewPermilleMax", p.skewPermilleMax...);
+        f("jitterBoost", p.jitterBoost...);
+        f("jitterBurstCycles", p.jitterBurstCycles...);
+        f("syscallBusyRate", p.syscallBusyRate...);
+        f("busyMinCount", p.busyMinCount...);
+        f("busyMaxCount", p.busyMaxCount...);
+        f("migrationRate", p.migrationRate...);
+        f("migrationReturnRate", p.migrationReturnRate...);
+        f("hangRate", p.hangRate...);
+        f("hangCycles", p.hangCycles...);
+    }
 
     /** True if any event can ever fire. */
     bool
@@ -155,23 +186,29 @@ struct FaultStats
                hangs;
     }
 
-    /** Fold @p other into this (campaign merge; order-insensitive). */
-    void
-    merge(const FaultStats &other)
+    /** The field list (base/fields.hh). */
+    template <typename F, typename... Stats>
+    static constexpr void
+    forEachField(F &&f, Stats &...s)
     {
-        contextSwitches += other.contextSwitches;
-        fullFlushes += other.fullFlushes;
-        partialFlushes += other.partialFlushes;
-        preemptions += other.preemptions;
-        preemptedCycles += other.preemptedCycles;
-        timerStalls += other.timerStalls;
-        timerSkews += other.timerSkews;
-        jitterBursts += other.jitterBursts;
-        busyArms += other.busyArms;
-        migrations += other.migrations;
-        hangs += other.hangs;
+        f("context_switches", s.contextSwitches...);
+        f("full_flushes", s.fullFlushes...);
+        f("partial_flushes", s.partialFlushes...);
+        f("preemptions", s.preemptions...);
+        f("preempted_cycles", s.preemptedCycles...);
+        f("timer_stalls", s.timerStalls...);
+        f("timer_skews", s.timerSkews...);
+        f("jitter_bursts", s.jitterBursts...);
+        f("busy_arms", s.busyArms...);
+        f("migrations", s.migrations...);
+        f("hangs", s.hangs...);
     }
+
+    /** Fold @p other into this (campaign merge; order-insensitive). */
+    void merge(const FaultStats &other) { addFields(*this, other); }
 };
+
+static_assert(listsEveryMember<FaultStats>);
 
 } // namespace pacman
 

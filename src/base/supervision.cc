@@ -42,15 +42,18 @@ QuarantineRecord::serialize() const
 {
     // `detail` is the last field and consumes the rest of the line,
     // so it may contain spaces (but not newlines — it lives inside
-    // one journal payload).
+    // one journal payload). It is appended byte for byte: parse()
+    // keeps every byte after "detail=", a NUL included.
     return strprintf(
-        "campaign=%s seed=%016" PRIx64 " chunk=%" PRIu64
-        " first=%" PRIu64 " last=%" PRIu64 " stream=%016" PRIx64
-        " rekey=%s kind=%s detail=%s",
-        campaign.c_str(), campaignSeed, chunkIndex, firstItem, lastItem,
-        streamSeed,
-        hasRekey ? strprintf("%016" PRIx64, rekeySeed).c_str() : "-",
-        workerFaultName(kind), detail.c_str());
+               "campaign=%s seed=%016" PRIx64 " chunk=%" PRIu64
+               " first=%" PRIu64 " last=%" PRIu64 " stream=%016" PRIx64
+               " rekey=%s kind=%s detail=",
+               campaign.c_str(), campaignSeed, chunkIndex, firstItem,
+               lastItem, streamSeed,
+               hasRekey ? strprintf("%016" PRIx64, rekeySeed).c_str()
+                        : "-",
+               workerFaultName(kind)) +
+           detail;
 }
 
 std::optional<QuarantineRecord>

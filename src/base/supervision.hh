@@ -20,6 +20,8 @@
 #include <optional>
 #include <string>
 
+#include "base/fields.hh"
+
 namespace pacman
 {
 
@@ -99,18 +101,24 @@ struct RecoveryStats
                restoreRetries + reprovisions + quarantines;
     }
 
-    void
-    merge(const RecoveryStats &other)
+    /** The field list (base/fields.hh). */
+    template <typename F, typename... Stats>
+    static constexpr void
+    forEachField(F &&f, Stats &...s)
     {
-        hangs += other.hangs;
-        transientFaults += other.transientFaults;
-        replicaCorruptions += other.replicaCorruptions;
-        restoreRetries += other.restoreRetries;
-        reprovisions += other.reprovisions;
-        fingerprintChecks += other.fingerprintChecks;
-        quarantines += other.quarantines;
+        f("hangs", s.hangs...);
+        f("transient_faults", s.transientFaults...);
+        f("replica_corruptions", s.replicaCorruptions...);
+        f("restore_retries", s.restoreRetries...);
+        f("reprovisions", s.reprovisions...);
+        f("fingerprint_checks", s.fingerprintChecks...);
+        f("quarantines", s.quarantines...);
     }
+
+    void merge(const RecoveryStats &other) { addFields(*this, other); }
 };
+
+static_assert(listsEveryMember<RecoveryStats>);
 
 /**
  * Remote-dispatch counters: how many chunks travelled, how often the
@@ -137,20 +145,26 @@ struct DispatchStats
         return timeouts + wireErrors + busyExhaustions;
     }
 
-    void
-    merge(const DispatchStats &other)
+    /** The field list (base/fields.hh). */
+    template <typename F, typename... Stats>
+    static constexpr void
+    forEachField(F &&f, Stats &...s)
     {
-        dispatched += other.dispatched;
-        retries += other.retries;
-        failovers += other.failovers;
-        timeouts += other.timeouts;
-        wireErrors += other.wireErrors;
-        busyExhaustions += other.busyExhaustions;
-        breakerOpens += other.breakerOpens;
-        probes += other.probes;
-        probeFailures += other.probeFailures;
+        f("dispatched", s.dispatched...);
+        f("retries", s.retries...);
+        f("failovers", s.failovers...);
+        f("timeouts", s.timeouts...);
+        f("wire_errors", s.wireErrors...);
+        f("busy_exhaustions", s.busyExhaustions...);
+        f("breaker_opens", s.breakerOpens...);
+        f("probes", s.probes...);
+        f("probe_failures", s.probeFailures...);
     }
+
+    void merge(const DispatchStats &other) { addFields(*this, other); }
 };
+
+static_assert(listsEveryMember<DispatchStats>);
 
 /**
  * Everything needed to re-run a quarantined work item standalone,

@@ -75,26 +75,11 @@ forEachArray(H &h, Fn fn)
 }
 
 CoreStats
-operator-(const CoreStats &a, const CoreStats &b)
+operator-(CoreStats a, const CoreStats &b)
 {
-    return {a.instsRetired - b.instsRetired, a.branches - b.branches,
-            a.branchMispredicts - b.branchMispredicts,
-            a.wrongPathInsts - b.wrongPathInsts,
-            a.wrongPathMemOps - b.wrongPathMemOps,
-            a.specFaultsSuppressed - b.specFaultsSuppressed,
-            a.syscalls - b.syscalls};
-}
-
-void
-operator+=(CoreStats &a, const CoreStats &d)
-{
-    a.instsRetired += d.instsRetired;
-    a.branches += d.branches;
-    a.branchMispredicts += d.branchMispredicts;
-    a.wrongPathInsts += d.wrongPathInsts;
-    a.wrongPathMemOps += d.wrongPathMemOps;
-    a.specFaultsSuppressed += d.specFaultsSuppressed;
-    a.syscalls += d.syscalls;
+    CoreStats::forEachField([](auto, uint64_t &x, uint64_t y) { x -= y; },
+                            a, b);
+    return a;
 }
 
 } // anonymous namespace
@@ -206,7 +191,7 @@ CallMemo::apply(const Recording &r, Core &core, ExitStatus *status)
     settle(core.lastCompletion_, r.out.lastCompletion);
     core.cycle_ = entry + r.cycles;
     core.fetchGroup_ = r.out.fetchGroup;
-    core.stats_ += r.stats;
+    addFields(core.stats_, r.stats);
     for (const auto &k : r.counters)
         core.predictor_.setCounter(k.index, k.after);
 

@@ -111,6 +111,18 @@ struct CoreConfig
     // --- Timers ---
     uint64_t cpuFreqHz = 3'200'000'000; //!< nominal core clock
     uint64_t cntFreqHz = 24'000'000;    //!< CNTPCT (Table 1: 24 MHz)
+
+    /** The wire's fields (base/fields.hh): the mitigation switches. */
+    template <typename F, typename... Cfg>
+    static constexpr void
+    forEachWireField(F &&f, Cfg &...c)
+    {
+        f("speculativeMemIssue", c.speculativeMemIssue...);
+        f("eagerNestedSquash", c.eagerNestedSquash...);
+        f("autFence", c.autFence...);
+        f("pacTaint", c.pacTaint...);
+        f("fpac", c.fpac...);
+    }
 };
 
 } // namespace pacman::cpu

@@ -39,6 +39,7 @@
 #include <memory>
 #include <optional>
 
+#include "base/fields.hh"
 #include "base/random.hh"
 #include "cpu/config.hh"
 #include "cpu/decode_cache.hh"
@@ -100,7 +101,23 @@ struct CoreStats
     uint64_t wrongPathMemOps = 0;
     uint64_t specFaultsSuppressed = 0;
     uint64_t syscalls = 0;
+
+    /** The field list (base/fields.hh), as Machine::statsReport rows. */
+    template <typename F, typename... Stats>
+    static constexpr void
+    forEachField(F &&f, Stats &...s)
+    {
+        f("instructions retired", s.instsRetired...);
+        f("syscalls", s.syscalls...);
+        f("branches", s.branches...);
+        f("branch mispredicts", s.branchMispredicts...);
+        f("wrong-path instructions", s.wrongPathInsts...);
+        f("wrong-path memory ops", s.wrongPathMemOps...);
+        f("speculative faults suppressed", s.specFaultsSuppressed...);
+    }
 };
+
+static_assert(listsEveryMember<CoreStats>);
 
 /** The core. One instance per simulated hardware thread. */
 class Core

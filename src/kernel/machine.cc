@@ -64,7 +64,6 @@ Machine::call(isa::Addr pc, std::initializer_list<uint64_t> args)
 std::string
 Machine::statsReport()
 {
-    const cpu::CoreStats &cs = core_.stats();
     TextTable table;
     table.header({"Statistic", "Value"});
     auto row = [&](std::string_view name, uint64_t value) {
@@ -72,13 +71,7 @@ Machine::statsReport()
                    strprintf("%llu", (unsigned long long)value)});
     };
     row("cycles", core_.cycle());
-    row("instructions retired", cs.instsRetired);
-    row("syscalls", cs.syscalls);
-    row("branches", cs.branches);
-    row("branch mispredicts", cs.branchMispredicts);
-    row("wrong-path instructions", cs.wrongPathInsts);
-    row("wrong-path memory ops", cs.wrongPathMemOps);
-    row("speculative faults suppressed", cs.specFaultsSuppressed);
+    cpu::CoreStats::forEachField(row, core_.stats());
     // Fast-path telemetry (host-side, not architectural state, and
     // monotonic — unlike CoreStats these never rewind on snapshot
     // restore; see cpu/superblock.hh), under its metric names.

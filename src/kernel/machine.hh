@@ -12,6 +12,7 @@
 #include <memory>
 #include <vector>
 
+#include "base/fields.hh"
 #include "base/random.hh"
 #include "cpu/core.hh"
 #include "cpu/timer.hh"
@@ -45,6 +46,19 @@ struct MachineConfig
      */
     double noiseProbability = 0.0;
     unsigned noisePages = 4;
+
+    /** The wire's fields (base/fields.hh): what a campaign varies.
+     *  Geometry is deployment configuration; core has its own list. */
+    template <typename F, typename... Cfg>
+    static constexpr void
+    forEachWireField(F &&f, Cfg &...c)
+    {
+        f("seed", Hex{c.seed}...);
+        f("timerRatePer1k", c.timerRatePer1k...);
+        f("timerJitter", c.timerJitter...);
+        f("noiseProbability", c.noiseProbability...);
+        f("noisePages", c.noisePages...);
+    }
 };
 
 /** Default M1-p-core machine configuration. */

@@ -257,6 +257,20 @@ runBruteForceCampaignWith(const BruteForceCampaignConfig &cfg,
     std::atomic<uint64_t> resumed{0};
     AbortFlag abort;
 
+    // A payload decodes only if its PAC, if any, is one of the chunk's
+    // candidates: anything else would merge a PAC the sweep never
+    // tested.
+    auto decode = [&](const std::string &payload, const Chunk &chunk,
+                      BfChunkResult &r) {
+        if (!decodeBfChunk(payload, r))
+            return false;
+        if (!r.stats.found)
+            return true;
+        const uint64_t pac = *r.stats.found;
+        return pac >= cfg.first + chunk.firstItem &&
+               pac <= cfg.first + chunk.lastItem;
+    };
+
     CampaignJournal journal;
     journal.open(cfg.supervision, cfg.seed,
                  strprintf("campaign=bruteforce seed=%016llx first=%u "
@@ -278,7 +292,7 @@ runBruteForceCampaignWith(const BruteForceCampaignConfig &cfg,
             // result is bit-exact, so the merge cannot tell.
             auto it = journal.resumable.find(chunk.index);
             if (it != journal.resumable.end() &&
-                decodeBfChunk(it->second, r)) {
+                decode(it->second, chunk, r)) {
                 resumed.fetch_add(1, std::memory_order_relaxed);
                 if (r.stats.found)
                     return uint64_t(*r.stats.found) - cfg.first;
@@ -289,7 +303,7 @@ runBruteForceCampaignWith(const BruteForceCampaignConfig &cfg,
                 dispatchChunk(dispatch, worker, chunk, abort);
             if (!payload)
                 return std::nullopt;
-            if (!decodeBfChunk(*payload, r)) {
+            if (!decode(*payload, chunk, r)) {
                 abort.trip(strprintf(
                     "chunk %llu: undecodable result payload",
                     (unsigned long long)chunk.index));
@@ -426,12 +440,7 @@ runAccuracyCampaignWith(const AccuracyCampaignConfig &cfg,
         }
         // Sum the counters only: `found` differs per trial (fresh
         // keys), so a merged "found" would be meaningless here.
-        result.totals.guessesTested += r.stats.guessesTested;
-        result.totals.oracleQueries += r.stats.oracleQueries;
-        result.totals.cyclesSimulated += r.stats.cyclesSimulated;
-        result.totals.samplesTaken += r.stats.samplesTaken;
-        result.totals.escalations += r.stats.escalations;
-        result.totals.candidateRetries += r.stats.candidateRetries;
+        addFields(result.totals, r.stats);
         result.oracleStats.merge(r.oracle);
         result.faultStats.merge(r.faults);
         result.guessesPerTrial.add(double(r.stats.guessesTested));

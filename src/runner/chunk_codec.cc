@@ -1,10 +1,9 @@
 #include "chunk_codec.hh"
 
-#include <bit>
-#include <cstdio>
-#include <sstream>
+#include <type_traits>
 
 #include "base/logging.hh"
+#include "runner/protocol.hh"
 
 namespace pacman::runner
 {
@@ -19,149 +18,76 @@ constexpr uint64_t KeySeedStream = 0x4B65'7973ull; // "Keys"
 
 // --- Chunk payload (de)serialization -------------------------------
 //
-// Payloads are line-oriented, one tagged line per embedded struct.
-// Doubles travel as their 64-bit patterns in hex, so a decoded chunk
-// merges bit-identical values — the resume and remote-dispatch
-// determinism contracts depend on this, not on printf round-tripping.
+// A run (a brute-force chunk, or one accuracy trial) travels as tagged
+// lines (runner/protocol.hh), each written from its struct's field
+// list: S (found + 1, or 0 for none, then the search counters), O, F,
+// a brute-force chunk's D (its decision samples in insertion order:
+// mean() sums in that order) and, if quarantined, Q.
 
+/** The S, O, F and D lines, as the bits a decoder marks. */
+enum RunLine : unsigned
+{
+    SLine = 1,
+    OLine = 2,
+    FLine = 4,
+    DLine = 8,
+};
+
+template <class Run>
 std::string
-encodeBfStats(const attack::BruteForceStats &s)
+encodeRun(const Run &r)
 {
-    return strprintf(
-        "S %llu %llu %llu %llu %llu %llu %llu",
-        s.found ? (unsigned long long)*s.found + 1 : 0ull,
-        (unsigned long long)s.guessesTested,
-        (unsigned long long)s.oracleQueries,
-        (unsigned long long)s.cyclesSimulated,
-        (unsigned long long)s.samplesTaken,
-        (unsigned long long)s.escalations,
-        (unsigned long long)s.candidateRetries);
-}
-
-bool
-decodeBfStats(std::istringstream &in, attack::BruteForceStats &s)
-{
-    unsigned long long found1 = 0, g = 0, q = 0, c = 0, sm = 0, e = 0,
-                       r = 0;
-    if (!(in >> found1 >> g >> q >> c >> sm >> e >> r))
-        return false;
-    s = attack::BruteForceStats{};
-    if (found1)
-        s.found = uint16_t(found1 - 1);
-    s.guessesTested = g;
-    s.oracleQueries = q;
-    s.cyclesSimulated = c;
-    s.samplesTaken = sm;
-    s.escalations = e;
-    s.candidateRetries = r;
-    return true;
-}
-
-std::string
-encodeOracleStats(const attack::OracleStats &o)
-{
-    return strprintf("O %llu %llu %llu %llu %llu",
-                     (unsigned long long)o.busyRetries,
-                     (unsigned long long)o.disturbedQueries,
-                     (unsigned long long)o.retriedQueries,
-                     (unsigned long long)o.calibrations,
-                     (unsigned long long)o.repairs);
-}
-
-bool
-decodeOracleStats(std::istringstream &in, attack::OracleStats &o)
-{
-    o = attack::OracleStats{};
-    return bool(in >> o.busyRetries >> o.disturbedQueries >>
-                o.retriedQueries >> o.calibrations >> o.repairs);
-}
-
-std::string
-encodeFaultStats(const FaultStats &f)
-{
-    return strprintf(
-        "F %llu %llu %llu %llu %llu %llu %llu %llu %llu %llu %llu",
-        (unsigned long long)f.contextSwitches,
-        (unsigned long long)f.fullFlushes,
-        (unsigned long long)f.partialFlushes,
-        (unsigned long long)f.preemptions,
-        (unsigned long long)f.preemptedCycles,
-        (unsigned long long)f.timerStalls,
-        (unsigned long long)f.timerSkews,
-        (unsigned long long)f.jitterBursts,
-        (unsigned long long)f.busyArms,
-        (unsigned long long)f.migrations, (unsigned long long)f.hangs);
-}
-
-bool
-decodeFaultStats(std::istringstream &in, FaultStats &f)
-{
-    f = FaultStats{};
-    return bool(in >> f.contextSwitches >> f.fullFlushes >>
-                f.partialFlushes >> f.preemptions >> f.preemptedCycles >>
-                f.timerStalls >> f.timerSkews >> f.jitterBursts >>
-                f.busyArms >> f.migrations >> f.hangs);
-}
-
-/** Samples in insertion order: mean() sums in that order, so
- *  preserving it keeps floating-point rounding identical on decode. */
-std::string
-encodeSamples(const SampleStat &s)
-{
-    std::string out = strprintf("D %llu",
-                                (unsigned long long)s.count());
-    for (double v : s.samples())
-        out += strprintf(" %016llx",
-                         (unsigned long long)std::bit_cast<uint64_t>(v));
-    return out;
-}
-
-bool
-decodeSamples(std::istringstream &in, SampleStat &s)
-{
-    unsigned long long n = 0;
-    if (!(in >> n))
-        return false;
-    s.reset();
-    for (unsigned long long i = 0; i < n; ++i) {
-        std::string word;
-        if (!(in >> word))
-            return false;
-        unsigned long long bits = 0;
-        if (sscanf(word.c_str(), "%llx", &bits) != 1)
-            return false;
-        s.add(std::bit_cast<double>(uint64_t(bits)));
+    LineWriter s("S"), o("O"), f("F");
+    s << (r.stats.found ? uint64_t(*r.stats.found) + 1 : 0);
+    attack::BruteForceStats::forEachField(s, r.stats);
+    attack::OracleStats::forEachField(o, r.oracle);
+    FaultStats::forEachField(f, r.faults);
+    std::string out = s.str() + o.str() + f.str();
+    if constexpr (std::is_same_v<Run, BfChunkResult>) {
+        LineWriter d("D");
+        d << uint64_t(r.decisions.count());
+        for (double v : r.decisions.samples())
+            d << v;
+        out += d.str();
     }
-    return true;
+    return r.quarantine ? out + "Q " + r.quarantine->serialize() + "\n"
+                        : out;
 }
 
-/** The S, O and F lines both chunk kinds carry for each run. */
-std::string
-encodeRunLines(const attack::BruteForceStats &s,
-               const attack::OracleStats &o, const FaultStats &f)
-{
-    return encodeBfStats(s) + "\n" + encodeOracleStats(o) + "\n" +
-           encodeFaultStats(f) + "\n";
-}
-
-/** The Q line of a quarantined run; empty if none. */
-std::string
-encodeQuarantineLine(const std::optional<QuarantineRecord> &q)
-{
-    return q ? "Q " + q->serialize() + "\n" : std::string();
-}
-
-/** Parse the rest of a Q line into @p q; false if it is malformed. */
+/** Read the current line into @p r if it is one of a run's lines,
+ *  marking it in @p seen; false if it is malformed. */
+template <class Run>
 bool
-decodeQuarantineLine(std::istringstream &in,
-                     std::optional<QuarantineRecord> &q)
+decodeRunLine(LineReader &in, Run &r, unsigned &seen)
 {
-    std::string rest;
-    std::getline(in, rest);
-    if (!rest.empty() && rest.front() == ' ')
-        rest.erase(0, 1);
-    q = QuarantineRecord::parse(rest);
-    return q.has_value();
+    const std::string_view tag = in.tag();
+    if (tag == "S") {
+        uint64_t found1 = 0;
+        r.stats = attack::BruteForceStats{};
+        if (in.number(found1, 10, 0x10000) && found1)
+            r.stats.found = uint16_t(found1 - 1);
+        attack::BruteForceStats::forEachField(in, r.stats);
+        seen |= SLine;
+    } else if (tag == "O") {
+        attack::OracleStats::forEachField(in, r.oracle);
+        seen |= OLine;
+    } else if (tag == "F") {
+        FaultStats::forEachField(in, r.faults);
+        seen |= FLine;
+    } else if (tag == "Q") {
+        r.quarantine = QuarantineRecord::parse(std::string(in.rest()));
+        return r.quarantine.has_value();
+    } else if constexpr (std::is_same_v<Run, BfChunkResult>) {
+        if (tag == "D") {
+            uint64_t n = 0;
+            in >> n;
+            r.decisions.reset();
+            for (double v = 0; n > 0 && in >> v; --n)
+                r.decisions.add(v);
+            seen |= DLine;
+        }
+    }
+    return bool(in);
 }
 
 QuarantineRecord
@@ -202,35 +128,18 @@ resamplePolicy(const ReplicaConfig &cfg)
 std::string
 encodeBfChunk(const BfChunkResult &r)
 {
-    return encodeRunLines(r.stats, r.oracle, r.faults) +
-           encodeSamples(r.decisions) + "\n" +
-           encodeQuarantineLine(r.quarantine);
+    return encodeRun(r);
 }
 
 bool
 decodeBfChunk(const std::string &payload, BfChunkResult &r)
 {
     r = BfChunkResult{};
-    std::istringstream lines(payload);
-    std::string line;
-    bool s = false, o = false, f = false, d = false;
-    while (std::getline(lines, line)) {
-        std::istringstream in(line);
-        std::string tag;
-        if (!(in >> tag))
-            continue;
-        if (tag == "S")
-            s = decodeBfStats(in, r.stats);
-        else if (tag == "O")
-            o = decodeOracleStats(in, r.oracle);
-        else if (tag == "F")
-            f = decodeFaultStats(in, r.faults);
-        else if (tag == "D")
-            d = decodeSamples(in, r.decisions);
-        else if (tag == "Q" && !decodeQuarantineLine(in, r.quarantine))
+    unsigned seen = 0;
+    for (LineReader in(payload); in.next();)
+        if (!decodeRunLine(in, r, seen))
             return false;
-    }
-    return s && o && f && d;
+    return seen == (SLine | OLine | FLine | DLine);
 }
 
 std::string
@@ -240,10 +149,7 @@ encodeTrialChunk(const std::vector<TrialResult> &trials,
     std::string out;
     for (uint64_t t = chunk.firstItem; t <= chunk.lastItem; ++t) {
         const TrialResult &r = trials[t - chunk.firstItem];
-        out += strprintf("T %llu %u\n", (unsigned long long)t,
-                         unsigned(r.verdict));
-        out += encodeRunLines(r.stats, r.oracle, r.faults) +
-               encodeQuarantineLine(r.quarantine);
+        out += (LineWriter("T") << t << r.verdict).str() + encodeRun(r);
     }
     return out;
 }
@@ -255,43 +161,26 @@ decodeTrialChunk(const std::string &payload,
     const uint64_t count = chunk.lastItem - chunk.firstItem + 1;
     if (trials.size() != count)
         trials.assign(count, TrialResult{});
-    std::istringstream lines(payload);
-    std::string line;
-    TrialResult *cur = nullptr;
-    uint64_t seen = 0;
-    while (std::getline(lines, line)) {
-        std::istringstream in(line);
-        std::string tag;
-        if (!(in >> tag))
-            continue;
-        if (tag == "T") {
-            unsigned long long t = 0;
-            unsigned v = 0;
-            if (!(in >> t >> v) || t < chunk.firstItem ||
-                t > chunk.lastItem ||
-                v > unsigned(TrialVerdict::Quarantined))
+    // Every trial once, in order, each with its own S, O and F lines.
+    constexpr unsigned Complete = SLine | OLine | FLine;
+    uint64_t next = 0;
+    unsigned seen = 0;
+    for (LineReader in(payload); in.next();) {
+        if (in.tag() == "T") {
+            uint64_t t = 0;
+            TrialVerdict v{};
+            if (!(in >> t >> v) || next == count ||
+                t != chunk.firstItem + next ||
+                (next > 0 && seen != Complete))
                 return false;
-            cur = &trials[t - chunk.firstItem];
-            *cur = TrialResult{};
-            cur->verdict = TrialVerdict(v);
-            ++seen;
-        } else if (!cur) {
+            trials[next] = TrialResult{};
+            trials[next++].verdict = v;
+            seen = 0;
+        } else if (next == 0 || !decodeRunLine(in, trials[next - 1], seen)) {
             return false;
-        } else if (tag == "S") {
-            if (!decodeBfStats(in, cur->stats))
-                return false;
-        } else if (tag == "O") {
-            if (!decodeOracleStats(in, cur->oracle))
-                return false;
-        } else if (tag == "F") {
-            if (!decodeFaultStats(in, cur->faults))
-                return false;
-        } else if (tag == "Q") {
-            if (!decodeQuarantineLine(in, cur->quarantine))
-                return false;
         }
     }
-    return seen == count;
+    return next == count && seen == Complete;
 }
 
 std::string

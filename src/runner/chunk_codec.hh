@@ -7,11 +7,11 @@
  * them: merged in-process right after execution, replayed from the
  * crash-recovery journal on resume, and shipped over the oracle
  * server's wire protocol from a remote replica. This header is the
- * single definition of that unit — the structs, the line-oriented
- * encoding (doubles travel as their 64-bit patterns in hex so a
- * decode is bit-exact, never printf round-tripped), and the
- * executors that produce a chunk's result against a supervised
- * runner::Worker.
+ * single definition of that unit — the structs, the tagged-line
+ * encoding (runner/protocol.hh: each line written from its
+ * struct's field list, doubles as their 64-bit patterns so a decode
+ * is bit-exact), and the executors that produce a chunk's result
+ * against a supervised runner::Worker.
  *
  * The campaign runners (campaign.cc), the journal resume path, and
  * the oracle server (server.cc) all dispatch through encoded chunk
@@ -53,6 +53,13 @@ enum class TrialVerdict : unsigned
     FalseNegative = 2,
     Quarantined = 3,
 };
+
+/** The last TrialVerdict (a decoded one must not exceed it). */
+constexpr TrialVerdict
+lastOf(TrialVerdict)
+{
+    return TrialVerdict::Quarantined;
+}
 
 struct TrialResult
 {

@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <bit>
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
@@ -37,39 +36,6 @@ getU32(const char *p)
 {
     return uint32_t(uint8_t(p[0])) | uint32_t(uint8_t(p[1])) << 8 |
            uint32_t(uint8_t(p[2])) << 16 | uint32_t(uint8_t(p[3])) << 24;
-}
-
-std::string
-hexBits(double v)
-{
-    return strprintf("%016llx",
-                     (unsigned long long)std::bit_cast<uint64_t>(v));
-}
-
-bool
-parseBits(std::istringstream &in, double &v)
-{
-    std::string word;
-    if (!(in >> word))
-        return false;
-    unsigned long long bits = 0;
-    if (sscanf(word.c_str(), "%llx", &bits) != 1)
-        return false;
-    v = std::bit_cast<double>(uint64_t(bits));
-    return true;
-}
-
-bool
-parseHex64(std::istringstream &in, uint64_t &v)
-{
-    std::string word;
-    if (!(in >> word))
-        return false;
-    unsigned long long bits = 0;
-    if (sscanf(word.c_str(), "%llx", &bits) != 1)
-        return false;
-    v = bits;
-    return true;
 }
 
 } // anonymous namespace
@@ -285,54 +251,16 @@ unpackMessage(const std::string &payload)
 std::string
 encodeReplicaWire(const ReplicaConfig &cfg, const SupervisionConfig &sup)
 {
-    const kernel::MachineConfig &m = cfg.machine;
-    const cpu::CoreConfig &c = m.core;
-    const attack::OracleConfig &o = cfg.oracle;
-    const FaultPlan &f = cfg.faults;
-    std::string out = strprintf("V %s\n", WireVersion);
-    out += strprintf("M %016llx %llu %llu %s %u\n",
-                     (unsigned long long)m.seed,
-                     (unsigned long long)m.timerRatePer1k,
-                     (unsigned long long)m.timerJitter,
-                     hexBits(m.noiseProbability).c_str(), m.noisePages);
-    out += strprintf("C %d %d %d %d %d\n", int(c.speculativeMemIssue),
-                     int(c.eagerNestedSquash), int(c.autFence),
-                     int(c.pacTaint), int(c.fpac));
-    out += strprintf("O %u %u %u %llu %u %d %u %u %u %d\n",
-                     unsigned(o.kind), unsigned(o.channel), o.trainIters,
-                     (unsigned long long)o.latencyThreshold,
-                     o.missThreshold, int(o.autoCalibrate),
-                     o.calibrationSamples, o.queryRetries, o.busyRetries,
-                     int(o.skipReset));
-    out += strprintf("R %016llx %016llx %u %u %u %d\n",
-                     (unsigned long long)cfg.target,
-                     (unsigned long long)cfg.modifier, cfg.samples,
-                     cfg.maxSamples, cfg.candidateRetries,
-                     int(cfg.snapshot));
-    out += strprintf(
-        "F %s %s %u %u %s %llu %llu %u %s %llu %llu %llu %llu %llu "
-        "%llu %s %u %u %s %s %s %llu\n",
-        hexBits(f.contextSwitchRate).c_str(),
-        hexBits(f.fullFlushFraction).c_str(), f.flushSets,
-        f.pollutePages, hexBits(f.preemptRate).c_str(),
-        (unsigned long long)f.preemptMinCycles,
-        (unsigned long long)f.preemptMaxCycles, f.preemptPollutePages,
-        hexBits(f.timerRate).c_str(),
-        (unsigned long long)f.stallMinCycles,
-        (unsigned long long)f.stallMaxCycles,
-        (unsigned long long)f.skewPermilleMin,
-        (unsigned long long)f.skewPermilleMax,
-        (unsigned long long)f.jitterBoost,
-        (unsigned long long)f.jitterBurstCycles,
-        hexBits(f.syscallBusyRate).c_str(), f.busyMinCount,
-        f.busyMaxCount, hexBits(f.migrationRate).c_str(),
-        hexBits(f.migrationReturnRate).c_str(),
-        hexBits(f.hangRate).c_str(), (unsigned long long)f.hangCycles);
-    out += strprintf("B %llu %s %d\n",
-                     (unsigned long long)sup.budget.maxGuestCycles,
-                     hexBits(sup.budget.hostDeadlineSeconds).c_str(),
-                     int(sup.verifyFingerprint));
-    return out;
+    LineWriter v("V"), m("M"), c("C"), o("O"), r("R"), f("F"), b("B");
+    v << WireVersion;
+    kernel::MachineConfig::forEachWireField(m, cfg.machine);
+    cpu::CoreConfig::forEachWireField(c, cfg.machine.core);
+    attack::OracleConfig::forEachField(o, cfg.oracle);
+    ReplicaConfig::forEachWireField(r, cfg);
+    FaultPlan::forEachField(f, cfg.faults);
+    SupervisionConfig::forEachWireField(b, sup);
+    return v.str() + m.str() + c.str() + o.str() + r.str() + f.str() +
+           b.str();
 }
 
 bool
@@ -345,99 +273,38 @@ decodeReplicaWire(const std::string &text, ReplicaConfig &cfg,
     // machine the client was built for.
     cfg.machine = kernel::defaultMachineConfig();
     sup = SupervisionConfig{};
-    std::istringstream lines(text);
-    std::string line;
-    bool v = false, m = false, c = false, o = false, r = false,
-         f = false, b = false;
-    while (std::getline(lines, line)) {
-        std::istringstream in(line);
-        std::string tag;
-        if (!(in >> tag))
-            continue;
+    std::string seen;
+    for (LineReader in(text); in.next();) {
+        const std::string_view tag = in.tag();
         if (tag == "V") {
-            std::string version;
+            std::string_view version;
             if (!(in >> version) || version != WireVersion)
                 return false;
-            v = true;
         } else if (tag == "M") {
-            kernel::MachineConfig &mc = cfg.machine;
-            m = parseHex64(in, mc.seed) &&
-                bool(in >> mc.timerRatePer1k >> mc.timerJitter) &&
-                parseBits(in, mc.noiseProbability) &&
-                bool(in >> mc.noisePages);
-            if (!m)
-                return false;
+            kernel::MachineConfig::forEachWireField(in, cfg.machine);
         } else if (tag == "C") {
-            cpu::CoreConfig &cc = cfg.machine.core;
-            int smi = 0, ens = 0, af = 0, pt = 0, fp = 0;
-            if (!(in >> smi >> ens >> af >> pt >> fp))
-                return false;
-            cc.speculativeMemIssue = smi;
-            cc.eagerNestedSquash = ens;
-            cc.autFence = af;
-            cc.pacTaint = pt;
-            cc.fpac = fp;
-            c = true;
+            cpu::CoreConfig::forEachWireField(in, cfg.machine.core);
         } else if (tag == "O") {
-            attack::OracleConfig &oc = cfg.oracle;
-            unsigned kind = 0, channel = 0;
-            int calib = 0, skip = 0;
-            if (!(in >> kind >> channel >> oc.trainIters >>
-                  oc.latencyThreshold >> oc.missThreshold >> calib >>
-                  oc.calibrationSamples >> oc.queryRetries >>
-                  oc.busyRetries >> skip))
-                return false;
-            if (kind > unsigned(attack::GadgetKind::Combined) ||
-                channel > unsigned(attack::Channel::L1dSet))
-                return false;
-            oc.kind = attack::GadgetKind(kind);
-            oc.channel = attack::Channel(channel);
-            oc.autoCalibrate = calib;
-            oc.skipReset = skip;
-            o = true;
+            attack::OracleConfig::forEachField(in, cfg.oracle);
         } else if (tag == "R") {
-            uint64_t target = 0;
-            int snap = 0;
-            if (!parseHex64(in, target) ||
-                !parseHex64(in, cfg.modifier) ||
-                !(in >> cfg.samples >> cfg.maxSamples >>
-                  cfg.candidateRetries >> snap))
-                return false;
-            cfg.target = target;
-            cfg.snapshot = snap;
-            r = true;
+            ReplicaConfig::forEachWireField(in, cfg);
         } else if (tag == "F") {
-            FaultPlan &fp = cfg.faults;
-            f = parseBits(in, fp.contextSwitchRate) &&
-                parseBits(in, fp.fullFlushFraction) &&
-                bool(in >> fp.flushSets >> fp.pollutePages) &&
-                parseBits(in, fp.preemptRate) &&
-                bool(in >> fp.preemptMinCycles >> fp.preemptMaxCycles >>
-                     fp.preemptPollutePages) &&
-                parseBits(in, fp.timerRate) &&
-                bool(in >> fp.stallMinCycles >> fp.stallMaxCycles >>
-                     fp.skewPermilleMin >> fp.skewPermilleMax >>
-                     fp.jitterBoost >> fp.jitterBurstCycles) &&
-                parseBits(in, fp.syscallBusyRate) &&
-                bool(in >> fp.busyMinCount >> fp.busyMaxCount) &&
-                parseBits(in, fp.migrationRate) &&
-                parseBits(in, fp.migrationReturnRate) &&
-                parseBits(in, fp.hangRate) && bool(in >> fp.hangCycles);
-            if (!f)
-                return false;
+            FaultPlan::forEachField(in, cfg.faults);
         } else if (tag == "B") {
-            int verify = 0;
-            if (!(in >> sup.budget.maxGuestCycles) ||
-                !parseBits(in, sup.budget.hostDeadlineSeconds) ||
-                !(in >> verify))
-                return false;
-            sup.verifyFingerprint = verify;
-            b = true;
+            SupervisionConfig::forEachWireField(in, sup);
+        } else {
+            // Unknown tags are skipped: a v2 decoder tolerates v2.x
+            // additions as long as the version line matches.
+            continue;
         }
-        // Unknown tags are skipped: a v1 decoder tolerates v1.x
-        // additions as long as the version line matches.
+        if (!in)
+            return false;
+        seen += tag;
     }
-    return v && m && c && o && r && f && b;
+    for (const char tag : std::string_view("VMCORFB"))
+        if (seen.find(tag) == std::string::npos)
+            return false;
+    return true;
 }
 
 namespace
@@ -446,17 +313,9 @@ namespace
 std::string
 encodeChunkLine(const Chunk &chunk)
 {
-    return strprintf("K %llu %llu %llu\n",
-                     (unsigned long long)chunk.index,
-                     (unsigned long long)chunk.firstItem,
-                     (unsigned long long)chunk.lastItem);
-}
-
-bool
-decodeChunkLine(std::istringstream &in, Chunk &chunk)
-{
-    return bool(in >> chunk.index >> chunk.firstItem >> chunk.lastItem)
-           && chunk.firstItem <= chunk.lastItem;
+    return (LineWriter("K") << chunk.index << chunk.firstItem
+                            << chunk.lastItem)
+        .str();
 }
 
 } // anonymous namespace
@@ -466,9 +325,9 @@ encodeBfChunkRequest(const BruteForceCampaignConfig &cfg,
                      const Chunk &chunk)
 {
     return encodeReplicaWire(cfg.replica, cfg.supervision) +
-           strprintf("G bf %016llx %u %u\n",
-                     (unsigned long long)cfg.seed, unsigned(cfg.first),
-                     unsigned(cfg.last)) +
+           (LineWriter("G") << "bf" << Hex{cfg.seed} << cfg.first
+                            << cfg.last)
+               .str() +
            encodeChunkLine(chunk);
 }
 
@@ -477,69 +336,41 @@ encodeAccuracyChunkRequest(const AccuracyCampaignConfig &cfg,
                            const Chunk &chunk)
 {
     return encodeReplicaWire(cfg.replica, cfg.supervision) +
-           strprintf("G acc %016llx %llu %u\n",
-                     (unsigned long long)cfg.seed,
-                     (unsigned long long)cfg.trials, cfg.window) +
+           (LineWriter("G") << "acc" << Hex{cfg.seed} << cfg.trials
+                            << cfg.window)
+               .str() +
            encodeChunkLine(chunk);
 }
 
 std::optional<ChunkRequest>
 decodeChunkRequest(const std::string &body)
 {
-    // Split the G/K campaign lines off the replica-wire prefix; the
-    // prefix (alone) is the replica-cache key.
-    std::string config_text;
-    std::string campaign_line, chunk_line;
-    std::istringstream lines(body);
-    std::string line;
-    while (std::getline(lines, line)) {
-        if (line.rfind("G ", 0) == 0)
-            campaign_line = line;
-        else if (line.rfind("K ", 0) == 0)
-            chunk_line = line;
-        else {
-            config_text += line;
-            config_text += '\n';
+    // The G and K lines name the campaign and the chunk (the last of
+    // each counts); the replica decoder skips them, and the config's
+    // canonical text is the replica-cache key.
+    ChunkRequest req;
+    bool campaign = false, chunk = false;
+    for (LineReader in(body); in.next();) {
+        std::string_view kind;
+        if (in.tag() == "G" && in >> kind && kind == "bf") {
+            req.kind = ChunkRequest::Kind::BruteForce;
+            in >> Hex{req.bf.seed} >> req.bf.first >> req.bf.last;
+            campaign = in && req.bf.first <= req.bf.last;
+        } else if (in.tag() == "G") {
+            req.kind = ChunkRequest::Kind::Accuracy;
+            in >> Hex{req.acc.seed} >> req.acc.trials >> req.acc.window;
+            campaign = in && kind == "acc";
+        } else if (in.tag() == "K") {
+            in >> req.chunk.index >> req.chunk.firstItem >> req.chunk.lastItem;
+            chunk = in && req.chunk.firstItem <= req.chunk.lastItem;
         }
     }
-    if (campaign_line.empty() || chunk_line.empty())
+    if (!campaign || !chunk ||
+        !decodeReplicaWire(body, req.bf.replica, req.bf.supervision))
         return std::nullopt;
-
-    ChunkRequest req;
-    req.configKey = config_text;
-    ReplicaConfig replica;
-    SupervisionConfig sup;
-    if (!decodeReplicaWire(config_text, replica, sup))
-        return std::nullopt;
-
-    std::istringstream gin(campaign_line);
-    std::string tag, kind;
-    if (!(gin >> tag >> kind))
-        return std::nullopt;
-    if (kind == "bf") {
-        unsigned first = 0, last = 0;
-        if (!parseHex64(gin, req.bf.seed) || !(gin >> first >> last) ||
-            first > 0xFFFF || last > 0xFFFF || first > last)
-            return std::nullopt;
-        req.kind = ChunkRequest::Kind::BruteForce;
-        req.bf.replica = replica;
-        req.bf.supervision = sup;
-        req.bf.first = uint16_t(first);
-        req.bf.last = uint16_t(last);
-    } else if (kind == "acc") {
-        if (!parseHex64(gin, req.acc.seed) ||
-            !(gin >> req.acc.trials >> req.acc.window))
-            return std::nullopt;
-        req.kind = ChunkRequest::Kind::Accuracy;
-        req.acc.replica = replica;
-        req.acc.supervision = sup;
-    } else {
-        return std::nullopt;
-    }
-
-    std::istringstream kin(chunk_line);
-    if (!(kin >> tag) || !decodeChunkLine(kin, req.chunk))
-        return std::nullopt;
+    req.acc.replica = req.bf.replica;
+    req.acc.supervision = req.bf.supervision;
+    req.configKey = encodeReplicaWire(req.bf.replica, req.bf.supervision);
     return req;
 }
 

@@ -17,6 +17,10 @@
  * (result in args/body), BUSY (admission control rejected the
  * request; retry later), and ERR (args carries the reason).
  *
+ * Records travel as tagged lines: a tag and space-separated tokens,
+ * written and read only by LineWriter and LineReader below, which
+ * visit each record's field list (base/fields.hh, DESIGN.md §4l).
+ *
  * Configuration codec: a replica travels as the line-oriented
  * `pacman-oracle-wire-v2` text — campaign-variable machine fields
  * (seed, timer, ambient noise), the mitigation/speculation switches,
@@ -33,12 +37,18 @@
 #ifndef PACMAN_RUNNER_PROTOCOL_HH
 #define PACMAN_RUNNER_PROTOCOL_HH
 
+#include <algorithm>
+#include <bit>
+#include <charconv>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
+#include "base/fields.hh"
 #include "runner/campaign.hh"
 
 namespace pacman::runner
@@ -149,6 +159,166 @@ std::string packMessage(const WireMessage &m);
 
 /** Parse a frame payload; nullopt on a malformed head line. */
 std::optional<WireMessage> unpackMessage(const std::string &payload);
+
+// --- Tagged lines --------------------------------------------------
+
+/** Builds one line: the tag, then each token written. */
+class LineWriter
+{
+  public:
+    explicit LineWriter(std::string_view tag) : line_(tag) {}
+
+    /**
+     * Appends @p v as one token: a word as it is; unsigned integers,
+     * bools (0/1) and enums in decimal; Hex fields (seeds, addresses)
+     * and doubles (their 64-bit pattern, so a decode is bit-exact) as
+     * 16 hex digits.
+     */
+    template <typename T>
+    LineWriter &
+    operator<<(const T &v)
+    {
+        line_ += ' ';
+        if constexpr (std::is_convertible_v<T, std::string_view>) {
+            line_ += std::string_view(v);
+        } else if constexpr (std::is_same_v<T, double>) {
+            hex16(std::bit_cast<uint64_t>(v));
+        } else if constexpr (requires { v.value; }) {
+            hex16(v.value);
+        } else {
+            static_assert(std::is_unsigned_v<T> || std::is_enum_v<T>);
+            char buf[20];
+            line_.append(buf, std::to_chars(buf, buf + 20, uint64_t(v)).ptr);
+        }
+        return *this;
+    }
+
+    /** Field-list visitor: writes the field. */
+    template <typename T>
+    void
+    operator()(std::string_view, const T &v)
+    {
+        *this << v;
+    }
+
+    /** The line, newline-terminated. */
+    std::string str() const { return line_ + '\n'; }
+
+  private:
+    void
+    hex16(uint64_t v)
+    {
+        for (int shift = 60; shift >= 0; shift -= 4)
+            line_ += "0123456789abcdef"[(v >> shift) & 0xf];
+    }
+
+    std::string line_;
+};
+
+/**
+ * Walks a text's tagged lines, skipping blank ones, and reads each
+ * line's tokens in LineWriter's formats. A token that is missing,
+ * malformed (a sign, a stray character) or out of its type's range (an
+ * enum past lastOf(E)) fails the read: the reader turns false and
+ * reads nothing more from that line.
+ */
+class LineReader
+{
+  public:
+    explicit LineReader(std::string_view text) : text_(text) {}
+
+    /** Moves to the next line that has a tag; false at the end. */
+    bool
+    next()
+    {
+        while (!text_.empty()) {
+            const size_t eol = std::min(text_.find('\n'), text_.size());
+            line_ = text_.substr(0, eol);
+            text_.remove_prefix(std::min(eol + 1, text_.size()));
+            ok_ = true;
+            if (!(tag_ = word()).empty())
+                return true;
+        }
+        return false;
+    }
+
+    std::string_view tag() const { return tag_; }
+
+    /** The rest of the line after its tag and one space, verbatim. */
+    std::string_view
+    rest() const
+    {
+        return line_.starts_with(' ') ? line_.substr(1) : line_;
+    }
+
+    /** False once a read on the current line failed. */
+    explicit operator bool() const { return ok_; }
+
+    template <typename T>
+    LineReader &
+    operator>>(T &&v)
+    {
+        using V = std::remove_cvref_t<T>;
+        uint64_t raw = 0;
+        if constexpr (std::is_same_v<V, std::string_view>) {
+            ok_ = ok_ && !(v = word()).empty();
+        } else if constexpr (std::is_same_v<V, double>) {
+            if (number(raw, 16))
+                v = std::bit_cast<double>(raw);
+        } else if constexpr (requires { v.value; }) {
+            if (number(raw, 16))
+                v.value = raw;
+        } else if constexpr (std::is_enum_v<V>) {
+            if (number(raw, 10, uint64_t(lastOf(V{}))))
+                v = V(raw);
+        } else if (number(raw, 10, std::numeric_limits<V>::max())) {
+            v = V(raw);
+        }
+        return *this;
+    }
+
+    /** Field-list visitor: reads the field. */
+    template <typename T>
+    void
+    operator()(std::string_view, T &&v)
+    {
+        *this >> v;
+    }
+
+    /** The next token as one whole unsigned number in @p base, no
+     *  larger than @p max. */
+    bool
+    number(uint64_t &v, int base, uint64_t max = ~0ull)
+    {
+        if (!ok_)
+            return false;
+        const std::string_view w = word();
+        const char *end = w.data() + w.size();
+        const auto [ptr, ec] = std::from_chars(w.data(), end, v, base);
+        return ok_ = !w.empty() && ec == std::errc() && ptr == end &&
+                     v <= max;
+    }
+
+  private:
+    /** The current line's next token; empty if none is left. */
+    std::string_view
+    word()
+    {
+        constexpr std::string_view Separators = " \t\r\v\f";
+        const size_t begin = std::min(line_.find_first_not_of(Separators),
+                                      line_.size());
+        const size_t end =
+            std::min(line_.find_first_of(Separators, begin), line_.size());
+        const std::string_view w = line_.substr(begin, end - begin);
+        line_.remove_prefix(end);
+        return w;
+    }
+
+    std::string_view text_; //!< lines not reached yet
+    std::string_view line_; //!< the current line's unread part
+    std::string_view tag_;
+    bool ok_ = true;
+};
 
 // --- Configuration codec -------------------------------------------
 

@@ -24,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "base/fields.hh"
 #include "base/journal.hh"
 #include "base/logging.hh"
 #include "base/stats.hh"
@@ -134,6 +135,42 @@ listenOn(const sockaddr *addr, socklen_t len, const std::string &what)
     return fd;
 }
 
+/** The daemon's own counters: operational, never
+ *  determinism-bearing. */
+struct ServerCounters
+{
+    std::atomic<uint64_t> connectionsAccepted{0};
+    std::atomic<uint64_t> busyRejections{0};
+    std::atomic<uint64_t> queriesServed{0};
+    std::atomic<uint64_t> truthsServed{0};
+    std::atomic<uint64_t> chunksServed{0};
+    std::atomic<uint64_t> requestErrors{0};
+    std::atomic<uint64_t> itemsRestored{0};
+    std::atomic<uint64_t> replicaProvisions{0};
+    std::atomic<uint64_t> pacRekeys{0};
+    std::atomic<uint64_t> queuePeak{0};
+
+    /** The field list (base/fields.hh): f(metric, better,
+     *  counter...), in METRICS row order. */
+    template <typename F, typename... C>
+    static constexpr void
+    forEachField(F &&f, C &...c)
+    {
+        f("queue_peak", "lower", c.queuePeak...);
+        f("busy_rejections", "lower", c.busyRejections...);
+        f("connections_accepted", "higher", c.connectionsAccepted...);
+        f("queries_served", "higher", c.queriesServed...);
+        f("truths_served", "higher", c.truthsServed...);
+        f("chunks_served", "higher", c.chunksServed...);
+        f("request_errors", "lower", c.requestErrors...);
+        f("checkpoint_restores", "higher", c.itemsRestored...);
+        f("replica_provisions", "lower", c.replicaProvisions...);
+        f("pac_rekeys", "higher", c.pacRekeys...);
+    }
+};
+
+static_assert(listsEveryMember<ServerCounters, std::atomic<uint64_t>>);
+
 } // anonymous namespace
 
 struct OracleServer::Impl
@@ -156,17 +193,7 @@ struct OracleServer::Impl
     std::condition_variable qcv;
     std::deque<Job> queue;
 
-    // --- metrics (operational; never determinism-bearing) ---
-    std::atomic<uint64_t> connectionsAccepted{0};
-    std::atomic<uint64_t> busyRejections{0};
-    std::atomic<uint64_t> queriesServed{0};
-    std::atomic<uint64_t> truthsServed{0};
-    std::atomic<uint64_t> chunksServed{0};
-    std::atomic<uint64_t> requestErrors{0};
-    std::atomic<uint64_t> itemsRestored{0};
-    std::atomic<uint64_t> replicaProvisions{0};
-    std::atomic<uint64_t> pacRekeys{0};
-    std::atomic<uint64_t> queuePeak{0};
+    ServerCounters counters;
     // Fast-path telemetry summed across every worker replica this
     // server has driven (the counters Machine::statsReport prints).
     mutable std::mutex sbMu;
@@ -221,7 +248,7 @@ OracleServer::Impl::handleFrame(const std::shared_ptr<Connection> &conn,
 {
     std::optional<WireMessage> msg = unpackMessage(payload);
     if (!msg) {
-        requestErrors.fetch_add(1);
+        counters.requestErrors.fetch_add(1);
         reply(conn, 0, "ERR", "malformed message");
         return;
     }
@@ -237,7 +264,7 @@ OracleServer::Impl::handleFrame(const std::shared_ptr<Connection> &conn,
         if (!(in >> name >> secret_word) ||
             name.size() > MaxTenantNameBytes ||
             sscanf(secret_word.c_str(), "%llx", &secret) != 1) {
-            requestErrors.fetch_add(1);
+            counters.requestErrors.fetch_add(1);
             reply(conn, msg->id, "ERR",
                   strprintf("usage: HELLO <name of at most %zu bytes> "
                             "<secret-hex>",
@@ -267,16 +294,17 @@ OracleServer::Impl::handleFrame(const std::shared_ptr<Connection> &conn,
         } else if (queue.size() < cfg.maxQueue) {
             queue.push_back({conn, std::move(*msg), conn->tenant,
                              conn->tenantKey, Clock::now()});
-            queuePeak.store(std::max<uint64_t>(queuePeak, queue.size()));
+            counters.queuePeak.store(
+                std::max<uint64_t>(counters.queuePeak, queue.size()));
             lock.unlock();
             qcv.notify_one();
         } else {
             lock.unlock();
-            busyRejections.fetch_add(1);
+            counters.busyRejections.fetch_add(1);
             reply(conn, msg->id, "BUSY");
         }
     } else {
-        requestErrors.fetch_add(1);
+        counters.requestErrors.fetch_add(1);
         reply(conn, msg->id, "ERR",
               strprintf("unknown verb '%s'", verb.c_str()));
     }
@@ -355,15 +383,15 @@ void
 OracleServer::Impl::accountWorker(CachedWorker &cw, uint64_t items)
 {
     if (cw.snapshot)
-        itemsRestored.fetch_add(items);
+        counters.itemsRestored.fetch_add(items);
     const uint64_t prov = cw.worker->provisions();
-    replicaProvisions.fetch_add(prov - cw.lastProvisions);
+    counters.replicaProvisions.fetch_add(prov - cw.lastProvisions);
     // A provision builds a new machine, whose counters start from zero.
     if (prov != cw.lastProvisions)
         cw.lastSb = {};
     cw.lastProvisions = prov;
     const uint64_t rk = cw.worker->machine().rekeys();
-    pacRekeys.fetch_add(rk - cw.lastRekeys);
+    counters.pacRekeys.fetch_add(rk - cw.lastRekeys);
     cw.lastRekeys = rk;
     std::lock_guard<std::mutex> lock(sbMu);
     cpu::SuperblockStats::forEachField(
@@ -430,7 +458,7 @@ OracleServer::Impl::executeJob(ReplicaCache &cache, Job &job)
                 if (!oc.completed)
                     throw std::runtime_error("query quarantined: " +
                                              oc.detail);
-                queriesServed.fetch_add(1);
+                counters.queriesServed.fetch_add(1);
                 reply_args = strprintf("%d %.17g", int(hot), misses);
             } else {
                 uint16_t truth = 0;
@@ -450,7 +478,7 @@ OracleServer::Impl::executeJob(ReplicaCache &cache, Job &job)
                 if (!oc.completed)
                     throw std::runtime_error("truth quarantined: " +
                                              oc.detail);
-                truthsServed.fetch_add(1);
+                counters.truthsServed.fetch_add(1);
                 reply_args = strprintf("%04x", truth);
             }
         } else if (verb == "CHUNK") {
@@ -476,7 +504,7 @@ OracleServer::Impl::executeJob(ReplicaCache &cache, Job &job)
                 items = req->chunk.lastItem - req->chunk.firstItem + 1;
             }
             accountWorker(cw, items);
-            const uint64_t served = chunksServed.fetch_add(1) + 1;
+            const uint64_t served = counters.chunksServed.fetch_add(1) + 1;
             reply_body = std::move(payload);
             crash = cfg.crashAfterChunks != 0 &&
                     served >= cfg.crashAfterChunks;
@@ -484,7 +512,7 @@ OracleServer::Impl::executeJob(ReplicaCache &cache, Job &job)
             throw std::runtime_error("unqueueable verb");
         }
     } catch (const std::exception &e) {
-        requestErrors.fetch_add(1);
+        counters.requestErrors.fetch_add(1);
         reply_verb = "ERR";
         reply_args = e.what();
         reply_body.clear();
@@ -582,7 +610,7 @@ OracleServer::Impl::ioLoop()
                                 suseconds_t(ReplySeconds * 1e6) % 1000000};
             ::setsockopt(cfd, SOL_SOCKET, SO_SNDTIMEO, &limit,
                          sizeof(limit));
-            connectionsAccepted.fetch_add(1);
+            counters.connectionsAccepted.fetch_add(1);
             conns.emplace_back(std::make_shared<Connection>())->fd = cfd;
         }
     }
@@ -603,18 +631,12 @@ OracleServer::Impl::metricsJson() const
         std::lock_guard<std::mutex> lock(qmu);
         add("queue_depth", double(queue.size()), "lower");
     }
-    add("queue_peak", double(queuePeak.load()), "lower");
-    add("busy_rejections", double(busyRejections.load()), "lower");
-    add("connections_accepted", double(connectionsAccepted.load()),
-        "higher");
-    add("queries_served", double(queriesServed.load()), "higher");
-    add("truths_served", double(truthsServed.load()), "higher");
-    add("chunks_served", double(chunksServed.load()), "higher");
-    add("request_errors", double(requestErrors.load()), "lower");
-    add("checkpoint_restores", double(itemsRestored.load()), "higher");
-    add("replica_provisions", double(replicaProvisions.load()),
-        "lower");
-    add("pac_rekeys", double(pacRekeys.load()), "higher");
+    ServerCounters::forEachField(
+        [&](const char *name, const char *better,
+            const std::atomic<uint64_t> &counter) {
+            add(name, double(counter.load()), better);
+        },
+        counters);
     cpu::SuperblockStats sb;
     {
         std::lock_guard<std::mutex> lock(sbMu);

@@ -48,6 +48,7 @@
 #include <string>
 
 #include "attack/bruteforce.hh"
+#include "base/fields.hh"
 #include "base/supervision.hh"
 #include "sim/faults.hh"
 
@@ -101,6 +102,20 @@ struct ReplicaConfig
      * --no-snapshot.
      */
     bool snapshot = true;
+
+    /** The wire's fields (base/fields.hh), less the records with
+     *  their own lists. */
+    template <typename F, typename... Cfg>
+    static constexpr void
+    forEachWireField(F &&f, Cfg &...c)
+    {
+        f("target", Hex{c.target}...);
+        f("modifier", Hex{c.modifier}...);
+        f("samples", c.samples...);
+        f("maxSamples", c.maxSamples...);
+        f("candidateRetries", c.candidateRetries...);
+        f("snapshot", c.snapshot...);
+    }
 };
 
 /** Supervision knobs for a campaign's workers. */
@@ -150,6 +165,17 @@ struct SupervisionConfig
         if (!journalPath.empty())
             return journalPath + ".quarantine";
         return {};
+    }
+
+    /** The wire's fields (base/fields.hh): journal wiring belongs to
+     *  the campaign owner and never travels. */
+    template <typename F, typename... Sup>
+    static constexpr void
+    forEachWireField(F &&f, Sup &...s)
+    {
+        f("maxGuestCycles", s.budget.maxGuestCycles...);
+        f("hostDeadlineSeconds", s.budget.hostDeadlineSeconds...);
+        f("verifyFingerprint", s.verifyFingerprint...);
     }
 };
 

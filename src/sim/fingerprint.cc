@@ -101,16 +101,10 @@ oracleFingerprint(const attack::PacOracle &oracle)
     const attack::PacOracle::Snapshot snap = oracle.takeSnapshot();
     StateDigest d;
 
-    d.u64(uint64_t(snap.cfg.kind));
-    d.u64(uint64_t(snap.cfg.channel));
-    d.u64(snap.cfg.trainIters);
-    d.u64(snap.cfg.latencyThreshold);
-    d.u64(snap.cfg.missThreshold);
-    d.u64(snap.cfg.autoCalibrate ? 1 : 0);
-    d.u64(snap.cfg.calibrationSamples);
-    d.u64(snap.cfg.queryRetries);
-    d.u64(snap.cfg.busyRetries);
-    d.u64(snap.cfg.skipReset ? 1 : 0);
+    auto digest = [&d](const char *, auto value) {
+        d.u64(uint64_t(value));
+    };
+    attack::OracleConfig::forEachField(digest, snap.cfg);
 
     d.u64(snap.target);
     d.u64(snap.modifier);
@@ -124,11 +118,7 @@ oracleFingerprint(const attack::PacOracle &oracle)
     d.u64(snap.canaryAddr);
     d.f64(snap.calibHitLo);
     d.f64(snap.calibHitHi);
-    d.u64(snap.stats.busyRetries);
-    d.u64(snap.stats.disturbedQueries);
-    d.u64(snap.stats.retriedQueries);
-    d.u64(snap.stats.calibrations);
-    d.u64(snap.stats.repairs);
+    attack::OracleStats::forEachField(digest, snap.stats);
     d.u64(snap.proc.listArray);
     d.u64(snap.proc.outArray);
 
