@@ -291,10 +291,8 @@ PacOracle::gadgetSyscall() const
 void
 PacOracle::train()
 {
-    const uint16_t gadget = gadgetSyscall();
     proc_.syscall(SYS_SET_COND, 1);
-    for (unsigned i = 0; i < cfg_.trainIters; ++i)
-        proc_.syscall(gadget, legitPtr_);
+    proc_.syscallRepeat(gadgetSyscall(), legitPtr_, cfg_.trainIters);
 }
 
 unsigned
@@ -404,8 +402,7 @@ PacOracle::backoff(unsigned attempt)
     // Idle exponentially (NOP syscalls burn real simulated cycles)
     // so transient bursts — timer stalls, jitter bursts, the tail of
     // a preemption — expire before the retry.
-    for (unsigned i = 0; i < (8u << std::min(attempt, 4u)); ++i)
-        proc_.syscall(SYS_NOP);
+    proc_.syscallRepeat(SYS_NOP, 0, 8u << std::min(attempt, 4u));
 
     // Escalate from the second attempt on: if the prime list no
     // longer reads back healthy the disturbance was not transient —

@@ -213,6 +213,13 @@ AttackerProcess::syscall(uint16_t num, uint64_t a0, uint64_t a1,
     return machine_.call(rSyscall_, {a0, a1, a2});
 }
 
+void
+AttackerProcess::syscallRepeat(uint16_t num, uint64_t a0, uint64_t n)
+{
+    machine_.callRepeat(rSyscall_,
+                        {{X16, num}, {X0, a0}, {X1, 0}, {X2, 0}}, n);
+}
+
 uint64_t
 AttackerProcess::timedLoad(Addr va)
 {

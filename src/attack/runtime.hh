@@ -44,6 +44,10 @@ class AttackerProcess
     uint64_t syscall(uint16_t num, uint64_t a0 = 0, uint64_t a1 = 0,
                      uint64_t a2 = 0);
 
+    /** syscall(@p num, @p a0) @p n times, as one
+     *  Machine::callRepeat() run. */
+    void syscallRepeat(uint16_t num, uint64_t a0, uint64_t n);
+
     // --- Timed accesses ---
 
     /** Load @p va once; return the multi-thread-counter delta. */

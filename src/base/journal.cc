@@ -70,10 +70,13 @@ parseFrame(const std::string &data, size_t &pos, Journal::Record *rec)
         return false;
     }
     const size_t body_start = eol + 1;
-    const size_t body_len = key_len + payload_len;
-    // Frame ends with the body plus a trailing newline.
-    if (body_start + body_len + 1 > data.size())
+    // Frame ends with the body plus a trailing newline. The lengths
+    // are compared with what follows the header, never added first: a
+    // corrupt header's lengths can be anything and their sum wraps.
+    const size_t room = data.size() - body_start;
+    if (key_len >= room || payload_len >= room - key_len)
         return false;
+    const size_t body_len = key_len + payload_len;
     if (data[body_start + body_len] != '\n')
         return false;
     const std::string_view body(data.data() + body_start, body_len);

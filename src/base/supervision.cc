@@ -1,7 +1,8 @@
 #include "supervision.hh"
 
+#include <charconv>
 #include <cinttypes>
-#include <cstdio>
+#include <string_view>
 
 #include "base/stats.hh"
 
@@ -42,48 +43,73 @@ QuarantineRecord::serialize() const
 {
     // `detail` is the last field and consumes the rest of the line,
     // so it may contain spaces (but not newlines — it lives inside
-    // one journal payload). It is appended byte for byte: parse()
-    // keeps every byte after "detail=", a NUL included.
-    return strprintf(
-               "campaign=%s seed=%016" PRIx64 " chunk=%" PRIu64
-               " first=%" PRIu64 " last=%" PRIu64 " stream=%016" PRIx64
-               " rekey=%s kind=%s detail=",
-               campaign.c_str(), campaignSeed, chunkIndex, firstItem,
-               lastItem, streamSeed,
-               hasRekey ? strprintf("%016" PRIx64, rekeySeed).c_str()
-                        : "-",
-               workerFaultName(kind)) +
+    // one journal payload). The campaign name and the detail are
+    // appended byte for byte: parse() keeps every byte of them, a NUL
+    // included.
+    return "campaign=" + campaign +
+           strprintf(" seed=%016" PRIx64 " chunk=%" PRIu64
+                     " first=%" PRIu64 " last=%" PRIu64
+                     " stream=%016" PRIx64 " rekey=%s kind=%s detail=",
+                     campaignSeed, chunkIndex, firstItem, lastItem,
+                     streamSeed,
+                     hasRekey ? strprintf("%016" PRIx64, rekeySeed).c_str()
+                              : "-",
+                     workerFaultName(kind)) +
            detail;
 }
+
+namespace
+{
+
+/** @p s whole as an unsigned number in @p base: digits only, no sign
+ *  or prefix. */
+bool
+parseWhole(std::string_view s, uint64_t *value, int base = 10)
+{
+    const char *end = s.data() + s.size();
+    const auto [ptr, ec] = std::from_chars(s.data(), end, *value, base);
+    return ec == std::errc() && ptr == end;
+}
+
+/** A seed as serialize() writes one: exactly 16 hex digits. */
+bool
+parseSeed(std::string_view s, uint64_t *value)
+{
+    return s.size() == 16 && parseWhole(s, value, 16);
+}
+
+} // anonymous namespace
 
 std::optional<QuarantineRecord>
 QuarantineRecord::parse(const std::string &line)
 {
-    QuarantineRecord rec;
-    char campaign[32] = {0};
-    char rekey[32] = {0};
-    char kind[32] = {0};
-    int detail_off = -1;
-    const int n = std::sscanf(
-        line.c_str(),
-        "campaign=%31s seed=%" SCNx64 " chunk=%" SCNu64
-        " first=%" SCNu64 " last=%" SCNu64 " stream=%" SCNx64
-        " rekey=%31s kind=%31s detail=%n",
-        campaign, &rec.campaignSeed, &rec.chunkIndex, &rec.firstItem,
-        &rec.lastItem, &rec.streamSeed, rekey, kind, &detail_off);
-    if (n != 8 || detail_off < 0)
-        return std::nullopt;
-    rec.campaign = campaign;
-    if (std::string(rekey) != "-") {
-        rec.hasRekey = true;
-        if (std::sscanf(rekey, "%" SCNx64, &rec.rekeySeed) != 1)
+    // serialize()'s fields in its order, each "name=value" and one
+    // space; detail takes the rest of the line.
+    std::string_view rest = line, v[8];
+    for (size_t i = 0; i < 8; ++i) {
+        static constexpr std::string_view names[] = {
+            "campaign=", "seed=",   "chunk=", "first=",
+            "last=",     "stream=", "rekey=", "kind="};
+        const size_t space = rest.find(' ');
+        if (!rest.starts_with(names[i]) || space == rest.npos)
             return std::nullopt;
+        v[i] = rest.substr(names[i].size(), space - names[i].size());
+        rest.remove_prefix(space + 1);
     }
-    const auto parsed_kind = parseWorkerFault(kind);
-    if (!parsed_kind)
+    QuarantineRecord rec;
+    rec.hasRekey = v[6] != "-";
+    const auto kind = parseWorkerFault(std::string(v[7]));
+    if (!parseSeed(v[1], &rec.campaignSeed) ||
+        !parseWhole(v[2], &rec.chunkIndex) ||
+        !parseWhole(v[3], &rec.firstItem) ||
+        !parseWhole(v[4], &rec.lastItem) ||
+        !parseSeed(v[5], &rec.streamSeed) ||
+        (rec.hasRekey && !parseSeed(v[6], &rec.rekeySeed)) || !kind ||
+        !rest.starts_with("detail="))
         return std::nullopt;
-    rec.kind = *parsed_kind;
-    rec.detail = line.substr(size_t(detail_off));
+    rec.campaign = v[0];
+    rec.kind = *kind;
+    rec.detail = rest.substr(7);
     return rec;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <iterator>
 #include <type_traits>
+#include <utility>
 
 #include "base/logging.hh"
 
@@ -151,12 +152,16 @@ CallMemo::check(const Recording &r, Core &core, uint64_t max_insts) const
 bool
 CallMemo::replay(Core &core, uint64_t max_insts, ExitStatus *status)
 {
+    const bool must = std::exchange(mustReplay_, false);
     CallGuard first = CallGuard::NumGuards;
     for (auto it = table_.begin(); it != table_.end(); ++it) {
         if (it->in.pc != core.pc_)
             continue;
         const CallGuard failed = check(*it, core, max_insts);
         if (failed == CallGuard::NumGuards) {
+            PACMAN_ASSERT(!must || it == table_.begin(),
+                          "a run's last call replayed another recording");
+            streak_ = it == table_.begin() ? streak_ + 1 : 1;
             table_.splice(table_.begin(), table_, it);
             apply(*it, core, status);
             lastPure_ = true;
@@ -165,30 +170,35 @@ CallMemo::replay(Core &core, uint64_t max_insts, ExitStatus *status)
         if (first == CallGuard::NumGuards)
             first = failed;
     }
+    PACMAN_ASSERT(!must, "a run's last call did not replay");
     if (first != CallGuard::NumGuards)
         ++core.sbStats_.replayMisses[size_t(first)];
     return false;
 }
 
 void
-CallMemo::apply(const Recording &r, Core &core, ExitStatus *status)
+CallMemo::settle(const Recording &r, Core &core, uint64_t entry)
 {
-    const uint64_t entry = core.cycle_;
-    // A scoreboard time the call set lands at the same distance past
-    // this entry; one it left alone keeps its live value.
-    const auto settle = [entry](uint64_t &live, uint64_t out) {
+    const auto land = [entry](uint64_t &live, uint64_t out) {
         if (out)
             live = entry + out;
     };
+    for (size_t i = 0; i < isa::NumRegs; ++i)
+        land(core.ready_[i], r.out.ready[i]);
+    land(core.flagsReady_, r.out.flagsReady);
+    land(core.lastCompletion_, r.out.lastCompletion);
+}
+
+void
+CallMemo::apply(const Recording &r, Core &core, ExitStatus *status)
+{
+    const uint64_t entry = core.cycle_;
     core.regs_ = r.out.regs;
     core.flags_ = r.out.flags;
     core.sysregs_ = r.out.sysregs;
     core.pc_ = r.out.pc;
     core.el_ = r.out.el;
-    for (size_t i = 0; i < isa::NumRegs; ++i)
-        settle(core.ready_[i], r.out.ready[i]);
-    settle(core.flagsReady_, r.out.flagsReady);
-    settle(core.lastCompletion_, r.out.lastCompletion);
+    settle(r, core, entry);
     core.cycle_ = entry + r.cycles;
     core.fetchGroup_ = r.out.fetchGroup;
     addFields(core.stats_, r.stats);
@@ -213,9 +223,38 @@ CallMemo::apply(const Recording &r, Core &core, ExitStatus *status)
     *status = r.exit;
 }
 
+uint64_t
+CallMemo::skipRepeats(Core &core, uint64_t done, uint64_t m)
+{
+    if (std::min(streak_, done) < 2)
+        return 0;
+    // Each skipped call would enter where the one before it ended and
+    // repeat the front recording's effect. Registers, stamps and
+    // predictor counters come out as the last call's replay leaves
+    // them, so only the running totals change here, and the scoreboard
+    // times the last skipped call sets, which the next call's guards
+    // read when they outlast that call.
+    const Recording &r = table_.front();
+    const uint64_t last = core.cycle_ + (m - 1) * r.cycles;
+    settle(r, core, last);
+    core.cycle_ = last + r.cycles;
+    CoreStats::forEachField(
+        [m](auto, uint64_t &x, uint64_t y) { x += m * y; }, core.stats_,
+        r.stats);
+    forEachArray(*core.mem_, [&](uint32_t t, auto &array) {
+        array.replayHits(m * r.hits[t]);
+    });
+    core.sbStats_.callsReplayed += m;
+    core.sbStats_.instsReplayed += m * r.insts;
+    streak_ += m;
+    mustReplay_ = true;
+    return m;
+}
+
 void
 CallMemo::beginRecord(Core &core)
 {
+    streak_ = 0;
     log_.arm();
     captured_ = lastPure_;
     if (!captured_)

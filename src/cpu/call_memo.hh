@@ -66,6 +66,14 @@
  * replayed call captures its entry state and can become a recording;
  * a run loses its first call to this.
  *
+ * Runs. Core::runRepeat() runs one host-prepared call n times with
+ * only register, pc and EL writes between the calls. After a replay of
+ * recording r and those writes, everything the guards read is a
+ * function of r alone, so once two calls of a run in a row replay r,
+ * every later call would too (DESIGN.md §4j). skipRepeats() then
+ * accounts for all but the last of them in closed form, and the last
+ * replays r through replay() (asserted).
+ *
  * Recordings are host-side state like the decode cache: not in any
  * snapshot, they survive restore() and are validated on every use.
  * The table is a constant Slots recordings, least recently used out,
@@ -112,6 +120,13 @@ class CallMemo
     /** Disarm the log; keep the call that just ended with @p status
      *  if it was pure. */
     void endRecord(Core &core, const ExitStatus &status);
+
+    /**
+     * Between two calls of a Core::runRepeat() run, @p done of them
+     * run so far: if the last two replayed the same recording, account
+     * for the next @p m calls in one step and return m; else return 0.
+     */
+    uint64_t skipRepeats(Core &core, uint64_t done, uint64_t m);
 
   private:
     /** Table ids beyond the hierarchy's eight arrays. */
@@ -208,6 +223,10 @@ class CallMemo
 
     void apply(const Recording &r, Core &core, ExitStatus *status);
 
+    /** Land the scoreboard times @p r set at their recorded distance
+     *  past @p entry; one it left alone keeps its live value. */
+    static void settle(const Recording &r, Core &core, uint64_t entry);
+
     /** The live state of @p core, scoreboard relative to @p base. */
     static void capture(const Core &core, uint64_t base,
                         CoreState *state);
@@ -221,6 +240,10 @@ class CallMemo
      *  comment on why only its successor captures). */
     bool lastPure_ = true;
     bool captured_ = false; //!< start_ holds this call's entry state
+
+    uint64_t streak_ = 0;     //!< calls in a row table_.front() replayed
+    bool mustReplay_ = false; //!< skipRepeats() ran: the next call
+                              //!< replays table_.front()
 };
 
 } // namespace pacman::cpu

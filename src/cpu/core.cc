@@ -811,6 +811,28 @@ Core::run(uint64_t max_insts)
 }
 
 ExitStatus
+Core::runRepeat(Addr pc, std::span<const RegWrite> regs, uint64_t n)
+{
+    // An armed trace hook bypasses the memo, and it may disarm itself
+    // mid-run: a run that starts with one armed takes no bulk step.
+    const bool bulk = callMemo_ && !traceHook_;
+    ExitStatus status;
+    for (uint64_t done = 0; done < n;) {
+        el_ = 0;
+        pc_ = pc;
+        for (const RegWrite &w : regs)
+            setReg(w.index, w.value);
+        status = run();
+        if (status.kind != ExitKind::Halted)
+            break;
+        ++done;
+        if (bulk && n - done > 1)
+            done += callMemo_->skipRepeats(*this, done, n - done - 1);
+    }
+    return status;
+}
+
+ExitStatus
 Core::execute(uint64_t max_insts)
 {
     // Filled by whichever exit ends the run.

@@ -38,6 +38,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 
 #include "base/fields.hh"
 #include "base/random.hh"
@@ -119,6 +120,13 @@ struct CoreStats
 
 static_assert(listsEveryMember<CoreStats>);
 
+/** A register the host sets before each call of Core::runRepeat(). */
+struct RegWrite
+{
+    unsigned index = 0;
+    uint64_t value = 0;
+};
+
 /** The core. One instance per simulated hardware thread. */
 class Core
 {
@@ -169,6 +177,17 @@ class Core
      * of executed (cpu/call_memo.hh), with the identical effect.
      */
     ExitStatus run(uint64_t max_insts = 100'000'000);
+
+    /**
+     * Run one host-prepared call @p n times: before each run(), enter
+     * EL0 at @p pc and set each of @p regs, in order. Stops at the
+     * first exit other than Halted and returns the last status
+     * (Halted when @p n is 0). The effect is exactly that loop's; once
+     * two calls of the run in a row replay the same recording, the
+     * call memo accounts for all but the last of the rest in one step.
+     */
+    ExitStatus runRepeat(isa::Addr pc, std::span<const RegWrite> regs,
+                         uint64_t n);
 
     // --- Structures and statistics ---
 

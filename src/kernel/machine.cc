@@ -50,15 +50,32 @@ Machine::runGuest(isa::Addr pc, std::initializer_list<uint64_t> args)
     return core_.run();
 }
 
-uint64_t
-Machine::call(isa::Addr pc, std::initializer_list<uint64_t> args)
+namespace
 {
-    const cpu::ExitStatus status = runGuest(pc, args);
+
+void
+expectHalted(isa::Addr pc, const cpu::ExitStatus &status)
+{
     if (status.kind != cpu::ExitKind::Halted) {
         fatal("guest run at 0x%llx did not halt cleanly: %s",
               (unsigned long long)pc, status.reason.c_str());
     }
+}
+
+} // anonymous namespace
+
+uint64_t
+Machine::call(isa::Addr pc, std::initializer_list<uint64_t> args)
+{
+    expectHalted(pc, runGuest(pc, args));
     return core_.reg(0);
+}
+
+void
+Machine::callRepeat(isa::Addr pc,
+                    std::initializer_list<cpu::RegWrite> regs, uint64_t n)
+{
+    expectHalted(pc, core_.runRepeat(pc, regs, n));
 }
 
 std::string

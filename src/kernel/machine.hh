@@ -108,6 +108,14 @@ class Machine
      */
     uint64_t call(isa::Addr pc, std::initializer_list<uint64_t> args = {});
 
+    /**
+     * call(@p pc) @p n times, setting each of @p regs (instead of x0,
+     * x1, ... from args) before each run; fatal() if one does not
+     * halt. Its effect is exactly that loop's (Core::runRepeat).
+     */
+    void callRepeat(isa::Addr pc, std::initializer_list<cpu::RegWrite> regs,
+                    uint64_t n);
+
     /** Run guest code at @p pc in EL0; returns the raw exit status. */
     cpu::ExitStatus runGuest(isa::Addr pc,
                              std::initializer_list<uint64_t> args = {});

@@ -197,6 +197,38 @@ TEST(Journal, CrcMismatchStopsReplayAtLastValidRecord)
     EXPECT_TRUE(r.corruptTail);
 }
 
+TEST(Journal, WrappedKeyLengthIsACorruptTail)
+{
+    // Key length 2^64 - 1 plus payload length 2 wraps to a 1-byte body
+    // whose CRC the header carries: the frame passes the size and CRC
+    // checks, and splitting its body at the key length used to throw
+    // out of replay() and open().
+    TempJournalPath path("wrapped_key");
+    {
+        Journal j;
+        j.open(path.str());
+        j.append("ok", "fine");
+    }
+    const uint64_t valid = Journal::replay(path.str()).validBytes;
+    char header[64];
+    std::snprintf(header, sizeof(header), "R %08x 18446744073709551615 2\n",
+                  unsigned(Journal::crc32("X")));
+    appendRaw(path.str(), std::string(header) + "X\n");
+    {
+        const Journal::Replay r = Journal::replay(path.str());
+        ASSERT_EQ(r.records.size(), 1u);
+        EXPECT_TRUE(r.corruptTail);
+        EXPECT_EQ(r.validBytes, valid);
+    }
+    Journal j;
+    EXPECT_EQ(j.open(path.str()).records.size(), 1u);
+    j.close();
+    const Journal::Replay after = Journal::replay(path.str());
+    EXPECT_EQ(after.records.size(), 1u);
+    EXPECT_FALSE(after.corruptTail);
+    EXPECT_EQ(after.validBytes, valid);
+}
+
 TEST(Journal, GarbagePrefixMakesWholeFileCorrupt)
 {
     TempJournalPath path("garbage");

@@ -8,13 +8,18 @@
  * (tests/state_dump.hh). Further tests show that impure calls are never
  * recorded, that only a call after a pure one is, that a trace hook or
  * FastPath::Reference turns replay off, and that replayed stamps rewind
- * through snapshot restore.
+ * through snapshot restore. The CallRepeat tests show that a run of
+ * identical calls through Machine::callRepeat() ends in the state, and
+ * with the SuperblockStats, of the plain loop of Machine::call().
  */
 
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <string>
+#include <string_view>
 
+#include "asm/assembler.hh"
 #include "attack/runtime.hh"
 #include "isa/encoding.hh"
 #include "kernel/layout.hh"
@@ -468,6 +473,197 @@ TEST(CallMemo, ReplayedStampsRewindThroughSnapshotRestore)
     ref.train(8);
     EXPECT_TRUE(
         sameState(fullStateDump(full.machine), fullStateDump(ref.machine)));
+}
+
+/** Every SuperblockStats counter under its metric name. */
+std::string
+statsText(const cpu::SuperblockStats &stats)
+{
+    std::string text;
+    cpu::SuperblockStats::forEachField(
+        [&text](std::string_view name, const char *, uint64_t value) {
+            text += std::string(name) + "=" + std::to_string(value) + "\n";
+        },
+        stats);
+    return text;
+}
+
+/**
+ * Four rigs run the same guest work, each run of identical calls as
+ * one Machine::callRepeat() run (`repeat`) or as the plain loop of
+ * calls (`loop`), on FastPath::Full and FastPath::Reference. All four
+ * must end in the same full state, and the two Full rigs with the same
+ * SuperblockStats: a run changes how replays are paid for, not how
+ * many there are.
+ */
+struct RepeatRigs
+{
+    explicit RepeatRigs(uint16_t gadget = SYS_GADGET_DATA)
+        : repeat(FastPath::Full, gadget), loop(FastPath::Full, gadget),
+          refRepeat(FastPath::Reference, gadget),
+          refLoop(FastPath::Reference, gadget)
+    {
+    }
+
+    /** @p fn(rig, run as one callRepeat() run) on every rig. */
+    void
+    each(const std::function<void(Rig &, bool)> &fn)
+    {
+        fn(repeat, true);
+        fn(loop, false);
+        fn(refRepeat, true);
+        fn(refLoop, false);
+    }
+
+    void
+    expectSame()
+    {
+        EXPECT_EQ(statsText(repeat.memo()), statsText(loop.memo()));
+        const std::string dump = fullStateDump(loop.machine);
+        EXPECT_TRUE(sameState(fullStateDump(repeat.machine), dump));
+        EXPECT_TRUE(sameState(fullStateDump(refRepeat.machine), dump));
+        EXPECT_TRUE(sameState(fullStateDump(refLoop.machine), dump));
+    }
+
+    Rig repeat, loop, refRepeat, refLoop;
+};
+
+/** @p n training calls, as the oracle's train() makes them. */
+void
+trainRun(Rig &r, bool as_run, unsigned n)
+{
+    r.proc.syscall(SYS_SET_COND, 1);
+    if (as_run)
+        r.proc.syscallRepeat(r.gadget, r.legit, n);
+    else
+        r.train(n);
+}
+
+/** The rest of an oracle query after its training: disarm, evict a
+ *  translation the gadget uses as the reset would, fire a wrong
+ *  guess. */
+void
+fireGuess(Rig &r)
+{
+    r.proc.syscall(SYS_SET_COND, 0);
+    r.machine.mem().dtlb().remove(
+        isa::pageNumber(isa::vaPart(BenignDataBase)), mem::Asid::Kernel);
+    r.proc.syscall(r.gadget, r.legit ^ (uint64_t(1) << 50));
+}
+
+TEST(CallRepeat, TrainingRunsMatchTheLoopOfCalls)
+{
+    for (const uint16_t gadget : {SYS_GADGET_DATA, SYS_GADGET_INST}) {
+        for (const unsigned n : {0u, 1u, 2u, 3u, 64u}) {
+            SCOPED_TRACE(testing::Message()
+                         << "gadget " << gadget << ", n " << n);
+            // The first run meets a cold memo: its first calls record
+            // and any bulk step starts later. The next runs start from
+            // a query's aftermath, with older recordings in the table.
+            RepeatRigs rigs(gadget);
+            for (int query = 0; query < 3; ++query) {
+                rigs.each([n](Rig &r, bool as_run) {
+                    trainRun(r, as_run, n);
+                    fireGuess(r);
+                });
+            }
+            rigs.expectSame();
+            if (n == 64) {
+                EXPECT_GE(rigs.repeat.memo().callsReplayed, 3u * 55u);
+            }
+        }
+    }
+}
+
+TEST(CallRepeat, BackoffRunOfNops)
+{
+    RepeatRigs rigs;
+    rigs.each([](Rig &r, bool as_run) {
+        for (const unsigned n : {8u, 16u, 128u}) {
+            if (as_run) {
+                r.proc.syscallRepeat(SYS_NOP, 0, n);
+            } else {
+                for (unsigned i = 0; i < n; ++i)
+                    r.proc.syscall(SYS_NOP);
+            }
+            fireGuess(r);
+        }
+    });
+    rigs.expectSame();
+    EXPECT_GE(rigs.repeat.memo().callsReplayed, 140u);
+}
+
+TEST(CallRepeat, TraceHookTakesNoBulkStep)
+{
+    // With a hook armed every call executes, so the hook sees every
+    // instruction of the run.
+    RepeatRigs rigs;
+    uint64_t traced_repeat = 0, traced_loop = 0;
+    rigs.repeat.machine.core().setTraceHook(
+        [&](const cpu::TraceRecord &) { ++traced_repeat; });
+    rigs.loop.machine.core().setTraceHook(
+        [&](const cpu::TraceRecord &) { ++traced_loop; });
+    rigs.each([](Rig &r, bool as_run) { trainRun(r, as_run, 64); });
+    EXPECT_EQ(traced_repeat, traced_loop);
+    EXPECT_GT(traced_repeat, 64u * 20u);
+    EXPECT_EQ(rigs.repeat.memo().callsReplayed, 0u);
+    rigs.expectSame();
+}
+
+TEST(CallRepeat, ScoreboardTimePastTheCallsEnd)
+{
+    // A call of four dependent loads through a self-pointer that halts
+    // before they complete: x9 and the last completion stay pending
+    // past its end, so a call enters with the previous one's loads in
+    // flight. The first call after a pause (the host advances the
+    // cycle) enters with none and replays, or records, another
+    // recording than the calls after it. Three nops make the call one
+    // fetch group long, so every call enters at the same phase.
+    constexpr isa::Addr code = JitBase;
+    const isa::Addr data = UserDataBase + 200 * isa::PageSize;
+    RepeatRigs rigs;
+    rigs.each([&](Rig &r, bool) {
+        mem::MemoryHierarchy &h = r.machine.mem();
+        h.mapPage(code, mem::PageFlags{.user = true, .writable = true,
+                                       .executable = true,
+                                       .device = false});
+        asmjit::Assembler a(code);
+        a.ldr(isa::X9, isa::X1, 0);
+        for (int i = 0; i < 3; ++i)
+            a.ldr(isa::X9, isa::X9, 0);
+        for (int i = 0; i < 3; ++i)
+            a.nop();
+        a.hlt(0);
+        const asmjit::Program p = a.finalize();
+        for (size_t i = 0; i < p.words.size(); ++i)
+            h.writeVirt(code + i * isa::InstBytes, p.words[i], 4);
+        r.proc.ensureMapped(data);
+        h.writeVirt64(data, data);
+    });
+    // The warm-up's first call misses all the way to DRAM, and the
+    // calls after it enter with that tail still in flight: none of
+    // them matches another, and each records.
+    for (Rig *r : {&rigs.repeat, &rigs.loop, &rigs.refRepeat, &rigs.refLoop})
+        for (int i = 0; i < 4; ++i)
+            r->machine.call(code, {0, data});
+    const std::initializer_list<cpu::RegWrite> regs = {{0, 0}, {1, data}};
+    rigs.each([&](Rig &r, bool as_run) {
+        for (const unsigned n : {64u, 64u, 3u, 64u}) {
+            r.machine.core().advanceCycles(1000);
+            if (as_run) {
+                r.machine.callRepeat(code, regs, n);
+            } else {
+                for (unsigned i = 0; i < n; ++i)
+                    r.machine.call(code, {0, data});
+            }
+        }
+    });
+    const cpu::Core::Snapshot s = rigs.loop.machine.core().takeSnapshot();
+    ASSERT_GT(s.ready[isa::X9], s.cycle);
+    ASSERT_GT(s.lastCompletion, s.cycle);
+    // Each run but the first replays every call.
+    EXPECT_GE(rigs.repeat.memo().callsReplayed, 62u + 64u + 3u + 64u);
+    rigs.expectSame();
 }
 
 } // namespace

@@ -77,6 +77,46 @@ TEST(Supervision, QuarantineRecordRoundTrip)
     EXPECT_FALSE(QuarantineRecord::parse("not a record").has_value());
 }
 
+TEST(Supervision, QuarantineRecordRejectsMalformedNumbers)
+{
+    // The Q line's numbers are read as serialize() writes them: chunk,
+    // first and last in unsigned decimal, seeds as 16 hex digits, each
+    // token whole. The first case is the line a sscanf parser took as
+    // seed 2^64 - 1, chunk 2^64 - 2, stream 0x10 and rekey 0x12.
+    const std::string good =
+        "campaign=bruteforce seed=000000000000002a chunk=3 first=768 "
+        "last=1023 stream=0123456789abcdef rekey=00000000000000ff "
+        "kind=hang detail=guest budget exhausted";
+    ASSERT_TRUE(QuarantineRecord::parse(good).has_value());
+    for (const char *bad : {
+             "campaign=bruteforce seed=-1 chunk=-2 first=768 last=1023 "
+             "stream=0x10 rekey=12zz kind=hang detail=x",
+             "campaign=bruteforce seed=-00000000000002a chunk=3 first=768 "
+             "last=1023 stream=0123456789abcdef rekey=- kind=hang detail=",
+             "campaign=bruteforce seed=2a chunk=3 first=768 last=1023 "
+             "stream=0123456789abcdef rekey=- kind=hang detail=",
+             "campaign=bruteforce seed=000000000000002a chunk=+3 first=768 "
+             "last=1023 stream=0123456789abcdef rekey=- kind=hang detail=",
+             "campaign=bruteforce seed=000000000000002a chunk=3x first=768 "
+             "last=1023 stream=0123456789abcdef rekey=- kind=hang detail=",
+             "campaign=bruteforce seed=000000000000002a chunk=3 first=0x300 "
+             "last=1023 stream=0123456789abcdef rekey=- kind=hang detail=",
+             "campaign=bruteforce seed=000000000000002a chunk=3 first=768 "
+             "last=18446744073709551616 stream=0123456789abcdef rekey=- "
+             "kind=hang detail=",
+             "campaign=bruteforce seed=000000000000002a chunk=3 first=768 "
+             "last=1023 stream=0x23456789abcdef0 rekey=- kind=hang detail=",
+             "campaign=bruteforce seed=000000000000002a chunk=3 first=768 "
+             "last=1023 stream=0123456789abcdef rekey=00000000000000ff0 "
+             "kind=hang detail=",
+             "campaign=bruteforce seed=000000000000002a chunk= first=768 "
+             "last=1023 stream=0123456789abcdef rekey=- kind=hang detail=",
+             "campaign=bruteforce seed=000000000000002a  chunk=3 first=768 "
+             "last=1023 stream=0123456789abcdef rekey=- kind=hang detail=",
+         })
+        EXPECT_FALSE(QuarantineRecord::parse(bad).has_value()) << bad;
+}
+
 TEST(Supervision, RecoveryStatsMergeSumsEveryCounter)
 {
     RecoveryStats a;
