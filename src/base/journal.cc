@@ -62,13 +62,16 @@ parseFrame(const std::string &data, size_t &pos, Journal::Record *rec)
     const size_t eol = data.find('\n', pos);
     if (eol == std::string::npos)
         return false;
-    const std::string header = data.substr(pos, eol - pos);
-    unsigned long crc = 0;
-    size_t key_len = 0, payload_len = 0;
-    if (std::sscanf(header.c_str(), "R %lx %zu %zu", &crc, &key_len,
-                    &payload_len) != 3) {
+    // The header as frame() writes it: "R", 8 hex digits and two
+    // decimal lengths, one space apart, and nothing else.
+    const std::string_view header(data.data() + pos, eol - pos);
+    const size_t gap = header.find(' ', 11);
+    uint64_t crc = 0, key_len = 0, payload_len = 0;
+    if (!header.starts_with("R ") || gap == header.npos ||
+        header[10] != ' ' || !parseWhole(header.substr(2, 8), &crc, 16) ||
+        !parseWhole(header.substr(11, gap - 11), &key_len) ||
+        !parseWhole(header.substr(gap + 1), &payload_len))
         return false;
-    }
     const size_t body_start = eol + 1;
     // Frame ends with the body plus a trailing newline. The lengths
     // are compared with what follows the header, never added first: a

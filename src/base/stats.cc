@@ -1,6 +1,7 @@
 #include "stats.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
@@ -255,6 +256,14 @@ strprintf(const char *fmt, ...)
     std::vsnprintf(out.data(), size_t(len) + 1, fmt, ap2);
     va_end(ap2);
     return out;
+}
+
+bool
+parseWhole(std::string_view s, uint64_t *value, int base, size_t max_digits)
+{
+    const char *end = s.data() + s.size();
+    const auto [ptr, ec] = std::from_chars(s.data(), end, *value, base);
+    return s.size() <= max_digits && ec == std::errc() && ptr == end;
 }
 
 } // namespace pacman

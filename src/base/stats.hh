@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace pacman
@@ -149,6 +150,15 @@ class TextTable
 /** printf-style std::string formatter. */
 std::string strprintf(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
+
+/**
+ * @p s whole as an unsigned number in @p base with 1 to @p max_digits
+ * digits: no sign, prefix, space or other character. The one reader
+ * of numbers in text the tree accepts from outside: wire arguments,
+ * journal headers and keys, record lines and command-line flags.
+ */
+bool parseWhole(std::string_view s, uint64_t *value, int base = 10,
+                size_t max_digits = 20);
 
 } // namespace pacman
 

@@ -1,6 +1,5 @@
 #include "supervision.hh"
 
-#include <charconv>
 #include <cinttypes>
 #include <string_view>
 
@@ -60,16 +59,6 @@ QuarantineRecord::serialize() const
 
 namespace
 {
-
-/** @p s whole as an unsigned number in @p base: digits only, no sign
- *  or prefix. */
-bool
-parseWhole(std::string_view s, uint64_t *value, int base = 10)
-{
-    const char *end = s.data() + s.size();
-    const auto [ptr, ec] = std::from_chars(s.data(), end, *value, base);
-    return ec == std::errc() && ptr == end;
-}
 
 /** A seed as serialize() writes one: exactly 16 hex digits. */
 bool

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <iterator>
-#include <type_traits>
 #include <utility>
 
 #include "base/logging.hh"
@@ -40,39 +39,13 @@ sameContent(const mem::TlbWay &a, const mem::TlbWay &b)
            x.executable == y.executable;
 }
 
-/** The hierarchy array with table id @p table, as its Way's base. */
-template <typename Way>
-mem::SetAssocArray<Way> &
-arrayOf(H &h, uint32_t table)
+/** @p s with every time relative to cycle @p base. */
+Core::RunState
+relative(Core::RunState s, uint64_t base)
 {
-    if constexpr (std::is_same_v<Way, mem::CacheLine>) {
-        switch (table) {
-          case H::TouchL1I: return h.l1i();
-          case H::TouchL1D: return h.l1d();
-          case H::TouchL2: return h.l2();
-          default: return h.slc();
-        }
-    } else {
-        switch (table) {
-          case H::TouchITlb0: return h.itlb(0);
-          case H::TouchITlb1: return h.itlb(1);
-          case H::TouchDTlb: return h.dtlb();
-          default: return h.l2tlb();
-        }
-    }
-}
-
-/** @p fn(table id, array) for each of the hierarchy's arrays. */
-template <typename Fn>
-void
-forEachArray(H &h, Fn fn)
-{
-    for (uint32_t t = 0; t < H::NumTouchTables; ++t) {
-        if (t < H::TouchITlb0)
-            fn(t, arrayOf<mem::CacheLine>(h, t));
-        else
-            fn(t, arrayOf<mem::TlbWay>(h, t));
-    }
+    Core::RunState::forEachTime([base](uint64_t &t) { t = rel(t, base); },
+                                s);
+    return s;
 }
 
 CoreStats
@@ -85,21 +58,6 @@ operator-(CoreStats a, const CoreStats &b)
 
 } // anonymous namespace
 
-void
-CallMemo::capture(const Core &core, uint64_t base, CoreState *state)
-{
-    state->regs = core.regs_;
-    state->flags = core.flags_;
-    state->sysregs = core.sysregs_;
-    for (size_t i = 0; i < isa::NumRegs; ++i)
-        state->ready[i] = rel(core.ready_[i], base);
-    state->flagsReady = rel(core.flagsReady_, base);
-    state->lastCompletion = rel(core.lastCompletion_, base);
-    state->pc = core.pc_;
-    state->el = core.el_;
-    state->fetchGroup = core.fetchGroup_;
-}
-
 CallMemo::CallMemo(Core &core)
 {
     core.mem_->attachTouchLog(&log_);
@@ -111,31 +69,35 @@ CallMemo::CallMemo(Core &core)
 CallGuard
 CallMemo::check(const Recording &r, Core &core, uint64_t max_insts) const
 {
-    if (r.in.el != core.el_ || r.in.fetchGroup != core.fetchGroup_)
-        return CallGuard::Entry;
-    if (r.insts > max_insts)
-        return CallGuard::Budget;
-    if (r.in.regs != core.regs_ || !(r.in.flags == core.flags_))
-        return CallGuard::Registers;
-    if (r.in.sysregs != core.sysregs_)
-        return CallGuard::SysRegs;
-    const uint64_t now = core.cycle_;
-    for (size_t i = 0; i < isa::NumRegs; ++i)
-        if (rel(core.ready_[i], now) != r.in.ready[i])
-            return CallGuard::Scoreboard;
-    if (rel(core.flagsReady_, now) != r.in.flagsReady ||
-        rel(core.lastCompletion_, now) != r.in.lastCompletion)
-        return CallGuard::Scoreboard;
+    // The first guard in CallGuard order that fails: a field under a
+    // later guard than one already failed is not compared.
+    CallGuard failed =
+        r.insts > max_insts ? CallGuard::Budget : CallGuard::NumGuards;
+    Core::RunState::forEachField(
+        [&failed](CallGuard guard, const auto &want, const auto &live) {
+            if (guard < failed && !(want == live))
+                failed = guard;
+        },
+        r.in, core.state_);
+    if (failed != CallGuard::NumGuards)
+        return failed;
+    const uint64_t now = core.state_.cycle;
+    Core::RunState::forEachTime(
+        [&failed, now](uint64_t want, uint64_t live) {
+            if (rel(live, now) != want)
+                failed = CallGuard::Scoreboard;
+        },
+        r.in, core.state_);
+    if (failed != CallGuard::NumGuards)
+        return failed;
     H &h = *core.mem_;
     if (!(h.config().lat == r.lat))
         return CallGuard::Latency;
     for (const auto &w : r.lines)
-        if (!sameContent(arrayOf<mem::CacheLine>(h, w.table).wayAt(w.index),
-                         w.content))
+        if (!sameContent(h.cache(w.table).wayAt(w.index), w.content))
             return CallGuard::Ways;
     for (const auto &w : r.tlbWays)
-        if (!sameContent(arrayOf<mem::TlbWay>(h, w.table).wayAt(w.index),
-                         w.content))
+        if (!sameContent(h.tlb(w.table).wayAt(w.index), w.content))
             return CallGuard::Ways;
     for (const auto &k : r.counters)
         if (core.predictor_.counterAt(k.index) != k.before)
@@ -155,7 +117,7 @@ CallMemo::replay(Core &core, uint64_t max_insts, ExitStatus *status)
     const bool must = std::exchange(mustReplay_, false);
     CallGuard first = CallGuard::NumGuards;
     for (auto it = table_.begin(); it != table_.end(); ++it) {
-        if (it->in.pc != core.pc_)
+        if (it->in.pc != core.state_.pc)
             continue;
         const CallGuard failed = check(*it, core, max_insts);
         if (failed == CallGuard::NumGuards) {
@@ -179,28 +141,21 @@ CallMemo::replay(Core &core, uint64_t max_insts, ExitStatus *status)
 void
 CallMemo::settle(const Recording &r, Core &core, uint64_t entry)
 {
-    const auto land = [entry](uint64_t &live, uint64_t out) {
-        if (out)
-            live = entry + out;
-    };
-    for (size_t i = 0; i < isa::NumRegs; ++i)
-        land(core.ready_[i], r.out.ready[i]);
-    land(core.flagsReady_, r.out.flagsReady);
-    land(core.lastCompletion_, r.out.lastCompletion);
+    Core::RunState::forEachTime(
+        [entry](uint64_t &live, uint64_t out) {
+            if (out)
+                live = entry + out;
+        },
+        core.state_, r.out);
 }
 
 void
 CallMemo::apply(const Recording &r, Core &core, ExitStatus *status)
 {
-    const uint64_t entry = core.cycle_;
-    core.regs_ = r.out.regs;
-    core.flags_ = r.out.flags;
-    core.sysregs_ = r.out.sysregs;
-    core.pc_ = r.out.pc;
-    core.el_ = r.out.el;
-    settle(r, core, entry);
-    core.cycle_ = entry + r.cycles;
-    core.fetchGroup_ = r.out.fetchGroup;
+    Core::RunState::forEachField(
+        [](CallGuard, auto &live, const auto &out) { live = out; },
+        core.state_, r.out);
+    settle(r, core, core.state_.cycle);
     addFields(core.stats_, r.stats);
     for (const auto &k : r.counters)
         core.predictor_.setCounter(k.index, k.after);
@@ -209,12 +164,10 @@ CallMemo::apply(const Recording &r, Core &core, ExitStatus *status)
     // stamps go down before any clock moves.
     H &h = *core.mem_;
     for (const auto &w : r.lines)
-        arrayOf<mem::CacheLine>(h, w.table)
-            .replayStamp(w.index, w.stampOffset);
+        h.cache(w.table).replayStamp(w.index, w.stampOffset);
     for (const auto &w : r.tlbWays)
-        arrayOf<mem::TlbWay>(h, w.table)
-            .replayStamp(w.index, w.stampOffset);
-    forEachArray(h, [&](uint32_t t, auto &array) {
+        h.tlb(w.table).replayStamp(w.index, w.stampOffset);
+    h.forEachArray([&](uint32_t t, auto &array) {
         array.replayHits(r.hits[t]);
     });
 
@@ -231,17 +184,15 @@ CallMemo::skipRepeats(Core &core, uint64_t done, uint64_t m)
     // Each skipped call would enter where the one before it ended and
     // repeat the front recording's effect. Registers, stamps and
     // predictor counters come out as the last call's replay leaves
-    // them, so only the running totals change here, and the scoreboard
-    // times the last skipped call sets, which the next call's guards
-    // read when they outlast that call.
+    // them, so only the running totals change here, and the times the
+    // last skipped call sets: the cycle, and the scoreboard times the
+    // next call's guards read when they outlast that call.
     const Recording &r = table_.front();
-    const uint64_t last = core.cycle_ + (m - 1) * r.cycles;
-    settle(r, core, last);
-    core.cycle_ = last + r.cycles;
+    settle(r, core, core.state_.cycle + (m - 1) * r.out.cycle);
     CoreStats::forEachField(
         [m](auto, uint64_t &x, uint64_t y) { x += m * y; }, core.stats_,
         r.stats);
-    forEachArray(*core.mem_, [&](uint32_t t, auto &array) {
+    core.mem_->forEachArray([&](uint32_t t, auto &array) {
         array.replayHits(m * r.hits[t]);
     });
     core.sbStats_.callsReplayed += m;
@@ -259,10 +210,9 @@ CallMemo::beginRecord(Core &core)
     captured_ = lastPure_;
     if (!captured_)
         return;
-    capture(core, core.cycle_, &start_.state);
-    start_.cycle = core.cycle_;
+    start_.state = core.state_;
     start_.stats = core.stats_;
-    forEachArray(*core.mem_, [&](uint32_t t, auto &array) {
+    core.mem_->forEachArray([&](uint32_t t, auto &array) {
         start_.ticks[t] = array.lruClock();
         start_.hits[t] = array.hits();
     });
@@ -283,7 +233,8 @@ CallMemo::endRecord(Core &core, const ExitStatus &status)
     else
         table_.splice(table_.begin(), table_, std::prev(table_.end()));
     Recording &r = table_.front();
-    r.in = start_.state;
+    const uint64_t entry = start_.state.cycle;
+    r.in = relative(start_.state, entry);
     r.insts = core.stats_.instsRetired - start_.stats.instsRetired;
     H &h = *core.mem_;
     r.lat = h.config().lat;
@@ -307,20 +258,18 @@ CallMemo::endRecord(Core &core, const ExitStatus &status)
         if (i > 0 && t.table == touches[i - 1].table &&
             t.index == touches[i - 1].index)
             continue;
-        if (t.table < H::TouchITlb0) {
-            const mem::CacheLine &way =
-                arrayOf<mem::CacheLine>(h, t.table).wayAt(t.index);
+        if (t.table < H::NumCaches) {
+            const mem::CacheLine &way = h.cache(t.table).wayAt(t.index);
             r.lines.push_back({t.table, t.index, way,
                                way.lruStamp - start_.ticks[t.table]});
         } else if (t.table < H::NumTouchTables) {
-            const mem::TlbWay &way =
-                arrayOf<mem::TlbWay>(h, t.table).wayAt(t.index);
+            const mem::TlbWay &way = h.tlb(t.table).wayAt(t.index);
             r.tlbWays.push_back({t.table, t.index, way,
                                  way.lruStamp - start_.ticks[t.table]});
-            // Every fetch hits an iTLB way: its frame holds the
-            // call's instruction bytes.
-            if (t.table == H::TouchITlb0 || t.table == H::TouchITlb1)
-                pages.push_back(way.entry.ppn);
+            // A pure call's translations all hit an L1 TLB way: an
+            // iTLB way's frame holds its instruction bytes, and a
+            // dTLB way's is a page it loads from, logged already.
+            pages.push_back(way.entry.ppn);
         } else if (t.table == PredictorTable) {
             r.counters.push_back({t.index, uint8_t(t.value),
                                   core.predictor_.counterAt(t.index)});
@@ -334,10 +283,9 @@ CallMemo::endRecord(Core &core, const ExitStatus &status)
         r.pages.push_back(
             {page, h.phys().pageGen(page << isa::PageShift)});
 
-    capture(core, start_.cycle, &r.out);
-    r.cycles = core.cycle_ - start_.cycle;
+    r.out = relative(core.state_, entry);
     r.stats = core.stats_ - start_.stats;
-    forEachArray(h, [&](uint32_t t, auto &array) {
+    h.forEachArray([&](uint32_t t, auto &array) {
         r.hits[t] = array.hits() - start_.hits[t];
         PACMAN_ASSERT(array.lruClock() - start_.ticks[t] == r.hits[t],
                       "structure %u filled during a pure call", t);

@@ -28,7 +28,8 @@
  * endRecord() asserts the consequence: each structure's clock moved
  * by exactly its hit count.
  *
- * Guards, all of which must match:
+ * Guards, all of which must match (the core's own come from the lists
+ * of Core::RunState, cpu/core.hh):
  *  - the entry pc (the lookup key), EL and fetch-group phase;
  *  - the recorded retired-instruction count is within the budget;
  *  - the whole register file and the flags;
@@ -44,9 +45,10 @@
  *    within a set, so a matching way is exactly the one every lookup
  *    of the call hits, whatever else the set holds;
  *  - every predictor counter and BTB entry the call read, by value;
- *  - the write generation of every page the call fetched from (the
- *    frames of the iTLB ways it touched) or loaded from (both pages of
- *    a straddling load). A generation names one byte image for good.
+ *  - the write generation of every page the call fetched from or
+ *    loaded from: the frames of the TLB ways it touched (a pure call
+ *    touches only L1 TLB ways, each a fetch or a load) and both pages
+ *    of a straddling load. A generation names one byte image for good.
  * Only what the call touched is guarded, never whole tables.
  *
  * Effects: the final registers, flags, system registers, EL and pc;
@@ -134,24 +136,6 @@ class CallMemo
         mem::MemoryHierarchy::NumTouchTables;
     static constexpr uint32_t BtbTable = PredictorTable + 1;
 
-    /**
-     * The core's register-level state. Scoreboard times (ready,
-     * flagsReady, lastCompletion) are kept relative to a cycle c as
-     * rel(t, c): t - c when t is after c, else 0.
-     */
-    struct CoreState
-    {
-        std::array<uint64_t, isa::NumRegs> regs{};
-        isa::Pstate flags;
-        std::array<uint64_t, size_t(isa::SysReg::NumSysRegs)> sysregs{};
-        std::array<uint64_t, isa::NumRegs> ready{};
-        uint64_t flagsReady = 0;
-        uint64_t lastCompletion = 0;
-        isa::Addr pc = 0;
-        unsigned el = 0;
-        unsigned fetchGroup = 0;
-    };
-
     /** A touched way: its content (guard) and final stamp (effect). */
     template <typename Way>
     struct WayRecord
@@ -187,9 +171,8 @@ class CallMemo
 
     struct Recording
     {
-        // Guards. in.ready/flagsReady/lastCompletion are relative to
-        // the entry cycle.
-        CoreState in;
+        // Guards. The times of in are relative to the entry cycle.
+        Core::RunState in;
         uint64_t insts = 0;
         mem::LatencyConfig lat;
         std::vector<WayRecord<mem::CacheLine>> lines;
@@ -198,10 +181,9 @@ class CallMemo
         std::vector<BtbRecord> btb;
         std::vector<PageRecord> pages;
 
-        // Effects. out.ready/flagsReady/lastCompletion are relative to
-        // the entry cycle; 0 keeps the live value.
-        CoreState out;
-        uint64_t cycles = 0;
+        // Effects. The times of out are relative to the entry cycle
+        // (out.cycle is the call's length); 0 keeps the live value.
+        Core::RunState out;
         CoreStats stats;
         PerTable hits{}; //!< hits per structure (= its clock's advance)
         ExitStatus exit;
@@ -210,8 +192,7 @@ class CallMemo
     /** The live state a recording starts from. */
     struct Start
     {
-        CoreState state;
-        uint64_t cycle = 0;
+        Core::RunState state;
         CoreStats stats;
         PerTable ticks{}; //!< clocks at entry
         PerTable hits{};
@@ -223,13 +204,10 @@ class CallMemo
 
     void apply(const Recording &r, Core &core, ExitStatus *status);
 
-    /** Land the scoreboard times @p r set at their recorded distance
-     *  past @p entry; one it left alone keeps its live value. */
+    /** Land the times @p r set, the cycle among them, at their
+     *  recorded distance past @p entry; one it left alone keeps its
+     *  live value. */
     static void settle(const Recording &r, Core &core, uint64_t entry);
-
-    /** The live state of @p core, scoreboard relative to @p base. */
-    static void capture(const Core &core, uint64_t base,
-                        CoreState *state);
 
     /** At most Slots recordings, most recently used first. */
     std::list<Recording> table_;

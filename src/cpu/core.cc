@@ -149,7 +149,7 @@ Core::Core(const CoreConfig &cfg, mem::MemoryHierarchy *mem, Random *rng)
       predictor_(cfg.bimodalEntries), btb_(cfg.btbEntries),
       l1iLineShift_(floorLog2(mem->config().l1i.lineBytes))
 {
-    sysregs_[size_t(SysReg::CNTFRQ_EL0)] = cfg.cntFreqHz;
+    state_.sysregs[size_t(SysReg::CNTFRQ_EL0)] = cfg.cntFreqHz;
     if (cfg.fastPath == FastPath::Full)
         callMemo_ = std::make_unique<CallMemo>(*this);
 }
@@ -160,41 +160,41 @@ uint64_t
 Core::reg(unsigned idx) const
 {
     PACMAN_ASSERT(idx < isa::NumRegs, "register %u out of range", idx);
-    return regs_[idx];
+    return state_.regs[idx];
 }
 
 void
 Core::setReg(unsigned idx, uint64_t value)
 {
     PACMAN_ASSERT(idx < isa::NumRegs, "register %u out of range", idx);
-    regs_[idx] = value;
-    ready_[idx] = cycle_;
+    state_.regs[idx] = value;
+    state_.ready[idx] = state_.cycle;
 }
 
 void
 Core::setEl(unsigned el)
 {
     PACMAN_ASSERT(el <= 1, "exception level %u unsupported", el);
-    el_ = el;
+    state_.el = el;
 }
 
 uint64_t
 Core::sysreg(SysReg reg) const
 {
-    return sysregs_[size_t(reg)];
+    return state_.sysregs[size_t(reg)];
 }
 
 void
 Core::setSysreg(SysReg reg, uint64_t value)
 {
-    sysregs_[size_t(reg)] = value;
+    state_.sysregs[size_t(reg)] = value;
 }
 
 crypto::PacKey
 Core::pacKey(crypto::PacKeySelect sel) const
 {
     const size_t base = size_t(SysReg::APIAKEY_LO) + 2 * size_t(sel);
-    return crypto::PacKey{sysregs_[base + 1], sysregs_[base]};
+    return crypto::PacKey{state_.sysregs[base + 1], state_.sysregs[base]};
 }
 
 uint64_t
@@ -205,7 +205,7 @@ Core::ccsidrValue() const
     // Reports the *architectural* L1D geometry, which the paper finds
     // to be twice the observed associativity (footnote 5).
     const auto &cfg = mem_->config();
-    const uint64_t sel = sysregs_[size_t(SysReg::CSSELR_EL1)];
+    const uint64_t sel = state_.sysregs[size_t(SysReg::CSSELR_EL1)];
     const bool icache = sel & 1;
     const unsigned level = unsigned(sel >> 1);
 
@@ -233,10 +233,10 @@ Core::sysregRead(SysReg reg, uint64_t when, bool *undef)
     *undef = false;
 
     // Privilege gating (Table 1 semantics).
-    if (el_ == 0 && !isa::sysRegEl0Readable(reg)) {
+    if (state_.el == 0 && !isa::sysRegEl0Readable(reg)) {
         const bool pmc = reg == SysReg::PMC0 || reg == SysReg::PMC1;
         const bool granted =
-            sysregs_[size_t(SysReg::PMCR0)] & isa::PMCR0_EL0_ACCESS;
+            state_.sysregs[size_t(SysReg::PMCR0)] & isa::PMCR0_EL0_ACCESS;
         if (!(pmc && granted)) {
             *undef = true;
             return 0;
@@ -254,21 +254,21 @@ Core::sysregRead(SysReg reg, uint64_t when, bool *undef)
       case SysReg::PMC1:
         return stats_.instsRetired;
       case SysReg::CURRENT_EL:
-        return uint64_t(el_) << 2;
+        return uint64_t(state_.el) << 2;
       case SysReg::CCSIDR_EL1:
         return ccsidrValue();
       case SysReg::CLIDR_EL1:
         // L1 split I+D, L2 unified: Ctype1 = 0b011, Ctype2 = 0b100.
         return 0b011ull | (0b100ull << 3);
       default:
-        return sysregs_[size_t(reg)];
+        return state_.sysregs[size_t(reg)];
     }
 }
 
 bool
 Core::sysregWrite(SysReg reg, uint64_t value)
 {
-    if (el_ == 0)
+    if (state_.el == 0)
         return false; // all MSR targets are privileged
     switch (reg) {
       case SysReg::CNTPCT_EL0:
@@ -280,7 +280,7 @@ Core::sysregWrite(SysReg reg, uint64_t value)
       case SysReg::CLIDR_EL1:
         return false; // read-only
       default:
-        sysregs_[size_t(reg)] = value;
+        state_.sysregs[size_t(reg)] = value;
         return true;
     }
 }
@@ -294,58 +294,24 @@ Core::setTraceHook(std::function<void(const TraceRecord &)> hook)
 Core::Snapshot
 Core::takeSnapshot() const
 {
-    Snapshot snap;
-    snap.regs = regs_;
-    snap.flags = flags_;
-    snap.pc = pc_;
-    snap.el = el_;
-    snap.sysregs = sysregs_;
-    snap.cycle = cycle_;
-    snap.ready = ready_;
-    snap.flagsReady = flagsReady_;
-    snap.lastCompletion = lastCompletion_;
-    snap.fetchGroup = fetchGroup_;
-    snap.predictor = predictor_.takeSnapshot();
-    snap.btb = btb_.takeSnapshot();
-    snap.stats = stats_;
-    return snap;
+    return {state_, predictor_.takeSnapshot(), btb_.takeSnapshot(), stats_};
 }
 
 void
 Core::restore(const Snapshot &snap)
 {
-    regs_ = snap.regs;
-    flags_ = snap.flags;
-    pc_ = snap.pc;
-    el_ = snap.el;
-    sysregs_ = snap.sysregs;
-    cycle_ = snap.cycle;
-    ready_ = snap.ready;
-    flagsReady_ = snap.flagsReady;
-    lastCompletion_ = snap.lastCompletion;
-    fetchGroup_ = snap.fetchGroup;
+    state_ = snap;
     predictor_.restore(snap.predictor);
     btb_.restore(snap.btb);
     stats_ = snap.stats;
-    // The decode cache and superblock cache deliberately survive the
-    // rewind (pure host-side memoization with no architectural or
-    // timing effect; re-decoding/re-discovering all guest code per
-    // restore would dominate the restore-per-item fast path). This is
-    // safe because entries are PA-keyed and validated against page
-    // write generations, and every generation label is permanently
-    // bound to exactly one byte image — PhysMem::restore rewinds a
-    // dirtied page to the captured label along with the captured
-    // bytes, so a generation match always implies identical bytes and
-    // a stale entry can never re-validate. sbStats_ is likewise
-    // untouched: it is monotonic telemetry, not run state (see
-    // SuperblockStats).
+    // Host-side state survives the rewind; Snapshot says why.
 }
 
 void
 Core::serialize(uint64_t extra)
 {
-    cycle_ = std::max(cycle_, lastCompletion_) + extra;
-    fetchGroup_ = 0;
+    state_.cycle = std::max(state_.cycle, state_.lastCompletion) + extra;
+    state_.fetchGroup = 0;
 }
 
 Core::FetchedInst
@@ -353,7 +319,7 @@ Core::fetch(Addr pc, bool speculative)
 {
     FetchedInst out;
     const auto res =
-        mem_->access(mem::AccessKind::Fetch, pc, el_, speculative);
+        mem_->access(mem::AccessKind::Fetch, pc, state_.el, speculative);
     if (res.fault != mem::Fault::None) {
         out.fault = res.fault;
         return out;
@@ -412,54 +378,55 @@ ExitStatus
 Core::archFault(mem::Fault fault, Addr addr, const char *what)
 {
     ExitStatus status;
-    status.kind = el_ == 0 ? ExitKind::CrashEl0 : ExitKind::KernelPanic;
-    status.pc = pc_;
+    status.kind = state_.el == 0 ? ExitKind::CrashEl0 : ExitKind::KernelPanic;
+    status.pc = state_.pc;
     status.fault = fault;
     status.reason = strprintf(
         "%s at pc=0x%llx addr=0x%llx (%s, EL%u)", what,
-        (unsigned long long)pc_, (unsigned long long)addr,
+        (unsigned long long)state_.pc, (unsigned long long)addr,
         fault == mem::Fault::Permission ? "permission" : "translation",
-        el_);
+        state_.el);
     return status;
 }
 
 /**
- * The committed state view: regs_/ready_/flags_ read against cycle_.
+ * The committed state view: the run state's registers, ready times and
+ * flags, read against its cycle.
  * Its poison and taint are always false, so no memory op is blocked; a
  * fault ends the run with *status; stores write memory; results
- * advance lastCompletion_; a fence drains the pipeline.
+ * advance state_.lastCompletion; a fence drains the pipeline.
  */
 struct Core::Committed
 {
     Core &c;
     ExitStatus *status = nullptr;
 
-    uint64_t now() const { return c.cycle_; }
-    Addr pc() const { return c.pc_; }
-    uint64_t reg(unsigned r) const { return c.regs_[r]; }
-    const Pstate &flags() const { return c.flags_; }
-    Ready ready(unsigned r) const { return {c.ready_[r]}; }
-    Ready flagsReady() const { return {c.flagsReady_}; }
+    uint64_t now() const { return c.state_.cycle; }
+    Addr pc() const { return c.state_.pc; }
+    uint64_t reg(unsigned r) const { return c.state_.regs[r]; }
+    const Pstate &flags() const { return c.state_.flags; }
+    Ready ready(unsigned r) const { return {c.state_.ready[r]}; }
+    Ready flagsReady() const { return {c.state_.flagsReady}; }
     void poison(unsigned) {}
     bool blocked(const Ready &) const { return false; }
 
     void write(unsigned r, uint64_t value, const Ready &when)
     {
-        c.regs_[r] = value;
-        c.ready_[r] = when.cycle;
+        c.state_.regs[r] = value;
+        c.state_.ready[r] = when.cycle;
     }
     void writeFlags(const Pstate &f, const Ready &when)
     {
-        c.flags_ = f;
-        c.flagsReady_ = when.cycle;
+        c.state_.flags = f;
+        c.state_.flagsReady = when.cycle;
     }
     void complete(uint64_t done)
     {
-        c.lastCompletion_ = std::max(c.lastCompletion_, done);
+        c.state_.lastCompletion = std::max(c.state_.lastCompletion, done);
     }
     mem::AccessResult access(mem::AccessKind kind, Addr va)
     {
-        return c.mem_->access(kind, va, c.el_, false);
+        return c.mem_->access(kind, va, c.state_.el, false);
     }
     void store(const mem::AccessResult &res, Addr va, uint64_t value,
                unsigned size)
@@ -491,7 +458,7 @@ struct Core::Committed
  * operand and an issue time before the deadline; it counts as a
  * wrong-path memory op, and a store writes nothing. Faults are counted
  * and suppressed (an undefined MRS only poisons), nothing advances
- * lastCompletion_, and where the committed path would serialize the
+ * state_.lastCompletion, and where the committed path would serialize the
  * wrong path stops.
  */
 struct Core::WrongPath
@@ -532,7 +499,7 @@ struct Core::WrongPath
     mem::AccessResult access(mem::AccessKind kind, Addr va)
     {
         ++c.stats_.wrongPathMemOps;
-        return c.mem_->access(kind, va, c.el_, true);
+        return c.mem_->access(kind, va, c.state_.el, true);
     }
     bool fault(mem::Fault, Addr, const char *)
     {
@@ -708,11 +675,11 @@ ExitStatus
 Core::sysregFault(const char *what, SysReg reg) const
 {
     ExitStatus status;
-    status.kind = el_ == 0 ? ExitKind::CrashEl0 : ExitKind::KernelPanic;
-    status.pc = pc_;
+    status.kind = state_.el == 0 ? ExitKind::CrashEl0 : ExitKind::KernelPanic;
+    status.pc = state_.pc;
     status.reason = strprintf("%s of %s at EL%u (pc=0x%llx)", what,
-                              isa::sysRegName(reg).c_str(), el_,
-                              (unsigned long long)pc_);
+                              isa::sysRegName(reg).c_str(), state_.el,
+                              (unsigned long long)state_.pc);
     return status;
 }
 
@@ -721,7 +688,7 @@ Core::execMsr(const Inst &inst, ExitStatus *status)
 {
     if (touchLog_)
         touchLog_->spoil();
-    if (!sysregWrite(inst.sysreg, regs_[inst.rd])) {
+    if (!sysregWrite(inst.sysreg, state_.regs[inst.rd])) {
         *status = sysregFault("illegal MSR", inst.sysreg);
         return false;
     }
@@ -732,33 +699,33 @@ Core::execMsr(const Inst &inst, ExitStatus *status)
 bool
 Core::execSvc(const Inst &inst, ExitStatus *status, Addr *next_pc)
 {
-    if (el_ != 0) {
+    if (state_.el != 0) {
         status->kind = ExitKind::KernelPanic;
-        status->pc = pc_;
+        status->pc = state_.pc;
         status->reason = "nested SVC at EL1";
         return false;
     }
     ++stats_.syscalls;
-    sysregs_[size_t(SysReg::ELR_EL1)] = pc_ + isa::InstBytes;
-    sysregs_[size_t(SysReg::ESR_EL1)] = uint64_t(inst.imm);
-    el_ = 1;
+    state_.sysregs[size_t(SysReg::ELR_EL1)] = state_.pc + isa::InstBytes;
+    state_.sysregs[size_t(SysReg::ESR_EL1)] = uint64_t(inst.imm);
+    state_.el = 1;
     serialize(cfg_.svcLat);
-    *next_pc = sysregs_[size_t(SysReg::VBAR_EL1)];
+    *next_pc = state_.sysregs[size_t(SysReg::VBAR_EL1)];
     return true;
 }
 
 bool
 Core::execEret(ExitStatus *status, Addr *next_pc)
 {
-    if (el_ != 1) {
+    if (state_.el != 1) {
         status->kind = ExitKind::CrashEl0;
-        status->pc = pc_;
+        status->pc = state_.pc;
         status->reason = "ERET at EL0";
         return false;
     }
-    el_ = 0;
+    state_.el = 0;
     serialize(cfg_.eretLat);
-    *next_pc = sysregs_[size_t(SysReg::ELR_EL1)];
+    *next_pc = state_.sysregs[size_t(SysReg::ELR_EL1)];
     return true;
 }
 
@@ -767,7 +734,7 @@ Core::stopStatus(const Inst &inst) const
 {
     ExitStatus status;
     status.code = uint64_t(inst.imm);
-    status.pc = pc_;
+    status.pc = state_.pc;
     if (inst.op == Opcode::HLT) {
         status.kind = ExitKind::Halted;
     } else {
@@ -785,15 +752,15 @@ Core::mispredict(Addr wrong_pc, uint64_t resolve)
     if (touchLog_)
         touchLog_->spoil(); // the wrong path is not recorded
     SpecContext &ctx = specCtx_[0];
-    ctx.regs = regs_;
+    ctx.regs = state_.regs;
     for (unsigned r = 0; r < isa::NumRegs; ++r)
-        ctx.ready[r] = Ready{ready_[r]};
-    ctx.flags = flags_;
-    ctx.flagsReady = Ready{flagsReady_};
+        ctx.ready[r] = Ready{state_.ready[r]};
+    ctx.flags = state_.flags;
+    ctx.flagsReady = Ready{state_.flagsReady};
     unsigned rob = cfg_.robSize;
-    speculate(wrong_pc, cycle_ + 1, resolve, ctx, rob, 0);
-    cycle_ = resolve + cfg_.redirectPenalty;
-    fetchGroup_ = 0;
+    speculate(wrong_pc, state_.cycle + 1, resolve, ctx, rob, 0);
+    state_.cycle = resolve + cfg_.redirectPenalty;
+    state_.fetchGroup = 0;
 }
 
 ExitStatus
@@ -818,8 +785,8 @@ Core::runRepeat(Addr pc, std::span<const RegWrite> regs, uint64_t n)
     const bool bulk = callMemo_ && !traceHook_;
     ExitStatus status;
     for (uint64_t done = 0; done < n;) {
-        el_ = 0;
-        pc_ = pc;
+        state_.el = 0;
+        state_.pc = pc;
         for (const RegWrite &w : regs)
             setReg(w.index, w.value);
         status = run();
@@ -841,12 +808,12 @@ Core::execute(uint64_t max_insts)
     uint64_t n = 0;
     while (n < max_insts) {
         // Fetch-group pacing: fetchWidth instructions per cycle.
-        if (++fetchGroup_ >= cfg_.fetchWidth) {
-            fetchGroup_ = 0;
-            ++cycle_;
+        if (++state_.fetchGroup >= cfg_.fetchWidth) {
+            state_.fetchGroup = 0;
+            ++state_.cycle;
         }
 
-        const FetchedInst f = fetch(pc_, false);
+        const FetchedInst f = fetch(state_.pc, false);
         if (!f.ok) {
             if (f.undefined) {
                 // The word mapped and fetched fine but fails decode:
@@ -854,17 +821,17 @@ Core::execute(uint64_t max_insts)
                 // translation fault.
                 status.kind = ExitKind::UndefinedInst;
                 status.code = f.word;
-                status.pc = pc_;
+                status.pc = state_.pc;
                 status.reason = strprintf(
                     "undefined instruction 0x%08x at pc=0x%llx (EL%u)",
-                    f.word, (unsigned long long)pc_, el_);
+                    f.word, (unsigned long long)state_.pc, state_.el);
                 return status;
             }
-            return archFault(f.fault, pc_, "instruction fetch fault");
+            return archFault(f.fault, state_.pc, "instruction fetch fault");
         }
         // Front-end stall on icache/iTLB misses.
         if (f.fetchLatency > mem_->config().lat.l1Hit)
-            cycle_ += f.fetchLatency - mem_->config().lat.l1Hit;
+            state_.cycle += f.fetchLatency - mem_->config().lat.l1Hit;
 
         const Inst &inst = f.inst;
 
@@ -893,8 +860,9 @@ Core::execute(uint64_t max_insts)
         ++n;
         ++stats_.instsRetired;
         if (traceHook_)
-            traceHook_(TraceRecord{pc_, inst, el_, false, cycle_});
-        Addr next_pc = pc_ + isa::InstBytes;
+            traceHook_(TraceRecord{state_.pc, inst, state_.el, false,
+                                   state_.cycle});
+        Addr next_pc = state_.pc + isa::InstBytes;
 
         switch (isa::instClass(inst.op)) {
           case InstClass::Alu:
@@ -910,11 +878,11 @@ Core::execute(uint64_t max_insts)
 
           case InstClass::BranchCond: {
             ++stats_.branches;
-            const Addr taken_target = pc_ + uint64_t(inst.imm);
+            const Addr taken_target = state_.pc + uint64_t(inst.imm);
             Ready resolve;
             const bool actual = condTaken(arch, inst, &resolve);
-            const bool predicted = predictor_.predict(pc_);
-            predictor_.update(pc_, actual);
+            const bool predicted = predictor_.predict(state_.pc);
+            predictor_.update(state_.pc, actual);
             if (predicted != actual)
                 mispredict(predicted ? taken_target : next_pc,
                            resolve.cycle);
@@ -931,14 +899,14 @@ Core::execute(uint64_t max_insts)
                 return status;
             if (!isa::isIndirectBranch(inst.op))
                 break;
-            const auto predicted = btb_.lookup(pc_);
-            btb_.update(pc_, next_pc);
+            const auto predicted = btb_.lookup(state_.pc);
+            btb_.update(state_.pc, next_pc);
             if (predicted && *predicted != next_pc) {
                 mispredict(*predicted, resolve.cycle);
             } else if (!predicted) {
                 // BTB miss: the front end waits for the target.
-                cycle_ = resolve.cycle;
-                fetchGroup_ = 0;
+                state_.cycle = resolve.cycle;
+                state_.fetchGroup = 0;
             }
             break;
           }
@@ -981,11 +949,11 @@ Core::execute(uint64_t max_insts)
             break;
         }
 
-        pc_ = next_pc;
+        state_.pc = next_pc;
     }
 
     status.kind = ExitKind::MaxInsts;
-    status.pc = pc_;
+    status.pc = state_.pc;
     status.reason = "instruction budget exhausted";
     return status;
 }
@@ -1021,9 +989,9 @@ Core::dispatchBlocks(Addr pa, uint64_t page_gen, uint64_t budget,
         ++sbStats_.blockHits;
     // The interpreter's fetch of the entry op left its translation in
     // the iTLB and its line in the L1I.
-    mem::Tlb::Way *way = mem_->itlb(el_).wayFor(
-        isa::pageNumber(isa::vaPart(pc_)),
-        isa::isKernelVa(pc_) ? mem::Asid::Kernel : mem::Asid::User);
+    mem::Tlb::Way *way = mem_->itlb(state_.el).wayFor(
+        isa::pageNumber(isa::vaPart(state_.pc)),
+        isa::isKernelVa(state_.pc) ? mem::Asid::Kernel : mem::Asid::User);
     mem::Cache::Line *line = mem_->l1i().lineFor(pa);
     PACMAN_ASSERT(way != nullptr && line != nullptr,
                   "superblock entry state missing after fetch");
@@ -1053,18 +1021,18 @@ Superblock *
 Core::chainTo(mem::Tlb::Way **way_out, mem::Cache::Line **line_out)
 {
     // Peek, with no side effect, at what the interpreter's fetch of
-    // pc_ would do: the translation must hit the current EL's iTLB
+    // state_.pc would do: the translation must hit the current EL's iTLB
     // and pass the fetch permission check (a miss walks, a fault
     // exits — both belong to the interpreter)...
-    if (!isa::isCanonical(pc_))
+    if (!isa::isCanonical(state_.pc))
         return nullptr;
-    const Addr va = isa::vaPart(pc_);
-    const bool kernel_va = isa::isKernelVa(pc_);
-    mem::Tlb &itlb = mem_->itlb(el_);
+    const Addr va = isa::vaPart(state_.pc);
+    const bool kernel_va = isa::isKernelVa(state_.pc);
+    mem::Tlb &itlb = mem_->itlb(state_.el);
     mem::Tlb::Way *way = itlb.wayFor(
         isa::pageNumber(va),
         kernel_va ? mem::Asid::Kernel : mem::Asid::User);
-    if (!way || !way->entry.executable || (el_ == 0 && kernel_va))
+    if (!way || !way->entry.executable || (state_.el == 0 && kernel_va))
         return nullptr;
     // ...the word must start a block (cached, or discovered now —
     // discovery is functional)...
@@ -1078,7 +1046,7 @@ Core::chainTo(mem::Tlb::Way **way_out, mem::Cache::Line **line_out)
     // mispredict needs the interpreter's speculation machinery).
     const SuperblockOp &entry = sb->ops.front();
     if (entry.kind == SbOpKind::BranchCond &&
-        predictor_.predict(pc_) !=
+        predictor_.predict(state_.pc) !=
             condTaken(Committed{*this}, entry.inst))
         return nullptr;
 
@@ -1087,15 +1055,15 @@ Core::chainTo(mem::Tlb::Way **way_out, mem::Cache::Line **line_out)
     // on a miss) and the front-end stall.
     if (!built)
         ++sbStats_.blockHits;
-    if (++fetchGroup_ >= cfg_.fetchWidth) {
-        fetchGroup_ = 0;
-        ++cycle_;
+    if (++state_.fetchGroup >= cfg_.fetchWidth) {
+        state_.fetchGroup = 0;
+        ++state_.cycle;
     }
     itlb.rehitN(way, 1);
     const uint64_t lat = mem_->fetchLineAccess(pa, line_out);
     const uint64_t l1_lat = mem_->config().lat.l1Hit;
     if (lat > l1_lat)
-        cycle_ += lat - l1_lat;
+        state_.cycle += lat - l1_lat;
     *way_out = way;
     return sb;
 }
@@ -1114,7 +1082,7 @@ Core::runSuperblock(Superblock &sb, mem::Tlb::Way *way,
     // flushes) run only between guest calls — so the re-hits are
     // counted here and applied in bulk through rehitN: the pending
     // L1I run before a line crossing's fill, both at every exit.
-    mem::Tlb &itlb = mem_->itlb(el_);
+    mem::Tlb &itlb = mem_->itlb(state_.el);
     mem::Cache &l1i = mem_->l1i();
     uint64_t itlb_hits = 0;
     uint64_t l1i_hits = 0;
@@ -1122,7 +1090,7 @@ Core::runSuperblock(Superblock &sb, mem::Tlb::Way *way,
     const uint64_t l1_lat = mem_->config().lat.l1Hit;
     const unsigned line_shift = l1iLineShift_;
     const Addr pa_base = sb.pa & ~isa::Addr(isa::PageMask);
-    const Addr va_base = pc_ & ~isa::Addr(isa::PageMask);
+    const Addr va_base = state_.pc & ~isa::Addr(isa::PageMask);
     uint64_t cur_line = sb.pa >> line_shift;
     const SuperblockOp *op = sb.ops.data();
     const SuperblockOp *const end = op + sb.ops.size();
@@ -1133,7 +1101,7 @@ Core::runSuperblock(Superblock &sb, mem::Tlb::Way *way,
     // Per-op sequence, identical to one interpreter iteration: the
     // caller (or the `next` replay below) has already paced the fetch
     // group and touched the hierarchy; here we retire, execute, and
-    // step pc_. Each op jumps through a label table (computed goto).
+    // step state_.pc. Each op jumps through a label table (computed goto).
     // Stores re-check the page's write generation so self-modifying
     // code into the running block falls back before a stale decoded
     // op can execute. Conditional branches peek their outcome against
@@ -1146,7 +1114,7 @@ Core::runSuperblock(Superblock &sb, mem::Tlb::Way *way,
         &&sb_svc, &&sb_eret, &&sb_stop};
     const auto mispredicted = [&] {
         return op->kind == SbOpKind::BranchCond &&
-               predictor_.predict(pc_) != condTaken(arch, op->inst);
+               predictor_.predict(state_.pc) != condTaken(arch, op->inst);
     };
 
     // Later branches are peeked in sb_next before their fetch is
@@ -1163,7 +1131,7 @@ Core::runSuperblock(Superblock &sb, mem::Tlb::Way *way,
 
   sb_alu:
     execAlu(arch, op->inst, op->readsRn, op->readsRm, op->readsRd);
-    pc_ += isa::InstBytes;
+    state_.pc += isa::InstBytes;
     goto sb_next;
 
   sb_mem:
@@ -1172,35 +1140,35 @@ Core::runSuperblock(Superblock &sb, mem::Tlb::Way *way,
     if (op->kind == SbOpKind::Store &&
         mem_->phys().pageGen(sb.pa) != sb.gen)
         goto sb_smc;
-    pc_ += isa::InstBytes;
+    state_.pc += isa::InstBytes;
     goto sb_next;
 
   sb_pac:
     if (!execPac(arch, op->inst))
         goto sb_return;
-    pc_ += isa::InstBytes;
+    state_.pc += isa::InstBytes;
     goto sb_next;
 
   sb_branch:
     ++stats_.branches;
-    branchTarget(arch, op->inst, &pc_, nullptr);
+    branchTarget(arch, op->inst, &state_.pc, nullptr);
     goto sb_next;
 
   sb_mrs:
     if (!execMrs(arch, op->inst))
         goto sb_return;
-    pc_ += isa::InstBytes;
+    state_.pc += isa::InstBytes;
     goto sb_next;
 
   sb_msr:
     if (!execMsr(op->inst, status))
         goto sb_return;
-    pc_ += isa::InstBytes;
+    state_.pc += isa::InstBytes;
     goto sb_next;
 
   sb_barrier:
     serialize(cfg_.isbDrain);
-    pc_ += isa::InstBytes;
+    state_.pc += isa::InstBytes;
     goto sb_next;
 
   sb_branch_cond: {
@@ -1210,8 +1178,8 @@ Core::runSuperblock(Superblock &sb, mem::Tlb::Way *way,
     const isa::Inst &bi = op->inst;
     const bool actual = condTaken(arch, bi);
     ++stats_.branches;
-    predictor_.update(pc_, actual);
-    pc_ = actual ? pc_ + uint64_t(bi.imm) : pc_ + isa::InstBytes;
+    predictor_.update(state_.pc, actual);
+    state_.pc += actual ? uint64_t(bi.imm) : isa::InstBytes;
     goto sb_next;
   }
 
@@ -1220,7 +1188,7 @@ Core::runSuperblock(Superblock &sb, mem::Tlb::Way *way,
     Addr target = 0;
     if (!execSvc(op->inst, status, &target))
         goto sb_return;
-    pc_ = target;
+    state_.pc = target;
     goto sb_next;
   }
 
@@ -1228,7 +1196,7 @@ Core::runSuperblock(Superblock &sb, mem::Tlb::Way *way,
     Addr target = 0;
     if (!execEret(status, &target))
         goto sb_return;
-    pc_ = target;
+    state_.pc = target;
     goto sb_next;
   }
 
@@ -1247,7 +1215,7 @@ Core::runSuperblock(Superblock &sb, mem::Tlb::Way *way,
     }
     if (executed >= budget)
         goto sb_exit;
-    if (pc_ != (va_base | Addr(op->pageOff))) {
+    if (state_.pc != (va_base | Addr(op->pageOff))) {
         *how = SbExit::Chain;
         goto sb_exit;
     }
@@ -1263,9 +1231,9 @@ Core::runSuperblock(Superblock &sb, mem::Tlb::Way *way,
     // pacing, the iTLB hit, the L1I touch (or a real fill + front-end
     // stall on a line crossing) — the exact side-effect sequence the
     // interpreter's fetch() performs, with the re-hits batched.
-    if (++fetchGroup_ >= cfg_.fetchWidth) {
-        fetchGroup_ = 0;
-        ++cycle_;
+    if (++state_.fetchGroup >= cfg_.fetchWidth) {
+        state_.fetchGroup = 0;
+        ++state_.cycle;
     }
     ++itlb_hits;
     if (const Addr pa = pa_base | Addr(op->pageOff);
@@ -1277,14 +1245,14 @@ Core::runSuperblock(Superblock &sb, mem::Tlb::Way *way,
         cur_line = pa >> line_shift;
         const uint64_t lat = mem_->fetchLineAccess(pa, &line);
         if (lat > l1_lat)
-            cycle_ += lat - l1_lat;
+            state_.cycle += lat - l1_lat;
     }
     goto sb_dispatch;
 
   sb_smc:
-    pc_ += isa::InstBytes;
+    state_.pc += isa::InstBytes;
   sb_fallback:
-    // The interpreter fetches the op at pc_ afresh: a store rewrote
+    // The interpreter fetches the op at state_.pc afresh: a store rewrote
     // this block's page, or it is a mispredicted branch, which has had
     // no effect yet.
     ++sbStats_.fallbackExits;
@@ -1335,7 +1303,7 @@ Core::speculate(Addr pc, uint64_t start, uint64_t deadline,
 
         const Inst &inst = f.inst;
         if (traceHook_)
-            traceHook_(TraceRecord{v.at, inst, el_, true, v.t});
+            traceHook_(TraceRecord{v.at, inst, state_.el, true, v.t});
         Addr next_pc = v.at + isa::InstBytes;
         // A branch whose operands resolve before the outer squash
         // (resolve) can mispredict here too, sending fetch to *nested,

@@ -139,13 +139,13 @@ class Core
     uint64_t reg(unsigned idx) const;
     void setReg(unsigned idx, uint64_t value);
 
-    isa::Addr pc() const { return pc_; }
-    void setPc(isa::Addr pc) { pc_ = pc; }
+    isa::Addr pc() const { return state_.pc; }
+    void setPc(isa::Addr pc) { state_.pc = pc; }
 
-    unsigned el() const { return el_; }
+    unsigned el() const { return state_.el; }
     void setEl(unsigned el);
 
-    const isa::Pstate &flags() const { return flags_; }
+    const isa::Pstate &flags() const { return state_.flags; }
 
     /** Raw system-register access (no privilege check; host use). */
     uint64_t sysreg(isa::SysReg reg) const;
@@ -155,10 +155,10 @@ class Core
     crypto::PacKey pacKey(crypto::PacKeySelect sel) const;
 
     /** Core cycle count (the dataflow "now"). */
-    uint64_t cycle() const { return cycle_; }
+    uint64_t cycle() const { return state_.cycle; }
 
     /** Pointer to the cycle counter (for timer devices). */
-    const uint64_t *cyclePtr() const { return &cycle_; }
+    const uint64_t *cyclePtr() const { return &state_.cycle; }
 
     /**
      * Advance the cycle counter by @p n without executing guest
@@ -166,7 +166,7 @@ class Core
      * interrupt model). Forward-only, so pending dataflow ready
      * times simply fall due.
      */
-    void advanceCycles(uint64_t n) { cycle_ += n; }
+    void advanceCycles(uint64_t n) { state_.cycle += n; }
 
     // --- Execution ---
 
@@ -213,31 +213,71 @@ class Core
     mem::MemoryHierarchy &mem() { return *mem_; }
 
     /**
-     * Complete per-core state: architectural registers/flags/pc/EL and
-     * system registers (so PAC keys rewind), the dataflow timing
-     * scoreboard, branch predictor and BTB tables, and the stats
-     * counters. The decoded-instruction cache and the superblock cache
-     * are deliberately NOT captured: both are pure host-side
-     * memoization with no architectural or timing effect, and their
-     * entries are (pa, write-generation)-validated against labels
-     * PhysMem never reuses (restores relabel rewound pages with fresh
-     * values), so a stale entry can never re-validate after a restore
-     * — they survive the rewind warm. The speculation-context pool is
-     * scratch (fully re-seeded before every use) and the trace hook is
-     * host wiring; neither is captured.
+     * The core's run state: the architectural registers, flags, pc, EL
+     * and system registers (so PAC keys rewind), the fetch-group phase,
+     * the cycle and the dataflow scoreboard. Snapshot and restore copy
+     * it whole; the call memo's guards and effects (cpu/call_memo.hh)
+     * and the machine fingerprint visit its two lists, so a new field
+     * is a member plus one list line.
      */
-    struct Snapshot
+    struct RunState
     {
         std::array<uint64_t, isa::NumRegs> regs{};
         isa::Pstate flags;
         isa::Addr pc = 0;
         unsigned el = 0;
         std::array<uint64_t, size_t(isa::SysReg::NumSysRegs)> sysregs{};
-        uint64_t cycle = 0;
+        uint64_t cycle = 1000; //!< non-zero so "ready at 0" reads clean
         std::array<uint64_t, isa::NumRegs> ready{};
         uint64_t flagsReady = 0;
         uint64_t lastCompletion = 0;
         unsigned fetchGroup = 0;
+
+        /** The fields a replay compares as they are, each under the
+         *  guard that counts its misses, in CallGuard order. */
+        template <typename F, typename... S>
+        static constexpr void
+        forEachField(F &&f, S &...s)
+        {
+            f(CallGuard::Entry, s.pc...);
+            f(CallGuard::Entry, s.el...);
+            f(CallGuard::Entry, s.fetchGroup...);
+            f(CallGuard::Registers, s.regs...);
+            f(CallGuard::Registers, s.flags...);
+            f(CallGuard::SysRegs, s.sysregs...);
+        }
+
+        /** The times, one by one: the cycle and the scoreboard. The
+         *  memo keeps them relative to a call's entry cycle. */
+        template <typename F, typename... S>
+        static constexpr void
+        forEachTime(F &&f, S &...s)
+        {
+            f(s.cycle...);
+            for (size_t r = 0; r < isa::NumRegs; ++r)
+                f(s.ready[r]...);
+            f(s.flagsReady...);
+            f(s.lastCompletion...);
+        }
+    };
+
+    /**
+     * Complete per-core state: the run state plus the branch predictor
+     * and BTB tables and the stats counters. The decoded-instruction
+     * cache, the superblock cache and the call memo's recordings are
+     * deliberately NOT captured: they are pure host-side memoization
+     * with no architectural or timing effect (rebuilding them per
+     * restore would dominate the restore-per-item fast path), and
+     * their entries are validated against page write generations,
+     * each bound to one byte image for good (PhysMem::restore rewinds
+     * a dirtied page to its captured label with its captured bytes),
+     * so a stale entry can never re-validate — they survive the rewind
+     * warm. SuperblockStats is monotonic telemetry, the
+     * speculation-context pool scratch (fully re-seeded before every
+     * use) and the trace hook host wiring; none is captured.
+     */
+    struct Snapshot : RunState
+    {
         BimodalPredictor::Snapshot predictor;
         Btb::Snapshot btb;
         CoreStats stats;
@@ -315,12 +355,12 @@ class Core
     // One executor per op class, shared by the interpreter switch in
     // execute(), the superblock labels in runSuperblock() and the
     // wrong path in speculate(). Each is a template over a state view
-    // (core.cc): Committed reads regs_/ready_ against cycle_, WrongPath
+    // (core.cc): Committed reads state_ against its cycle, WrongPath
     // a SpecContext against the wrong path's fetch time, and every
     // difference between the two paths is a view method (DESIGN.md
     // §4k). An executor that returns false ends its path at the op: a
     // committed fault (the view's *status is filled) or a wrong-path
-    // stop. On the committed path pc_ is the op's own pc.
+    // stop. On the committed path state_.pc is the op's own pc.
     struct Committed;
     struct WrongPath;
 
@@ -376,7 +416,7 @@ class Core
      * touches, stall) has already been performed, leaving the entry
      * translation in iTLB way @p way and the entry line in L1I line
      * @p line — and executing at most @p budget instructions.
-     * Advances pc_ past every executed op. @return the number
+     * Advances state_.pc past every executed op. @return the number
      * executed (0 only when the entry op is a mispredicted
      * conditional branch, which the interpreter must run); *how says
      * how the block ended (SbExit::Return with *status filled on a
@@ -395,7 +435,7 @@ class Core
     Superblock *blockAt(isa::Addr pa, uint64_t page_gen, bool *built);
 
     /**
-     * Run the block the interpreter just fetched at pc_ (@p pa,
+     * Run the block the interpreter just fetched at state_.pc (@p pa,
      * @p page_gen), then every block chained after it, within
      * @p budget instructions. @return the number executed (0 when the
      * entry op is a mispredicted conditional branch); sets *exited
@@ -406,7 +446,7 @@ class Core
                             bool *exited);
 
     /**
-     * Chain from a block that ended normally to the block at pc_.
+     * Chain from a block that ended normally to the block at state_.pc.
      * Peeks with no side effect — iTLB probe and permission check at
      * the current EL, PA and block lookup, entry-branch prediction —
      * and only then replays the entry fetch the interpreter would
@@ -451,20 +491,7 @@ class Core
     mem::MemoryHierarchy *mem_;
     Random *rng_;
 
-    // Architectural state.
-    std::array<uint64_t, isa::NumRegs> regs_{};
-    isa::Pstate flags_;
-    isa::Addr pc_ = 0;
-    unsigned el_ = 0;
-    std::array<uint64_t, size_t(isa::SysReg::NumSysRegs)> sysregs_{};
-
-    // Dataflow timing state.
-    uint64_t cycle_ = 1000; //!< non-zero so "ready at 0" reads clean
-    std::array<uint64_t, isa::NumRegs> ready_{};
-    uint64_t flagsReady_ = 0;
-    uint64_t lastCompletion_ = 0;
-    unsigned fetchGroup_ = 0;
-
+    RunState state_;
     BimodalPredictor predictor_;
     Btb btb_;
     CoreStats stats_;
@@ -472,11 +499,8 @@ class Core
 
     DecodeCache decodeCache_;
 
-    // Superblock cache + monotonic telemetry. Like the decode cache,
-    // neither is captured by Snapshot: blocks are (pa, generation)-
-    // validated against never-reused write generations and the fetch
-    // epoch, so they survive restore() safely, and the telemetry must
-    // keep growing across restores (see SuperblockStats).
+    // Superblock cache + monotonic telemetry; like the decode cache,
+    // not in Snapshot (which says why).
     SuperblockCache superblocks_;
     SuperblockStats sbStats_;
 

@@ -80,62 +80,38 @@ class ThreadTimerDevice : public mem::Device
     /** Add +/- @p extra jitter per read for the next @p cycles. */
     void injectJitterBurst(uint64_t extra, uint64_t cycles);
 
-    uint64_t ratePer1k() const { return basePer1k_; }
-    uint64_t rateScalePermille() const { return scalePermille_; }
+    uint64_t ratePer1k() const { return s_.basePer1k; }
+    uint64_t rateScalePermille() const { return s_.scalePermille; }
 
     /**
-     * Every mutable field (the cycle pointer, jitter amplitude, and
-     * RNG pointer are construction-time wiring; the jitter draws come
-     * from the machine RNG, which the Machine snapshot covers).
+     * Every mutable field, held as one struct so snapshot and restore
+     * are copies (the cycle pointer, jitter amplitude, and RNG pointer
+     * are construction-time wiring; the jitter draws come from the
+     * machine RNG, which the Machine snapshot covers).
      */
     struct Snapshot
     {
         uint64_t basePer1k = 0;
         uint64_t scalePermille = 1000;
-        uint64_t baseCycle = 0;
+        uint64_t baseCycle = 0; //!< counter == baseValue at this cycle
         uint64_t baseValue = 0;
         bool stalled = false;
         uint64_t stallUntil = 0;
         uint64_t burstUntil = 0;
         uint64_t burstExtra = 0;
-        uint64_t lastValue = 0;
+        uint64_t lastValue = 0; //!< monotonicity guard under jitter
     };
 
-    Snapshot takeSnapshot() const
-    {
-        return {basePer1k_, scalePermille_, baseCycle_, baseValue_,
-                stalled_, stallUntil_, burstUntil_, burstExtra_,
-                lastValue_};
-    }
-
-    void restore(const Snapshot &snap)
-    {
-        basePer1k_ = snap.basePer1k;
-        scalePermille_ = snap.scalePermille;
-        baseCycle_ = snap.baseCycle;
-        baseValue_ = snap.baseValue;
-        stalled_ = snap.stalled;
-        stallUntil_ = snap.stallUntil;
-        burstUntil_ = snap.burstUntil;
-        burstExtra_ = snap.burstExtra;
-        lastValue_ = snap.lastValue;
-    }
+    Snapshot takeSnapshot() const { return s_; }
+    void restore(const Snapshot &snap) { s_ = snap; }
 
   private:
     void rebase(uint64_t cycle);
 
     const uint64_t *cycle_;
-    uint64_t basePer1k_;
     uint64_t jitter_;
     Random *rng_;
-    uint64_t scalePermille_ = 1000;
-    uint64_t baseCycle_ = 0;  //!< counter == baseValue_ at this cycle
-    uint64_t baseValue_ = 0;
-    bool stalled_ = false;
-    uint64_t stallUntil_ = 0;
-    uint64_t burstUntil_ = 0;
-    uint64_t burstExtra_ = 0;
-    uint64_t lastValue_ = 0; //!< monotonicity guard under jitter
+    Snapshot s_;
 };
 
 } // namespace pacman::cpu

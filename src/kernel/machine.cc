@@ -98,24 +98,13 @@ Machine::statsReport()
         },
         core_.superblockStats());
 
-    auto structure = [&](const char *name, uint64_t hits,
-                         uint64_t misses) {
-        const uint64_t total = hits + misses;
-        table.row({name,
+    mem_.forEachArray([&](uint32_t t, const auto &array) {
+        table.row({mem::MemoryHierarchy::TableNames[t],
                    strprintf("%llu hits / %llu misses (%.1f%% hit)",
-                             (unsigned long long)hits,
-                             (unsigned long long)misses,
-                             total ? 100.0 * double(hits) /
-                                         double(total)
-                                   : 0.0)});
-    };
-    structure("L1I", mem_.l1i().hits(), mem_.l1i().misses());
-    structure("L1D", mem_.l1d().hits(), mem_.l1d().misses());
-    structure("L2", mem_.l2().hits(), mem_.l2().misses());
-    structure("iTLB (EL0)", mem_.itlb(0).hits(), mem_.itlb(0).misses());
-    structure("iTLB (EL1)", mem_.itlb(1).hits(), mem_.itlb(1).misses());
-    structure("dTLB", mem_.dtlb().hits(), mem_.dtlb().misses());
-    structure("L2 TLB", mem_.l2tlb().hits(), mem_.l2tlb().misses());
+                             (unsigned long long)array.hits(),
+                             (unsigned long long)array.misses(),
+                             100.0 * array.hitRate())});
+    });
     return table.render();
 }
 

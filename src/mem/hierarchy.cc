@@ -19,14 +19,14 @@ framePa(uint64_t ppn, Addr va)
 
 MemoryHierarchy::MemoryHierarchy(const HierarchyConfig &cfg, Random *rng)
     : cfg_(cfg), rng_(rng),
-      l1i_(cfg.l1i, cfg.replPolicy, rng),
-      l1d_(cfg.l1d, cfg.replPolicy, rng),
-      l2_(cfg.l2, cfg.replPolicy, rng),
-      slc_(cfg.slc, cfg.replPolicy, rng),
-      itlbEl0_(cfg.itlb, cfg.replPolicy, rng),
-      itlbEl1_(cfg.itlb, cfg.replPolicy, rng),
-      dtlb_(cfg.dtlb, cfg.replPolicy, rng),
-      l2tlb_(cfg.l2tlb, cfg.replPolicy, rng)
+      caches_{Cache(cfg.l1i, cfg.replPolicy, rng),
+              Cache(cfg.l1d, cfg.replPolicy, rng),
+              Cache(cfg.l2, cfg.replPolicy, rng),
+              Cache(cfg.slc, cfg.replPolicy, rng)},
+      tlbs_{Tlb(cfg.itlb, cfg.replPolicy, rng),
+            Tlb(cfg.itlb, cfg.replPolicy, rng),
+            Tlb(cfg.dtlb, cfg.replPolicy, rng),
+            Tlb(cfg.l2tlb, cfg.replPolicy, rng)}
 {
 }
 
@@ -105,7 +105,7 @@ MemoryHierarchy::translateTimed(AccessKind kind, Addr va, unsigned el,
     const bool fill_ok = !(cfg_.delayOnMiss && speculative);
 
     // L1 TLB lookup: iTLB (per-EL) for fetches, shared dTLB for data.
-    Tlb &l1 = kind == AccessKind::Fetch ? itlb(el) : dtlb_;
+    Tlb &l1 = kind == AccessKind::Fetch ? itlb(el) : dtlb();
     if (auto entry = l1.lookup(vpn, asid)) {
         finishFromEntry(kind, *entry, va, el, res);
         if (res.fault != Fault::None)
@@ -120,15 +120,15 @@ MemoryHierarchy::translateTimed(AccessKind kind, Addr va, unsigned el,
     // entry migrates back into the iTLB; the iTLB's victim spills
     // into the dTLB.
     if (kind == AccessKind::Fetch) {
-        if (auto entry = dtlb_.remove(vpn, asid)) {
+        if (auto entry = dtlb().remove(vpn, asid)) {
             res.latency += cfg_.lat.itlbSpillProbe;
             if (trace)
                 trace->spillServed = true;
             if (fill_ok) {
                 if (auto spilled = itlb(el).insert(*entry))
-                    dtlb_.insert(*spilled);
+                    dtlb().insert(*spilled);
             } else {
-                dtlb_.insert(*entry); // put it back, no movement
+                dtlb().insert(*entry); // put it back, no movement
             }
             finishFromEntry(kind, *entry, va, el, res);
             return res;
@@ -137,7 +137,7 @@ MemoryHierarchy::translateTimed(AccessKind kind, Addr va, unsigned el,
 
     // L2 TLB.
     bool from_walk = false;
-    std::optional<TlbEntry> entry = l2tlb_.lookup(vpn, asid);
+    std::optional<TlbEntry> entry = l2tlb().lookup(vpn, asid);
     if (entry) {
         res.latency += cfg_.lat.l1TlbMissPenalty;
         if (trace)
@@ -176,13 +176,13 @@ MemoryHierarchy::translateTimed(AccessKind kind, Addr va, unsigned el,
 
     // Fill the TLBs; iTLB victims spill into the dTLB.
     if (fill_ok && from_walk)
-        l2tlb_.insert(*entry);
+        l2tlb().insert(*entry);
     if (fill_ok) {
         if (kind == AccessKind::Fetch) {
             if (auto spilled = itlb(el).insert(*entry))
-                dtlb_.insert(*spilled);
+                dtlb().insert(*spilled);
         } else {
-            dtlb_.insert(*entry);
+            dtlb().insert(*entry);
         }
     }
     return res;
@@ -193,18 +193,18 @@ MemoryHierarchy::cacheAccess(AccessKind kind, Addr pa, bool speculative,
                              AccessTrace *trace)
 {
     (void)speculative; // cache fills are never gated in this model
-    Cache &l1 = kind == AccessKind::Fetch ? l1i_ : l1d_;
+    Cache &l1 = kind == AccessKind::Fetch ? l1i() : l1d();
     if (l1.access(pa)) {
         if (trace)
             trace->l1CacheHit = true;
         return cfg_.lat.l1Hit;
     }
-    if (l2_.access(pa)) {
+    if (l2().access(pa)) {
         if (trace)
             trace->l2CacheHit = true;
         return cfg_.lat.l2Hit;
     }
-    if (slc_.access(pa)) {
+    if (slc().access(pa)) {
         if (trace)
             trace->slcHit = true;
         return cfg_.lat.slcHit;
@@ -216,12 +216,12 @@ uint64_t
 MemoryHierarchy::fetchLineAccess(Addr pa, Cache::Line **line)
 {
     bool hit = false;
-    *line = l1i_.accessRef(pa, &hit);
+    *line = l1i().accessRef(pa, &hit);
     if (hit)
         return cfg_.lat.l1Hit;
-    if (l2_.access(pa))
+    if (l2().access(pa))
         return cfg_.lat.l2Hit;
-    if (slc_.access(pa))
+    if (slc().access(pa))
         return cfg_.lat.slcHit;
     return cfg_.lat.dram;
 }
@@ -241,14 +241,9 @@ void
 MemoryHierarchy::attachTouchLog(TouchLog *log)
 {
     touchLog_ = log;
-    l1i_.attachTouchLog(log, TouchL1I);
-    l1d_.attachTouchLog(log, TouchL1D);
-    l2_.attachTouchLog(log, TouchL2);
-    slc_.attachTouchLog(log, TouchSlc);
-    itlbEl0_.attachTouchLog(log, TouchITlb0);
-    itlbEl1_.attachTouchLog(log, TouchITlb1);
-    dtlb_.attachTouchLog(log, TouchDTlb);
-    l2tlb_.attachTouchLog(log, TouchL2Tlb);
+    forEachArray([log](uint32_t t, auto &array) {
+        array.attachTouchLog(log, t);
+    });
 }
 
 uint64_t
@@ -316,18 +311,12 @@ MemoryHierarchy::writeVirt(Addr va, uint64_t value, unsigned size)
 MemoryHierarchy::Snapshot
 MemoryHierarchy::takeSnapshot() const
 {
-    Snapshot snap;
-    snap.phys = phys_.takeSnapshot();
-    snap.pt = pt_.takeSnapshot();
-    snap.l1i = l1i_.takeSnapshot();
-    snap.l1d = l1d_.takeSnapshot();
-    snap.l2 = l2_.takeSnapshot();
-    snap.slc = slc_.takeSnapshot();
-    snap.itlbEl0 = itlbEl0_.takeSnapshot();
-    snap.itlbEl1 = itlbEl1_.takeSnapshot();
-    snap.dtlb = dtlb_.takeSnapshot();
-    snap.l2tlb = l2tlb_.takeSnapshot();
-    snap.flushEpoch = flushEpoch_;
+    Snapshot snap{phys_.takeSnapshot(), pt_.takeSnapshot(), {}, {},
+                  flushEpoch_};
+    for (size_t i = 0; i < caches_.size(); ++i)
+        snap.caches[i] = caches_[i].takeSnapshot();
+    for (size_t i = 0; i < tlbs_.size(); ++i)
+        snap.tlbs[i] = tlbs_[i].takeSnapshot();
     return snap;
 }
 
@@ -336,14 +325,10 @@ MemoryHierarchy::restore(const Snapshot &snap)
 {
     const PhysMem::RestoreStats stats = phys_.restore(snap.phys);
     pt_.restore(snap.pt);
-    l1i_.restore(snap.l1i);
-    l1d_.restore(snap.l1d);
-    l2_.restore(snap.l2);
-    slc_.restore(snap.slc);
-    itlbEl0_.restore(snap.itlbEl0);
-    itlbEl1_.restore(snap.itlbEl1);
-    dtlb_.restore(snap.dtlb);
-    l2tlb_.restore(snap.l2tlb);
+    for (size_t i = 0; i < caches_.size(); ++i)
+        caches_[i].restore(snap.caches[i]);
+    for (size_t i = 0; i < tlbs_.size(); ++i)
+        tlbs_[i].restore(snap.tlbs[i]);
     flushEpoch_ = snap.flushEpoch;
     return stats;
 }
@@ -351,14 +336,7 @@ MemoryHierarchy::restore(const Snapshot &snap)
 void
 MemoryHierarchy::flushAll()
 {
-    l1i_.flushAll();
-    l1d_.flushAll();
-    l2_.flushAll();
-    slc_.flushAll();
-    itlbEl0_.flushAll();
-    itlbEl1_.flushAll();
-    dtlb_.flushAll();
-    l2tlb_.flushAll();
+    forEachArray([](uint32_t, auto &array) { array.flushAll(); });
     ++flushEpoch_;
 }
 

@@ -16,6 +16,7 @@
 #ifndef PACMAN_MEM_HIERARCHY_HH
 #define PACMAN_MEM_HIERARCHY_HH
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -162,23 +163,44 @@ class MemoryHierarchy
 
     // --- Structures (exposed for tests, stats, and experiments) ---
 
-    Cache &l1i() { return l1i_; }
-    Cache &l1d() { return l1d_; }
-    Cache &l2() { return l2_; }
-    Cache &slc() { return slc_; }
-    Tlb &itlb(unsigned el) { return el == 0 ? itlbEl0_ : itlbEl1_; }
-    Tlb &dtlb() { return dtlb_; }
-    Tlb &l2tlb() { return l2tlb_; }
-
-    const HierarchyConfig &config() const { return cfg_; }
-
-    /** Table ids attachTouchLog() gives the arrays. */
+    /** Table ids: each array's place in the one list below, and the id
+     *  attachTouchLog() gives it. Caches come first, then TLBs. */
     enum TouchTable : uint32_t
     {
         TouchL1I, TouchL1D, TouchL2, TouchSlc,
         TouchITlb0, TouchITlb1, TouchDTlb, TouchL2Tlb,
         NumTouchTables,
+        NumCaches = TouchITlb0,
     };
+
+    /** Report names, by table id. */
+    static constexpr std::array<const char *, NumTouchTables> TableNames = {
+        "L1I", "L1D", "L2", "SLC",
+        "iTLB (EL0)", "iTLB (EL1)", "dTLB", "L2 TLB"};
+
+    Cache &cache(uint32_t table) { return caches_[table]; }
+    Tlb &tlb(uint32_t table) { return tlbs_[table - NumCaches]; }
+
+    Cache &l1i() { return cache(TouchL1I); }
+    Cache &l1d() { return cache(TouchL1D); }
+    Cache &l2() { return cache(TouchL2); }
+    Cache &slc() { return cache(TouchSlc); }
+    Tlb &itlb(unsigned el) { return tlb(el == 0 ? TouchITlb0 : TouchITlb1); }
+    Tlb &dtlb() { return tlb(TouchDTlb); }
+    Tlb &l2tlb() { return tlb(TouchL2Tlb); }
+
+    /** @p fn(table id, array) for every array, in table order. */
+    template <typename Fn>
+    void
+    forEachArray(Fn fn)
+    {
+        for (uint32_t t = 0; t < NumCaches; ++t)
+            fn(t, cache(t));
+        for (uint32_t t = NumCaches; t < NumTouchTables; ++t)
+            fn(t, tlb(t));
+    }
+
+    const HierarchyConfig &config() const { return cfg_; }
 
     /**
      * Route every array's touches, and the pages loads read, to @p log
@@ -232,8 +254,8 @@ class MemoryHierarchy
     {
         PhysMem::Snapshot phys;
         PageTable::Snapshot pt;
-        Cache::Snapshot l1i, l1d, l2, slc;
-        Tlb::Snapshot itlbEl0, itlbEl1, dtlb, l2tlb;
+        std::array<Cache::Snapshot, NumCaches> caches;
+        std::array<Tlb::Snapshot, NumTouchTables - NumCaches> tlbs;
         uint64_t flushEpoch = 0;
     };
 
@@ -265,15 +287,8 @@ class MemoryHierarchy
     PhysMem phys_;
     PageTable pt_;
 
-    Cache l1i_;
-    Cache l1d_;
-    Cache l2_;
-    Cache slc_;
-
-    Tlb itlbEl0_;
-    Tlb itlbEl1_;
-    Tlb dtlb_;
-    Tlb l2tlb_;
+    std::array<Cache, NumCaches> caches_; //!< by table id
+    std::array<Tlb, NumTouchTables - NumCaches> tlbs_;
 
     std::vector<Device *> devices_;          //!< index = ppn - DevicePhysBase/PageSize
     TouchLog *touchLog_ = nullptr;           //!< see attachTouchLog()

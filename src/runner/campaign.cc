@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -111,12 +112,15 @@ struct CampaignJournal
                 have_meta = true;
                 continue;
             }
-            unsigned long long seed = 0, index = 0;
-            if (sscanf(rec.key.c_str(), "chunk/%16llx/%llu", &seed,
-                       &index) == 2 &&
-                seed == campaign_seed) {
+            // Only a key exactly as chunkKey() writes it.
+            const std::string_view key = rec.key;
+            const size_t slash = key.find('/', 6);
+            uint64_t seed = 0, index = 0;
+            if (key.starts_with("chunk/") && slash != key.npos &&
+                parseWhole(key.substr(6, slash - 6), &seed, 16, 16) &&
+                parseWhole(key.substr(slash + 1), &index) &&
+                chunkKey(seed, index) == key && seed == campaign_seed)
                 resumable[index] = rec.payload; // last record wins
-            }
         }
         if (!have_meta)
             journal.append("meta", meta_payload);

@@ -356,8 +356,8 @@ OracleClient::truth(const ReplicaConfig &replica,
 {
     const WireMessage resp =
         callChecked("TRUTH", {}, encodeReplicaWire(replica, sup));
-    unsigned long long pac = 0;
-    if (sscanf(resp.args.c_str(), "%llx", &pac) != 1 || pac > 0xFFFF)
+    uint64_t pac = 0;
+    if (!parseWhole(resp.args, &pac, 16, 4))
         throw WireError("malformed TRUTH response: " + resp.args);
     return uint16_t(pac);
 }

@@ -8,10 +8,8 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <string>
+#include <stdexcept>
 #include <thread>
 
 #include "runner/server.hh"
@@ -40,13 +38,14 @@ usage(const char *argv0)
         "  --socket PATH          Unix listening socket (required)\n"
         "  --tcp-port N           also listen on 127.0.0.1:N\n"
         "                         (1 = pick an ephemeral port)\n"
-        "  --threads N            service threads / live replicas [2]\n"
+        "  --threads N            service threads / live replicas\n"
+        "                         (1 to %u) [2]\n"
         "  --max-queue N          admission-control queue depth [64]\n"
         "  --allow-truth          enable the TRUTH verb (grading)\n"
         "  --crash-after-chunks N chaos: _Exit(137) after the N-th\n"
         "                         chunk response (tests only)\n"
         "  --metrics-out PATH     write final metrics JSON on exit\n",
-        argv0);
+        argv0, pacman::runner::MaxServiceThreads);
 }
 
 } // anonymous namespace
@@ -54,46 +53,19 @@ usage(const char *argv0)
 int
 main(int argc, char **argv)
 {
-    pacman::runner::ServerConfig cfg;
-    std::string metrics_out;
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n", arg.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--socket") {
-            cfg.socketPath = next();
-        } else if (arg == "--tcp-port") {
-            cfg.tcpPort = uint16_t(std::strtoul(next(), nullptr, 10));
-        } else if (arg == "--threads") {
-            cfg.threads = unsigned(std::strtoul(next(), nullptr, 10));
-        } else if (arg == "--max-queue") {
-            cfg.maxQueue = unsigned(std::strtoul(next(), nullptr, 10));
-        } else if (arg == "--allow-truth") {
-            cfg.allowTruth = true;
-        } else if (arg == "--crash-after-chunks") {
-            cfg.crashAfterChunks =
-                std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--metrics-out") {
-            metrics_out = next();
-        } else if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
-            return 0;
-        } else {
-            std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-            usage(argv[0]);
-            return 2;
-        }
-    }
-    if (cfg.socketPath.empty()) {
+    pacman::runner::OracledArgs args;
+    try {
+        args = pacman::runner::parseOracledArgs(argc, argv);
+    } catch (const std::invalid_argument &e) {
+        std::fprintf(stderr, "%s\n", e.what());
         usage(argv[0]);
         return 2;
     }
+    if (args.help) {
+        usage(argv[0]);
+        return 0;
+    }
+    const pacman::runner::ServerConfig &cfg = args.cfg;
 
     std::signal(SIGTERM, onSignal);
     std::signal(SIGINT, onSignal);
@@ -118,8 +90,8 @@ main(int argc, char **argv)
     server.requestDrain();
     server.waitDrained();
 
-    if (!metrics_out.empty()) {
-        std::ofstream out(metrics_out, std::ios::trunc);
+    if (!args.metricsOut.empty()) {
+        std::ofstream out(args.metricsOut, std::ios::trunc);
         out << server.metricsJson() << "\n";
     }
     std::printf("pacman-oracled: drained, exiting\n");

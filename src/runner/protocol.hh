@@ -49,6 +49,7 @@
 #include <type_traits>
 
 #include "base/fields.hh"
+#include "base/stats.hh"
 #include "runner/campaign.hh"
 
 namespace pacman::runner
@@ -290,13 +291,7 @@ class LineReader
     bool
     number(uint64_t &v, int base, uint64_t max = ~0ull)
     {
-        if (!ok_)
-            return false;
-        const std::string_view w = word();
-        const char *end = w.data() + w.size();
-        const auto [ptr, ec] = std::from_chars(w.data(), end, v, base);
-        return ok_ = !w.empty() && ec == std::errc() && ptr == end &&
-                     v <= max;
+        return ok_ = ok_ && parseWhole(word(), &v, base) && v <= max;
     }
 
   private:

@@ -12,6 +12,7 @@
 #include <cctype>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <condition_variable>
 #include <csignal>
 #include <cstdlib>
@@ -20,7 +21,8 @@
 #include <list>
 #include <map>
 #include <mutex>
-#include <sstream>
+#include <stdexcept>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -48,6 +50,18 @@ constexpr size_t TenantLatencyWindow = 1024;
 /** The tenant-table entry that counts every tenant past MaxTenants.
  *  HELLO names cannot contain a space, so no tenant is called this. */
 const char *const OverflowTenant = "(other tenants)";
+
+/** @p args split at its first space into a non-empty first word and
+ *  the rest; false when it has no such space. */
+bool
+splitPair(std::string_view args, std::string_view *first,
+          std::string_view *rest)
+{
+    const size_t space = args.find(' ');
+    *first = args.substr(0, space);
+    *rest = args.substr(std::min(space + 1, args.size()));
+    return space != args.npos && space > 0;
+}
 
 /** One accepted connection; jobs hold it alive after the I/O thread
  *  has dropped it. */
@@ -258,12 +272,11 @@ OracleServer::Impl::handleFrame(const std::shared_ptr<Connection> &conn,
         // not dispatchable (dispatch.hh breakers).
         reply(conn, msg->id, "OK", draining.load() ? "draining" : "ready");
     } else if (verb == "HELLO") {
-        std::istringstream in(msg->args);
-        std::string name, secret_word;
-        unsigned long long secret = 0;
-        if (!(in >> name >> secret_word) ||
+        std::string_view name, secret_word;
+        uint64_t secret = 0;
+        if (!splitPair(msg->args, &name, &secret_word) ||
             name.size() > MaxTenantNameBytes ||
-            sscanf(secret_word.c_str(), "%llx", &secret) != 1) {
+            !parseWhole(secret_word, &secret, 16, 16)) {
             counters.requestErrors.fetch_add(1);
             reply(conn, msg->id, "ERR",
                   strprintf("usage: HELLO <name of at most %zu bytes> "
@@ -415,24 +428,22 @@ OracleServer::Impl::executeJob(ReplicaCache &cache, Job &job)
     bool crash = false;
     try {
         if (verb == "SLEEP") {
-            unsigned long ms = std::strtoul(job.msg.args.c_str(),
-                                            nullptr, 10);
+            uint64_t ms = 0;
+            if (!parseWhole(job.msg.args, &ms) || ms > MaxSleepMs)
+                throw std::runtime_error(strprintf(
+                    "usage: SLEEP <ms, at most %llu>",
+                    (unsigned long long)MaxSleepMs));
             std::this_thread::sleep_for(std::chrono::milliseconds(ms));
         } else if (verb == "QUERY" || verb == "TRUTH") {
-            std::istringstream in(job.msg.args);
             uint64_t candidate = 0, stream = 0;
             if (verb == "QUERY") {
-                std::string cand_w, stream_w;
-                unsigned long long c = 0, s = 0;
-                if (!(in >> cand_w >> stream_w) ||
-                    sscanf(cand_w.c_str(), "%llx", &c) != 1 ||
-                    sscanf(stream_w.c_str(), "%llx", &s) != 1 ||
-                    c > 0xFFFF) {
+                std::string_view cand_w, stream_w;
+                if (!splitPair(job.msg.args, &cand_w, &stream_w) ||
+                    !parseWhole(cand_w, &candidate, 16, 4) ||
+                    !parseWhole(stream_w, &stream, 16, 16)) {
                     throw std::runtime_error(
                         "usage: QUERY <pac-hex> <stream-seed-hex>");
                 }
-                candidate = c;
-                stream = s;
             } else if (!cfg.allowTruth) {
                 throw std::runtime_error("TRUTH disabled");
             }
@@ -789,6 +800,52 @@ std::string
 OracleServer::metricsJson() const
 {
     return impl_->metricsJson();
+}
+
+OracledArgs
+parseOracledArgs(int argc, const char *const *argv)
+{
+    OracledArgs out;
+    ServerConfig &cfg = out.cfg;
+    for (int i = 1; i < argc && !out.help; ++i) {
+        const std::string arg = argv[i];
+        const auto value = [&] {
+            if (++i == argc)
+                throw std::invalid_argument(arg + " needs a value");
+            return std::string(argv[i]);
+        };
+        const auto number = [&](uint64_t lo, uint64_t hi) {
+            const std::string v = value();
+            uint64_t n = 0;
+            if (!parseWhole(v, &n) || n < lo || n > hi)
+                throw std::invalid_argument(strprintf(
+                    "%s wants a number from %llu to %llu, not '%s'",
+                    arg.c_str(), (unsigned long long)lo,
+                    (unsigned long long)hi, v.c_str()));
+            return n;
+        };
+        if (arg == "--socket")
+            cfg.socketPath = value();
+        else if (arg == "--tcp-port")
+            cfg.tcpPort = uint16_t(number(0, UINT16_MAX));
+        else if (arg == "--threads")
+            cfg.threads = unsigned(number(1, MaxServiceThreads));
+        else if (arg == "--max-queue")
+            cfg.maxQueue = unsigned(number(1, UINT_MAX));
+        else if (arg == "--allow-truth")
+            cfg.allowTruth = true;
+        else if (arg == "--crash-after-chunks")
+            cfg.crashAfterChunks = number(0, UINT64_MAX);
+        else if (arg == "--metrics-out")
+            out.metricsOut = value();
+        else if (arg == "--help" || arg == "-h")
+            out.help = true;
+        else
+            throw std::invalid_argument("unknown option: " + arg);
+    }
+    if (cfg.socketPath.empty() && !out.help)
+        throw std::invalid_argument("--socket is required");
+    return out;
 }
 
 } // namespace pacman::runner

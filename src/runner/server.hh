@@ -18,7 +18,12 @@
  *                              protocol.hh chunk request); OK body
  *                              is the chunk_codec payload
  *   METRICS                    pacman-bench-v1 metrics JSON
- *   PING / SLEEP <ms> / DRAIN  liveness, test load, graceful stop
+ *   PING / SLEEP <ms> / DRAIN  liveness, test load (at most
+ *                              MaxSleepMs), graceful stop
+ *
+ * Numbers are read strictly (parseWhole): hex without sign or prefix,
+ * 1-16 digits for a secret or stream seed, 1-4 for a PAC; anything
+ * else is answered ERR.
  *
  * Tenancy: a HELLO'd connection derives a per-tenant PAC key seed
  * (deriveSeed(secret, crc32(name))) that is applied to every QUERY
@@ -61,6 +66,10 @@ constexpr size_t ReplicaCacheEntries = 4;
 
 /** Longest tenant name HELLO accepts; a longer one is answered ERR. */
 constexpr size_t MaxTenantNameBytes = 64;
+
+/** Longest SLEEP a request may ask for, in ms; a longer one is
+ *  answered ERR, so no client can park a service thread for long. */
+constexpr uint64_t MaxSleepMs = 10'000;
 
 /** Distinct tenants METRICS keeps a latency window for. Requests from
  *  tenants first seen after the table is full are counted under one
@@ -108,6 +117,23 @@ struct ServerConfig
      *  prove client-side resume across a server kill. */
     uint64_t crashAfterChunks = 0;
 };
+
+/** Most service threads pacman-oracled's --threads accepts. */
+constexpr unsigned MaxServiceThreads = 256;
+
+/** pacman-oracled's command line. */
+struct OracledArgs
+{
+    ServerConfig cfg;
+    std::string metricsOut; //!< --metrics-out; empty for none
+    bool help = false;      //!< --help: print usage, serve nothing
+};
+
+/** Parse pacman-oracled's flags, argv[1] on. Each number is one whole
+ *  decimal number in its flag's range (--threads 1 to
+ *  MaxServiceThreads, --max-queue at least 1); anything else, an
+ *  unknown flag or a missing --socket throws std::invalid_argument. */
+OracledArgs parseOracledArgs(int argc, const char *const *argv);
 
 /** The server runtime (one I/O thread + service threads). */
 class OracleServer

@@ -1,6 +1,7 @@
 #include "fingerprint.hh"
 
 #include <algorithm>
+#include <type_traits>
 #include <vector>
 
 #include "isa/pointer.hh"
@@ -38,26 +39,22 @@ machineFingerprint(const kernel::Machine &machine)
     digestRngState(d, machine.noiseRng().state());
     d.u64(machine.onECore() ? 1 : 0);
 
-    // Core architectural state. Dataflow readiness and predictor
-    // tables are timing microstate that restores bit-exactly too, but
-    // the integrity question is "would this replica produce the
-    // provisioned replica's results", and registers + sysregs (the
-    // PAC keys) + pc + cycle + memory answer it; keeping the digest
-    // to stable, documented fields also keeps it layout-agnostic.
-    // The core/timer snapshots are small fixed-size structs — the
-    // machine-level deep snapshot (every page, cache and TLB copied
-    // only to be hashed and thrown away) is what this function
-    // deliberately avoids.
+    // The core's run state through its lists: with the timer and
+    // memory below, it answers "would this replica produce the
+    // provisioned replica's results" (the predictor tables restore
+    // bit-exactly too, but are timing microstate). The core and timer
+    // snapshots are small; the machine-level deep snapshot (every
+    // page, cache and TLB copied only to be hashed) is what this
+    // function deliberately avoids.
     const cpu::Core::Snapshot core = machine.core().takeSnapshot();
-    for (uint64_t reg : core.regs)
-        d.u64(reg);
-    d.u64((core.flags.n ? 1 : 0) | (core.flags.z ? 2 : 0) |
-          (core.flags.c ? 4 : 0) | (core.flags.v ? 8 : 0));
-    d.u64(core.pc);
-    d.u64(core.el);
-    for (uint64_t sr : core.sysregs)
-        d.u64(sr);
-    d.u64(core.cycle);
+    cpu::Core::RunState::forEachField(
+        [&d](cpu::CallGuard, const auto &field) {
+            using T = std::remove_cvref_t<decltype(field)>;
+            static_assert(std::has_unique_object_representations_v<T>);
+            d.bytes(&field, sizeof field);
+        },
+        core);
+    cpu::Core::RunState::forEachTime([&d](uint64_t t) { d.u64(t); }, core);
 
     const cpu::ThreadTimerDevice::Snapshot timer =
         machine.timer().takeSnapshot();

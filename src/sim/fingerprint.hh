@@ -9,8 +9,9 @@
  * function of:
  *
  *   - both machine RNG stream positions and the e-core flag,
- *   - the core's architectural state (registers, flags, pc, EL, the
- *     system registers — so the PAC keys — and the cycle counter),
+ *   - the core's run state, through Core::RunState's lists:
+ *     registers, flags, pc, EL, the system registers (so the PAC
+ *     keys), the fetch-group phase, the cycle and the scoreboard,
  *   - the thread-timer device state,
  *   - every backed physical page's contents (frame-sorted, so the
  *     digest is independent of hash-map iteration order),

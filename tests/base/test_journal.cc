@@ -7,6 +7,7 @@
 #include <string>
 
 #include "base/journal.hh"
+#include "base/stats.hh"
 
 namespace pacman
 {
@@ -227,6 +228,44 @@ TEST(Journal, WrappedKeyLengthIsACorruptTail)
     EXPECT_EQ(after.records.size(), 1u);
     EXPECT_FALSE(after.corruptTail);
     EXPECT_EQ(after.validBytes, valid);
+}
+
+TEST(Journal, FrameHeaderIsReadExactlyAsWritten)
+{
+    // A frame for key "k", payload "v", whose CRC is right but whose
+    // header frame() would never write: a sign, a 0x prefix, a short
+    // CRC, a stray space or character, a missing length. Each is a
+    // corrupt tail.
+    const unsigned crc = Journal::crc32("kv");
+    const std::string headers[] = {
+        strprintf("R %08x +1 1", crc),  strprintf("R %08x 1 -1", crc),
+        strprintf("R 0x%06x 1 1", crc), strprintf("R %07x 1 1", crc >> 4),
+        strprintf("R %08x 1 1x", crc),  strprintf("R %08x 1 1 ", crc),
+        strprintf("R  %08x 1 1", crc),  strprintf("R %08x  1 1", crc),
+        strprintf("R %08x 1", crc),
+    };
+    for (const std::string &header : headers) {
+        SCOPED_TRACE(header);
+        TempJournalPath path("strict_header");
+        {
+            Journal j;
+            j.open(path.str());
+            j.append("ok", "fine");
+        }
+        const uint64_t valid = Journal::replay(path.str()).validBytes;
+        appendRaw(path.str(), header + "\nkv\n");
+        const Journal::Replay r = Journal::replay(path.str());
+        EXPECT_EQ(r.records.size(), 1u);
+        EXPECT_TRUE(r.corruptTail);
+        EXPECT_EQ(r.validBytes, valid);
+    }
+    // The header as frame() writes it reads back.
+    TempJournalPath path("exact_header");
+    appendRaw(path.str(), strprintf("R %08x 1 1\nkv\n", crc));
+    const Journal::Replay r = Journal::replay(path.str());
+    ASSERT_EQ(r.records.size(), 1u);
+    EXPECT_EQ(r.records[0].key, "k");
+    EXPECT_FALSE(r.corruptTail);
 }
 
 TEST(Journal, GarbagePrefixMakesWholeFileCorrupt)

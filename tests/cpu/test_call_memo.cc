@@ -8,16 +8,23 @@
  * (tests/state_dump.hh). Further tests show that impure calls are never
  * recorded, that only a call after a pure one is, that a trace hook or
  * FastPath::Reference turns replay off, and that replayed stamps rewind
- * through snapshot restore. The CallRepeat tests show that a run of
- * identical calls through Machine::callRepeat() ends in the state, and
- * with the SuperblockStats, of the plain loop of Machine::call().
+ * through snapshot restore. One relational case per run-state field
+ * (after Scam-V's relational testing, arXiv 2007.06865) changes that
+ * field before a call that would replay: Full must execute the call and
+ * end in Reference's full state, and a snapshot restore must undo the
+ * change. The CallRepeat tests show that a run of identical calls
+ * through Machine::callRepeat() ends in the state, and with the
+ * SuperblockStats, of the plain loop of Machine::call().
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <random>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "asm/assembler.hh"
 #include "attack/runtime.hh"
@@ -473,6 +480,135 @@ TEST(CallMemo, ReplayedStampsRewindThroughSnapshotRestore)
     ref.train(8);
     EXPECT_TRUE(
         sameState(fullStateDump(full.machine), fullStateDump(ref.machine)));
+}
+
+/** A run-state field, named by hand (not from Core::RunState's lists),
+ *  with the guard a change to it fails and an edit that changes it
+ *  given a random word. */
+struct FieldEdit
+{
+    std::string name;
+    CallGuard guard;
+    std::function<void(cpu::Core::Snapshot &, uint64_t)> edit;
+};
+
+/** A time past both @p t and the cycle: a call entering now waits for
+ *  it longer than for @p t. */
+uint64_t
+later(const cpu::Core::Snapshot &s, uint64_t t, uint64_t x)
+{
+    return std::max(t, s.cycle) + 1 + x % 64;
+}
+
+/** Every run-state field a replay guards. */
+std::vector<FieldEdit>
+guardedFields()
+{
+    using Snap = cpu::Core::Snapshot;
+    std::vector<FieldEdit> f;
+    for (unsigned r = 0; r < isa::NumRegs; ++r) {
+        const std::string x = "x" + std::to_string(r);
+        f.push_back({x, CallGuard::Registers,
+                     [r](Snap &s, uint64_t v) { s.regs[r] ^= v | 1; }});
+        f.push_back({"ready " + x, CallGuard::Scoreboard,
+                     [r](Snap &s, uint64_t v) {
+                         s.ready[r] = later(s, s.ready[r], v);
+                     }});
+    }
+    for (size_t i = 0; i < size_t(isa::SysReg::NumSysRegs); ++i)
+        f.push_back({isa::sysRegName(isa::SysReg(i)), CallGuard::SysRegs,
+                     [i](Snap &s, uint64_t v) { s.sysregs[i] ^= v | 1; }});
+    f.push_back({"flag n", CallGuard::Registers,
+                 [](Snap &s, uint64_t) { s.flags.n = !s.flags.n; }});
+    f.push_back({"flag z", CallGuard::Registers,
+                 [](Snap &s, uint64_t) { s.flags.z = !s.flags.z; }});
+    f.push_back({"flag c", CallGuard::Registers,
+                 [](Snap &s, uint64_t) { s.flags.c = !s.flags.c; }});
+    f.push_back({"flag v", CallGuard::Registers,
+                 [](Snap &s, uint64_t) { s.flags.v = !s.flags.v; }});
+    f.push_back({"el", CallGuard::Entry,
+                 [](Snap &s, uint64_t) { s.el ^= 1; }});
+    const unsigned width = defaultMachineConfig().core.fetchWidth;
+    f.push_back({"fetch-group phase", CallGuard::Entry,
+                 [width](Snap &s, uint64_t v) {
+                     s.fetchGroup =
+                         (s.fetchGroup + 1 + v % (width - 1)) % width;
+                 }});
+    f.push_back({"flagsReady", CallGuard::Scoreboard,
+                 [](Snap &s, uint64_t v) {
+                     s.flagsReady = later(s, s.flagsReady, v);
+                 }});
+    f.push_back({"lastCompletion", CallGuard::Scoreboard,
+                 [](Snap &s, uint64_t v) {
+                     s.lastCompletion = later(s, s.lastCompletion, v);
+                 }});
+    return f;
+}
+
+/** Budget of an edited call: an edit may send it astray. */
+constexpr uint64_t EditedCallBudget = 20'000;
+
+TEST(CallMemo, EveryRunStateFieldIsGuarded)
+{
+    Rig full(FastPath::Full), ref(FastPath::Reference);
+    for (Rig *r : {&full, &ref})
+        r->train(8);
+    const Machine::Snapshot warm_full = full.machine.takeSnapshot();
+    const Machine::Snapshot warm_ref = ref.machine.takeSnapshot();
+    std::mt19937_64 rng(1);
+    for (const FieldEdit &field : guardedFields()) {
+        SCOPED_TRACE(field.name);
+        const uint64_t v = rng();
+        full.machine.restore(warm_full);
+        ref.machine.restore(warm_ref);
+        // Unchanged, the call replays: the warm-up's recording is at
+        // the front of the table again.
+        const cpu::SuperblockStats before = full.memo();
+        full.train(1);
+        ref.train(1);
+        ASSERT_EQ(full.memo().callsReplayed - before.callsReplayed, 1u);
+
+        for (Rig *r : {&full, &ref}) {
+            startSyscall(*r, SYS_GADGET_DATA, r->legit);
+            editCore(*r, [&](cpu::Core::Snapshot &s) { field.edit(s, v); });
+            r->machine.core().run(EditedCallBudget);
+        }
+        const cpu::SuperblockStats &after = full.memo();
+        EXPECT_EQ(after.callsReplayed - before.callsReplayed, 1u);
+        EXPECT_EQ(after.replayMisses[size_t(field.guard)] -
+                      before.replayMisses[size_t(field.guard)],
+                  1u)
+            << cpu::callGuardName(field.guard);
+        EXPECT_TRUE(sameState(fullStateDump(full.machine),
+                              fullStateDump(ref.machine)));
+    }
+}
+
+TEST(CallMemo, SnapshotRestoreRewindsEveryRunStateField)
+{
+    std::vector<FieldEdit> fields = guardedFields();
+    fields.push_back({"pc", CallGuard::Entry,
+                      [](cpu::Core::Snapshot &s, uint64_t v) {
+                          s.pc ^= (v | 1) << 2;
+                      }});
+    fields.push_back({"cycle", CallGuard::Scoreboard,
+                      [](cpu::Core::Snapshot &s, uint64_t v) {
+                          s.cycle += 1 + v % 64;
+                      }});
+    Rig r(FastPath::Full);
+    r.train(8);
+    cpu::Core &core = r.machine.core();
+    const std::string before = fullStateDump(r.machine);
+    const cpu::Core::Snapshot snap = core.takeSnapshot();
+    std::mt19937_64 rng(2);
+    for (const FieldEdit &field : fields) {
+        SCOPED_TRACE(field.name);
+        const uint64_t v = rng();
+        editCore(r, [&](cpu::Core::Snapshot &s) { field.edit(s, v); });
+        EXPECT_FALSE(sameState(fullStateDump(r.machine), before));
+        core.restore(snap);
+        EXPECT_TRUE(sameState(fullStateDump(r.machine), before));
+    }
 }
 
 /** Every SuperblockStats counter under its metric name. */

@@ -3,6 +3,7 @@
 #include "attack/runtime.hh"
 #include "kernel/layout.hh"
 #include "kernel/machine.hh"
+#include "state_dump.hh"
 
 namespace pacman::kernel
 {
@@ -208,6 +209,30 @@ TEST(Machine, StatsReportReflectsActivity)
     EXPECT_NE(report.find("dTLB"), std::string::npos);
     // 5 syscalls recorded.
     EXPECT_NE(report.find("5"), std::string::npos);
+}
+
+TEST(Machine, StatsReportListsEveryCacheAndTlb)
+{
+    Machine machine;
+    const std::string report = machine.statsReport();
+    for (const char *name : {"L1I", "L1D", "L2", "SLC", "iTLB (EL0)",
+                             "iTLB (EL1)", "dTLB", "L2 TLB"})
+        EXPECT_NE(report.find("\n" + std::string(name) + "  "),
+                  std::string::npos)
+            << name;
+}
+
+TEST(Machine, StateDumpShowsTheTimerStallFlag)
+{
+    // Two machines that differ only in the timer's stalled flag.
+    Machine a, b;
+    using testing_support::fullStateDump;
+    using testing_support::sameState;
+    ASSERT_TRUE(sameState(fullStateDump(a), fullStateDump(b)));
+    cpu::ThreadTimerDevice::Snapshot t = b.timer().takeSnapshot();
+    t.stalled = !t.stalled;
+    b.timer().restore(t);
+    EXPECT_FALSE(sameState(fullStateDump(a), fullStateDump(b)));
 }
 
 TEST(Machine, GuestStatePersistsAcrossCalls)

@@ -156,6 +156,24 @@ TEST(Pipelining, OutOfOrderResponsesFillPendingBuffer)
     EXPECT_EQ(c.pendingResponses(), 0u);
 }
 
+TEST(Pipelining, TruthReplyIsReadStrictly)
+{
+    // The answer to the client's first request (id 1) is written before
+    // the request: TRUTH's PAC must be 1-4 hex digits and nothing else.
+    const auto truth = [](const std::string &reply) {
+        SocketPair sp;
+        OracleClient c;
+        c.adopt(sp.client());
+        writeResponse(sp.server(), 1, "OK", reply);
+        return c.truth(ReplicaConfig{});
+    };
+    EXPECT_EQ(truth("00ff"), 0xffu);
+    EXPECT_EQ(truth("beef"), 0xbeefu);
+    for (const char *reply :
+         {"-1", "+5", "0x10", "12zz", "10000", "", "1 2", " 1"})
+        EXPECT_THROW(truth(reply), WireError) << reply;
+}
+
 TEST(Pipelining, MalformedFrameMidPipelineClosesConnection)
 {
     SocketPair sp;

@@ -11,6 +11,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -589,6 +590,78 @@ TEST(Server, TenantTableIsBounded)
     EXPECT_LE(listed, MaxTenants + 1);
     EXPECT_EQ(metricValue(metrics, "tenant__other_tenants__requests"),
               double(MaxTenants));
+}
+
+TEST(Server, WireNumbersAreReadStrictly)
+{
+    // HELLO's secret and QUERY's stream are 1-16 hex digits, QUERY's
+    // PAC 1-4, SLEEP's milliseconds decimal up to MaxSleepMs: no sign,
+    // prefix, stray character or extra word. (Read loosely, no case
+    // here sleeps: the two over-long SLEEPs wrap to negative times.)
+    TestServer ts(/*threads=*/1);
+    OracleClient c(ts.endpoint());
+    for (const std::string secret :
+         {"-1", "+5", "0x10", "12zz", "00000000000000001", "1 2", "", " 1"})
+        EXPECT_EQ(c.call("HELLO", "t " + secret).verb, "ERR") << secret;
+    EXPECT_EQ(c.call("HELLO", "t").verb, "ERR");
+    EXPECT_EQ(c.call("HELLO", "t 0123456789abcdef").verb, "OK");
+    EXPECT_EQ(c.call("HELLO", "t 5eed").verb, "OK");
+
+    for (const char *args :
+         {"-1 1", "+5 1", "0x10 1", "12zz 1", "10000 1", "1 -1", "1 +1",
+          "1 0x1", "1 12zz", "1 00000000000000001", "1", "1 1 1", " 1 1",
+          ""}) {
+        const WireMessage r = c.call("QUERY", args);
+        EXPECT_EQ(r.verb, "ERR") << args;
+        EXPECT_TRUE(r.args.starts_with("usage: QUERY")) << args;
+    }
+
+    for (const char *ms : {"-1", "+5", "12zz", "0x10", "", " 1", "1 ",
+                           "18446744073709551615", "9223372036854775808"})
+        EXPECT_EQ(c.call("SLEEP", ms).verb, "ERR") << ms;
+    EXPECT_EQ(c.call("SLEEP", "1").verb, "OK");
+}
+
+TEST(OracledArgs, NumbersAreWholeAndInRange)
+{
+    // Parsing only: no daemon starts, whatever the flags ask for.
+    const auto parse = [](std::vector<const char *> flags) {
+        flags.insert(flags.begin(), "pacman-oracled");
+        return parseOracledArgs(int(flags.size()), flags.data());
+    };
+    const OracledArgs ok =
+        parse({"--socket", "s.sock", "--tcp-port", "65535", "--threads",
+               "256", "--max-queue", "8", "--crash-after-chunks", "3",
+               "--metrics-out", "m.json", "--allow-truth"});
+    EXPECT_EQ(ok.cfg.socketPath, "s.sock");
+    EXPECT_EQ(ok.cfg.tcpPort, 65535u);
+    EXPECT_EQ(ok.cfg.threads, MaxServiceThreads);
+    EXPECT_EQ(ok.cfg.maxQueue, 8u);
+    EXPECT_EQ(ok.cfg.crashAfterChunks, 3u);
+    EXPECT_EQ(ok.metricsOut, "m.json");
+    EXPECT_TRUE(ok.cfg.allowTruth);
+    EXPECT_FALSE(ok.help);
+    EXPECT_TRUE(parse({"--help"}).help);
+
+    const std::vector<std::vector<const char *>> bad = {
+        {"--threads", "x"},         {"--threads", "0"},
+        {"--threads", "257"},       {"--threads", "4294967298"},
+        {"--threads", "-1"},        {"--threads", "+2"},
+        {"--threads", "2x"},        {"--threads", ""},
+        {"--threads"},              {"--tcp-port", "70000"},
+        {"--tcp-port", "0x10"},     {"--max-queue", "0"},
+        {"--max-queue", "4294967296"},
+        {"--crash-after-chunks", "-1"},
+        {"--crash-after-chunks", "18446744073709551616"},
+        {"--bogus"}};
+    for (std::vector<const char *> flags : bad) {
+        const std::string what = flags.size() > 1
+                                     ? std::string(flags[0]) + " " + flags[1]
+                                     : flags[0];
+        flags.insert(flags.begin(), {"--socket", "s.sock"});
+        EXPECT_THROW(parse(flags), std::invalid_argument) << what;
+    }
+    EXPECT_THROW(parse({"--threads", "2"}), std::invalid_argument);
 }
 
 /** Every metric name in a METRICS document. */

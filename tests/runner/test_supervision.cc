@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdio>
 #include <fstream>
 #include <optional>
@@ -466,6 +467,49 @@ TEST(CampaignJournal, PartialJournalResumesRemainderIdentically)
     const BruteForceCampaignResult resumed = runBruteForceCampaign(cfg);
     EXPECT_EQ(resumed.fingerprint(), full.fingerprint());
     EXPECT_EQ(resumed.chunksResumed, 1u);
+}
+
+TEST(CampaignJournal, NonCanonicalChunkKeysAreNotResumed)
+{
+    // Chunk 0's record copied under keys that name chunk 1 in a form
+    // chunkKey() never writes: a sign, a padded or suffixed index, an
+    // upper-case seed. None may resume chunk 1.
+    TempPath journal("noncanonical.journal");
+    BruteForceCampaignConfig cfg = smallCampaign(nullptr);
+    cfg.pool.jobs = 1;
+    cfg.supervision.journalPath = journal.str();
+    const BruteForceCampaignResult full = runBruteForceCampaign(cfg);
+    ASSERT_GE(full.chunksMerged, 2u);
+
+    const Journal::Replay replay = Journal::replay(journal.str());
+    ASSERT_GE(replay.records.size(), 2u);
+    const Journal::Record &meta = replay.records[0];
+    const Journal::Record &chunk0 = replay.records[1];
+    const std::string seed = chunk0.key.substr(6, 16);
+    ASSERT_EQ(chunk0.key, "chunk/" + seed + "/0");
+    std::vector<std::string> keys = {
+        "chunk/" + seed + "/+1", "chunk/" + seed + "/01",
+        "chunk/" + seed + "/1x", "chunk/" + seed + "/1 ",
+        "chunk/" + seed + "//1"};
+    std::string upper = seed;
+    for (char &ch : upper)
+        ch = char(std::toupper(ch));
+    if (upper != seed)
+        keys.push_back("chunk/" + upper + "/1");
+    std::remove(journal.str().c_str());
+    {
+        Journal j;
+        j.open(journal.str());
+        j.append(meta.key, meta.payload);
+        j.append(chunk0.key, chunk0.payload);
+        for (const std::string &key : keys)
+            j.append(key, chunk0.payload);
+    }
+
+    cfg.supervision.resume = true;
+    const BruteForceCampaignResult resumed = runBruteForceCampaign(cfg);
+    EXPECT_EQ(resumed.chunksResumed, 1u);
+    EXPECT_EQ(resumed.fingerprint(), full.fingerprint());
 }
 
 TEST(CampaignQuarantine, DeterministicAcrossJobsAndReplayable)

@@ -171,11 +171,12 @@ fullStateDump(kernel::Machine &m)
                  (unsigned long long)st.s[2],
                  (unsigned long long)st.s[3]);
     const auto t = m.timer().takeSnapshot();
-    dumpLine(s, "onECore=%d timer=%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu",
+    dumpLine(s,
+             "onECore=%d timer=%llu,%llu,%llu,%llu,%d,%llu,%llu,%llu,%llu",
              int(m.onECore()), (unsigned long long)t.basePer1k,
              (unsigned long long)t.scalePermille,
              (unsigned long long)t.baseCycle,
-             (unsigned long long)t.baseValue,
+             (unsigned long long)t.baseValue, int(t.stalled),
              (unsigned long long)t.stallUntil,
              (unsigned long long)t.burstUntil,
              (unsigned long long)t.burstExtra,
